@@ -57,3 +57,9 @@ class InvariantViolation(Exception):
 
 class OracleBudgetExceeded(Exception):
     """The bounded declarative search ran out of budget; fail loudly, never silently."""
+
+
+def require(cond: bool, what: str):
+    """Reject a call whose documented precondition does not hold."""
+    if not cond:
+        raise ValueError(what)

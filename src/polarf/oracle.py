@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OracleBudgetExceeded
+from .errors import OracleBudgetExceeded, require
 from .syntax import (
     Arrow, BoolLit, Computation, Context, Data, Down, Forall, IntLit,
     Lambda, Let, LetAnn, NegData, PairVal, PosType, Return, Thunk,
@@ -309,11 +309,6 @@ class _Search:
         return vals
 
 
-def _require(cond: bool, what: str):
-    if not cond:
-        raise ValueError(what)
-
-
 def decl_subtype(theta, a, b, universe=None, budget: Budget = None) -> bool:
     """Is `a` a declarative subtype of `b` under the universal context `theta`?
 
@@ -322,8 +317,8 @@ def decl_subtype(theta, a, b, universe=None, budget: Budget = None) -> bool:
     """
     theta = tuple(theta)
     ctx = _decl_ctx(theta)
-    _require(is_ground(a) and is_ground(b), "declarative types must be ground")
-    _require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
+    require(is_ground(a) and is_ground(b), "declarative types must be ground")
+    require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
     if universe is None:
         universe = candidate_universe([a, b], theta)
     search = _Search(universe, budget or Budget())
@@ -334,8 +329,8 @@ def decl_iso(theta, a, b, universe=None, budget: Budget = None) -> bool:
     """Mutual declarative subtyping."""
     theta = tuple(theta)
     ctx = _decl_ctx(theta)
-    _require(is_ground(a) and is_ground(b), "declarative types must be ground")
-    _require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
+    require(is_ground(a) and is_ground(b), "declarative types must be ground")
+    require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
     if universe is None:
         universe = candidate_universe([a, b], theta)
     search = _Search(universe, budget or Budget())

@@ -132,7 +132,7 @@ def _key(t, bound, next_level):
 
 
 def alpha_equal(a: Type, b: Type) -> bool:
-    return alpha_key(a) == alpha_key(b)
+    return a is b or alpha_key(a) == alpha_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -462,38 +462,68 @@ def fresh_name(base: str, taken) -> str:
 
 def subst_type(p: PosType, alpha: str, target: Type) -> Type:
     """Capture-avoiding substitution of `p` for the universal variable `alpha`."""
-    return _subst(target, alpha, p, UVar)
+    return _substitute(target, {alpha: p}, UVar)
 
 
 def subst_evar(p: PosType, name: str, target: Type) -> Type:
     """Capture-avoiding substitution of `p` for the existential `name`."""
-    return _subst(target, name, p, EVar)
+    return _substitute(target, {name: p}, EVar)
 
 
-def _subst(t, name, p, var_cls):
-    if isinstance(t, (UVar, EVar)):
-        return p if isinstance(t, var_cls) and t.name == name else t
-    if isinstance(t, Down):
-        return Down(_subst(t.body, name, p, var_cls))
-    if isinstance(t, Data):
-        return Data(t.constructor, tuple(_subst(a, name, p, var_cls) for a in t.args))
-    if isinstance(t, NegData):
-        return NegData(t.constructor, tuple(_subst(a, name, p, var_cls) for a in t.args))
-    if isinstance(t, Arrow):
-        return Arrow(_subst(t.domain, name, p, var_cls), _subst(t.codomain, name, p, var_cls))
-    if isinstance(t, Up):
-        return Up(_subst(t.body, name, p, var_cls))
-    if isinstance(t, Forall):
-        if var_cls is UVar and t.binder == name:
-            return t
-        if t.binder in free_uvars(p):
-            # rename the binder so it cannot capture free variables of p
-            avoid = type_names(t.body) | type_names(p) | {name}
-            b = fresh_name(t.binder, avoid)
-            body = _subst(t.body, t.binder, UVar(b), UVar)
-            return Forall(b, _subst(body, name, p, var_cls))
-        return Forall(t.binder, _subst(t.body, name, p, var_cls))
-    raise TypeError(f"not a type: {t!r}")
+def _substitute(t: Type, sub: dict, var_cls) -> Type:
+    """Simultaneous capture-avoiding substitution in one traversal.
+
+    `sub` maps names of `var_cls` variables to positive types.  A binder
+    that occurs free in a substituted type is renamed on the way down (the
+    renaming travels in `ren`, so no second pass over the body is needed);
+    the free universals of the substituted types are computed once, at the
+    first binder met.  Unchanged subtrees are returned as they are, so
+    substituting into a type that mentions none of the names allocates
+    nothing.
+    """
+    solutions = tuple(sub.values())
+    fv = None
+
+    def walk(t, sub, ren):
+        nonlocal fv
+        if isinstance(t, UVar):
+            if t.name in ren:
+                return UVar(ren[t.name])
+            return sub.get(t.name, t) if var_cls is UVar else t
+        if isinstance(t, EVar):
+            return sub.get(t.name, t) if var_cls is EVar else t
+        if isinstance(t, (Down, Up)):
+            body = walk(t.body, sub, ren)
+            return t if body is t.body else type(t)(body)
+        if isinstance(t, (Data, NegData)):
+            args = tuple(walk(a, sub, ren) for a in t.args)
+            if all(a is b for a, b in zip(args, t.args)):
+                return t
+            return type(t)(t.constructor, args)
+        if isinstance(t, Arrow):
+            dom, cod = walk(t.domain, sub, ren), walk(t.codomain, sub, ren)
+            return t if dom is t.domain and cod is t.codomain else Arrow(dom, cod)
+        if isinstance(t, Forall):
+            binder = t.binder
+            if var_cls is UVar and binder in sub:
+                sub = {k: v for k, v in sub.items() if k != binder}
+            if binder in ren:
+                ren = {k: v for k, v in ren.items() if k != binder}
+            if not sub and not ren:
+                return t
+            if fv is None:
+                fv = set().union(*map(free_uvars, solutions))
+            new = binder
+            if sub and binder in fv:
+                # rename the binder so it cannot capture free variables of sub
+                new = fresh_name(binder, type_names(t.body) | fv | set(sub)
+                                 | set(ren.values()))
+                ren = {**ren, binder: new}
+            body = walk(t.body, sub, ren)
+            return t if body is t.body and new == binder else Forall(new, body)
+        raise TypeError(f"not a type: {t!r}")
+
+    return walk(t, sub, {})
 
 
 def rename_tyvar_in_comp(t, old: str, new: str):
@@ -564,13 +594,12 @@ def tyvar_names_in_comp(t) -> set:
 def apply_context(theta: Context, t: Type) -> Type:
     """Apply a context as a substitution, replacing solved existentials.
 
-    Folds from the right, so later solutions are substituted first;
-    idempotent whenever the solutions are ground (the invariant here).
+    One simultaneous substitution by all the solutions.  Solutions are
+    ground in a well-formed context, so this equals substituting them one
+    at a time in any order, and it is idempotent.
     """
-    for e in reversed(theta.entries):
-        if isinstance(e, Solved):
-            t = subst_evar(e.solution, e.name, t)
-    return t
+    solutions = {e.name: e.solution for e in theta.entries if isinstance(e, Solved)}
+    return _substitute(t, solutions, EVar) if solutions else t
 
 
 def restrict_context(theta_prime: Context, theta: Context) -> Context:
@@ -614,23 +643,28 @@ def erase_context(theta: Context) -> tuple:
     return tuple(e.name for e in theta.entries if isinstance(e, Universal))
 
 
-def _solutions_agree(prefix: Context, p: PosType, q: PosType, iso) -> bool:
+def _solutions_agree(theta: Context, i: int, p: PosType, q: PosType, iso) -> bool:
     if alpha_equal(p, q):
         return True
+    # only a non-trivial comparison needs the universals before entry i
+    prefix = erase_context(Context(theta.entries[:i]))
     if iso is None:
         from . import oracle
-        return oracle.decl_iso(erase_context(prefix), p, q)
-    return iso(erase_context(prefix), p, q)
+        return oracle.decl_iso(prefix, p, q)
+    return iso(prefix, p, q)
 
 
-def _entry_compatible(e, e2, prefix: Context, iso) -> bool:
+def _entry_compatible(e, e2, theta: Context, i: int, iso) -> bool:
+    """Can entry i of theta (`e`) become `e2` by gaining information?"""
+    if e is e2:
+        return True
     if isinstance(e, Universal):
         return isinstance(e2, Universal) and e2.name == e.name
     if isinstance(e, Unsolved):
         return isinstance(e2, (Unsolved, Solved)) and e2.name == e.name
     # solved entries may only be replaced by isomorphic solutions
     return (isinstance(e2, Solved) and e2.name == e.name
-            and _solutions_agree(prefix, e.solution, e2.solution, iso))
+            and _solutions_agree(theta, i, e.solution, e2.solution, iso))
 
 
 def extends(theta: Context, theta_prime: Context, iso=None) -> bool:
@@ -642,7 +676,7 @@ def extends(theta: Context, theta_prime: Context, iso=None) -> bool:
     if len(theta.entries) != len(theta_prime.entries):
         return False
     for i, (e, e2) in enumerate(zip(theta.entries, theta_prime.entries)):
-        if not _entry_compatible(e, e2, Context(theta.entries[:i]), iso):
+        if not _entry_compatible(e, e2, theta, i, iso):
             return False
     return True
 
@@ -658,7 +692,7 @@ def weak_extends(theta: Context, theta_prime: Context, iso=None) -> bool:
         if i < 0:
             return False
         e = theta.entries[i]
-        if not _entry_compatible(e, e2, Context(theta.entries[:i]), iso):
+        if not _entry_compatible(e, e2, theta, i, iso):
             return False
         i -= 1
     return i < 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, TypeCheckError
+from .errors import InvariantViolation, TypeCheckError, require
 from .parser import pretty
 from .subtype import NameSource, TraceStep, _alpha_iso, subtype_pos
 from .syntax import (
@@ -265,16 +265,11 @@ class _Typer:
             raise InvariantViolation("spine result leaked unknown existentials")
 
 
-def _require(cond: bool, what: str):
-    if not cond:
-        raise ValueError(what)
-
-
 def synth_value(theta: Context, gamma: TypeEnv, v: Value,
                 names: NameSource = None) -> SynthResult:
     """Synthesize the (ground) type of a value."""
-    _require(wf_context(theta), "input context is ill-formed")
-    _require(wf_env(theta, gamma), "environment is ill-formed")
+    require(wf_context(theta), "input context is ill-formed")
+    require(wf_env(theta, gamma), "environment is ill-formed")
     ty = _Typer(names or NameSource())
     p, out = ty.value(theta, gamma, v, None)
     return SynthResult(p, out, tuple(ty.trace))
@@ -283,8 +278,8 @@ def synth_value(theta: Context, gamma: TypeEnv, v: Value,
 def synth_computation(theta: Context, gamma: TypeEnv, t: Computation,
                       names: NameSource = None) -> SynthResult:
     """Synthesize the (ground) type of a computation."""
-    _require(wf_context(theta), "input context is ill-formed")
-    _require(wf_env(theta, gamma), "environment is ill-formed")
+    require(wf_context(theta), "input context is ill-formed")
+    require(wf_env(theta, gamma), "environment is ill-formed")
     ty = _Typer(names or NameSource())
     n, out = ty.comp(theta, gamma, t, None)
     return SynthResult(n, out, tuple(ty.trace))
@@ -293,10 +288,10 @@ def synth_computation(theta: Context, gamma: TypeEnv, t: Computation,
 def synth_spine(theta: Context, gamma: TypeEnv, args: tuple, n: NegType,
                 names: NameSource = None) -> SynthResult:
     """Type an argument list against a head type; the result may be non-ground."""
-    _require(wf_context(theta), "input context is ill-formed")
-    _require(wf_env(theta, gamma), "environment is ill-formed")
-    _require(wf_type(theta, n), "head type is ill-formed")
-    _require(alpha_equal(apply_context(theta, n), n),
+    require(wf_context(theta), "input context is ill-formed")
+    require(wf_env(theta, gamma), "environment is ill-formed")
+    require(wf_type(theta, n), "head type is ill-formed")
+    require(alpha_equal(apply_context(theta, n), n),
              "head type must not mention solved existentials")
     ty = _Typer(names or NameSource())
     m, out = ty.spine(theta, gamma, tuple(args), n, None)
@@ -306,7 +301,7 @@ def synth_spine(theta: Context, gamma: TypeEnv, args: tuple, n: NegType,
 def check_program(program) -> SynthResult:
     """Typecheck a parsed program: synthesize its body under its assumptions."""
     gamma = TypeEnv(tuple(program.assumptions))
-    _require(wf_env(Context(), gamma), "assumption types must be ground and closed")
+    require(wf_env(Context(), gamma), "assumption types must be ground and closed")
     ty = _Typer(NameSource())
     n, out = ty.comp(Context(), gamma, program.body, None)
     if out.entries:

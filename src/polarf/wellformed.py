@@ -9,52 +9,56 @@ from __future__ import annotations
 
 from .syntax import (
     Arrow, Context, Data, Down, EVar, Forall, NegData, Solved, TypeEnv, UVar,
-    Up, free_evars,
+    Universal, Up,
 )
+
+_NONE = frozenset()
 
 
 def wf_type(theta: Context, t) -> bool:
     """True iff `t` only mentions variables the context knows about."""
-    return _wf(theta, t, frozenset())
+    return _wf(t, theta.uvar_names(), theta.evar_names(), _NONE)
 
 
-def _wf(theta: Context, t, extra) -> bool:
+def _wf(t, uvars, evars, bound) -> bool:
+    """Every universal of `t` is in `uvars` or bound, every existential in `evars`."""
     if isinstance(t, UVar):
-        return t.name in extra or theta.has_universal(t.name)
+        return t.name in bound or t.name in uvars
     if isinstance(t, EVar):
-        return theta.lookup_evar(t.name) is not None
-    if isinstance(t, Down):
-        return _wf(theta, t.body, extra)
+        return t.name in evars
+    if isinstance(t, (Down, Up)):
+        return _wf(t.body, uvars, evars, bound)
     if isinstance(t, (Data, NegData)):
-        return all(_wf(theta, a, extra) for a in t.args)
+        return all(_wf(a, uvars, evars, bound) for a in t.args)
     if isinstance(t, Arrow):
-        return _wf(theta, t.domain, extra) and _wf(theta, t.codomain, extra)
+        return (_wf(t.domain, uvars, evars, bound)
+                and _wf(t.codomain, uvars, evars, bound))
     if isinstance(t, Forall):
-        # binders may shadow; track them separately instead of mutating theta
-        return _wf(theta, t.body, extra | {t.binder})
-    if isinstance(t, Up):
-        return _wf(theta, t.body, extra)
+        # binders may shadow; track them separately from the context
+        return _wf(t.body, uvars, evars, bound | {t.binder})
     return False
 
 
 def wf_context(theta: Context) -> bool:
-    """Entry names are fresh and every solution is ground and scoped to its prefix."""
+    """Entry names are fresh and every solution is ground and scoped to its prefix.
+
+    One pass: `universals` holds the universals seen so far, which is all a
+    ground solution can mention.
+    """
     seen = set()
-    for i, e in enumerate(theta.entries):
+    universals = set()
+    for e in theta.entries:
         if e.name in seen:
             return False
         seen.add(e.name)
-        if isinstance(e, Solved):
-            if free_evars(e.solution):
-                return False
-            if not wf_type(Context(theta.entries[:i]), e.solution):
-                return False
+        if isinstance(e, Universal):
+            universals.add(e.name)
+        elif isinstance(e, Solved) and not _wf(e.solution, universals, _NONE, _NONE):
+            return False
     return True
 
 
 def wf_env(theta: Context, gamma: TypeEnv) -> bool:
     """Every binding's type is ground and well-formed in the context."""
-    for _, p in gamma:
-        if free_evars(p) or not wf_type(theta, p):
-            return False
-    return True
+    uvars = theta.uvar_names()
+    return all(_wf(p, uvars, _NONE, _NONE) for _, p in gamma)
