@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import corpus
-from .errors import InvariantViolation, TypeCheckError
+from .errors import InvariantViolation, SourceSpan, TypeCheckError
 from .parser import parse_program, parse_type, pretty
 from .subtype import subtype_neg, subtype_pos
 from .syntax import Context, PosType
@@ -51,16 +51,7 @@ def _check_source(text: str, filename: str, with_trace: bool):
         program = parse_program(text, filename)
         result = check_program(program)
     except TypeCheckError as e:
-        status = "parse-error" if e.kind == "parse" else "type-error"
-        record = {
-            "status": status,
-            "type": None,
-            "error": {"kind": e.kind, "message": e.message,
-                      "span": _span_json(e.span)},
-            "trace": _trace_json(e.trace) if with_trace else None,
-        }
-        code = EXIT_PARSE_ERROR if e.kind == "parse" else EXIT_TYPE_ERROR
-        return record, code
+        return _error_record(e, with_trace)
     record = {
         "status": "ok",
         "type": pretty(result.type),
@@ -70,14 +61,44 @@ def _check_source(text: str, filename: str, with_trace: bool):
     return record, EXIT_OK
 
 
+def _error_record(e: TypeCheckError, with_trace: bool):
+    status = "parse-error" if e.kind == "parse" else "type-error"
+    record = {
+        "status": status,
+        "type": None,
+        "error": {"kind": e.kind, "message": e.message,
+                  "span": _span_json(e.span)},
+        "trace": _trace_json(e.trace) if with_trace else None,
+    }
+    code = EXIT_PARSE_ERROR if e.kind == "parse" else EXIT_TYPE_ERROR
+    return record, code
+
+
+def _read_source(path: str) -> str:
+    """The file's text as `open(path, encoding="utf-8").read()` gives it.
+    Raises OSError, or TypeCheckError(parse) spanning the first byte that
+    is not UTF-8 (the span counts bytes)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise TypeCheckError(
+            "parse", f"invalid UTF-8 (byte {data[e.start]:#04x})",
+            SourceSpan(path, e.start, e.end)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _cmd_check(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as f:
-            text = f.read()
+        text = _read_source(args.file)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    record, code = _check_source(text, args.file, args.trace)
+    except TypeCheckError as e:
+        record, code = _error_record(e, args.trace)
+    else:
+        record, code = _check_source(text, args.file, args.trace)
     if args.json:
         print(json.dumps(record))
         return code
@@ -99,10 +120,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_sub(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as f:
-            lines = f.readlines()
+        lines = _read_source(args.file).split("\n")
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except TypeCheckError as e:
+        print(f"error[parse] at {e.span.start}-{e.span.end}: {e.message}")
         return EXIT_PARSE_ERROR
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -1,6 +1,6 @@
 """Concrete syntax: lexer, recursive-descent parser, and pretty printer.
 
-The surface language is ASCII and one-token-lookahead:
+The surface language is one-token-lookahead:
 
     positive types   a | dn N | T P1 ... Pk | P * Q | ( ... )
     negative types   P -> N (right assoc) | forall a b. N | up P | ST P Q
@@ -9,11 +9,26 @@ The surface language is ASCII and one-token-lookahead:
                      | let x = v(s); t | let x : P = v(s); t
     programs         data T <pos|neg> <arity> ...  val x : P ...  run t
 
-Comments run from `--` to end of line.  Files use the `.ipf` extension.
+Lexical grammar (files use the `.ipf` extension):
+
+    whitespace   space, tab, CR and LF; nothing else
+    comment      `--` to the end of the line
+    identifier   a letter (`str.isalpha`) followed by letters, digits,
+                 `_` and `'` (`str.isalnum`); an uppercase first letter
+                 makes a constructor name, and the ten keywords
+                 forall up dn let return run val data true false
+                 are reserved
+    integer      decimal digits (`\\d+`, the digits `int()` reads)
+    punctuation  ( ) { } , ; : . * = -> \\ /\\
+
+Any other character is a parse error, as are a lone `-` or `/`.  Input
+nested past the interpreter's recursion limit is the parse error "nested
+too deeply"; a chain of `let`s is parsed in a loop and may be any length.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,13 +36,11 @@ from .errors import SourceSpan, TypeCheckError
 from .syntax import (
     Arrow, BoolLit, Computation, Context, Data, Down, EVar, Forall, IntLit,
     Lambda, Let, LetAnn, NegData, NegType, PairVal, PosType, Return, Solved,
-    Thunk, TypeAbs, TypeEnv, UVar, Up, Value, Var, free_uvars,
+    Thunk, TypeAbs, TypeEnv, UVar, Up, Value, Var,
 )
 
 KEYWORDS = {"forall", "up", "dn", "let", "return", "run", "val", "data",
             "true", "false"}
-
-_PUNCT = {"(", ")", "{", "}", ",", ";", ":", ".", "*", "="}
 
 
 @dataclass(frozen=True)
@@ -62,73 +75,70 @@ class Program:
     body: Computation
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # ident | conid | int | kw | punct | arrow | lambda | tyabs | eof
-    text: str
-    start: int
-    end: int
+    """A lexeme and its half-open character range.  `kind` is the text itself
+    for keywords and punctuation, else ident | conid | int | arrow | lambda
+    | tyabs | eof."""
+
+    __slots__ = ("kind", "text", "start", "end")
+
+    def __init__(self, kind: str, text: str, start: int, end: int):
+        self.kind = kind
+        self.text = text
+        self.start = start
+        self.end = end
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.text!r}, {self.start}, {self.end})"
 
 
-def _lex(src: str, filename: str):
+# One match per token: the gap before it (whitespace and comments), then the
+# token.  The group that matched names its kind.  `word` starts outside
+# ASCII and is an identifier only if its first character is a letter: the
+# class also admits non-decimal digits such as `²`.  `bad` is a character
+# no token starts with.
+_TOKEN = re.compile(r"""
+    (?:[ \t\r\n]+|--[^\n]*)*
+    (?: (?P<ident>[a-z][\w']*)
+      | (?P<conid>[A-Z][\w']*)
+      | (?P<punct>[(){},;:.*=])
+      | (?P<arrow>->)
+      | (?P<int>\d+)
+      | (?P<lambda>\\)
+      | (?P<tyabs>/\\)
+      | (?P<word>[^\W\d_][\w']*)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""", re.VERBOSE | re.DOTALL)
+
+_STRAY = {"-": "unexpected '-' (did you mean '->' or a '--' comment?)",
+          "/": "unexpected '/' (did you mean '/\\'?)"}
+
+
+def _lex(src: str, filename: str) -> list:
     toks = []
-    i = 0
-    n = len(src)
-
-    def err(msg, start, end):
-        raise TypeCheckError("parse", msg, SourceSpan(filename, start, end))
-
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "-":
-            if src.startswith("--", i):
-                j = src.find("\n", i)
-                i = n if j < 0 else j + 1
-                continue
-            if src.startswith("->", i):
-                toks.append(Token("arrow", "->", i, i + 2))
-                i += 2
-                continue
-            err("unexpected '-' (did you mean '->' or a '--' comment?)", i, i + 1)
-        if c == "\\":
-            toks.append(Token("lambda", "\\", i, i + 1))
-            i += 1
-            continue
-        if src.startswith("/\\", i):
-            toks.append(Token("tyabs", "/\\", i, i + 2))
-            i += 2
-            continue
-        if c == "/":
-            err("unexpected '/' (did you mean '/\\'?)", i, i + 1)
-        if c in _PUNCT:
-            toks.append(Token("punct", c, i, i + 1))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], i, j))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            text = src[i:j]
+    append = toks.append
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        text = src[start:end]
+        if kind == "ident":
             if text in KEYWORDS:
-                toks.append(Token("kw", text, i, j))
-            elif text[0].isupper():
-                toks.append(Token("conid", text, i, j))
+                kind = text
+        elif kind == "punct":
+            kind = text
+        elif kind == "eof":
+            break
+        elif kind == "word" or kind == "bad":
+            c = text[0]
+            if c.isalpha():
+                kind = "conid" if c.isupper() else "ident"
             else:
-                toks.append(Token("ident", text, i, j))
-            i = j
-            continue
-        err(f"unexpected character {c!r}", i, i + 1)
-    toks.append(Token("eof", "", n, n))
+                msg = _STRAY.get(c) or f"unexpected character {c!r}"
+                raise TypeCheckError("parse", msg,
+                                     SourceSpan(filename, start, start + 1))
+        append(Token(kind, text, start, end))
+    append(Token("eof", "", len(src), len(src)))
     return toks
 
 
@@ -138,44 +148,56 @@ class _Parser:
         self.toks = _lex(src, filename)
         self.pos = 0
         self.sigs = dict(signatures) if signatures is not None else builtin_signatures()
+        self.scope = []    # the type variables bound by enclosing foralls
+        self.free = set()  # type variables read outside their scope
 
     # -- token plumbing ------------------------------------------------
+    # `eof` is consumed only by a rule's last `expect("eof")`, so `pos` stays
+    # in range for every lookahead; only an error can come after it.
 
     def peek(self) -> Token:
-        return self.toks[min(self.pos, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+    def at(self, kind: str) -> bool:
+        return self.toks[self.pos].kind == kind
 
     def err(self, msg: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
+        tok = tok or self.toks[min(self.pos, len(self.toks) - 1)]
         raise TypeCheckError("parse", msg, SourceSpan(self.filename, tok.start, tok.end))
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self.at(kind, text):
-            want = text if text is not None else kind
-            got = self.peek().text or "end of input"
-            self.err(f"expected {want!r}, found {got!r}")
-        return self.next()
+    def expect(self, kind: str) -> Token:
+        t = self.toks[self.pos]
+        if t.kind != kind:
+            self.err(f"expected {kind!r}, found {t.text or 'end of input'!r}")
+        self.pos += 1
+        return t
 
     def span_from(self, start: int) -> SourceSpan:
         end = self.toks[self.pos - 1].end if self.pos > 0 else start
         return SourceSpan(self.filename, start, end)
+
+    def parse(self, rule):
+        """Run `rule`; running out of stack is the parse error "nested too
+        deeply" at the token reached."""
+        try:
+            return rule()
+        except RecursionError:
+            pass
+        self.err("nested too deeply")
 
     # -- types ---------------------------------------------------------
 
     def type_any(self):
         """Parse a type of either polarity; polarity is checked at use sites."""
         t = self.peek()
-        if t.kind == "kw" and t.text == "forall":
+        if t.kind == "forall":
             return self.forall_type()
-        if t.kind == "kw" and t.text == "up":
+        if t.kind == "up":
             self.next()
             body = self.pos_atom_checked("up expects a value type")
             res = Up(body)
@@ -196,23 +218,30 @@ class _Parser:
         return left
 
     def forall_type(self):
-        self.expect("kw", "forall")
+        self.expect("forall")
         binders = [self.expect("ident").text]
         while self.at("ident"):
             binders.append(self.next().text)
-        self.expect("punct", ".")
+        self.expect(".")
+        self.scope += binders
         body = self.neg_type()
+        del self.scope[-len(binders):]
         for b in reversed(binders):
             body = Forall(b, body)
         return body
 
     def negdata_type(self):
         tok = self.next()
-        decl = self.sig(tok.text)
-        args = tuple(self.pos_atom_checked(
-            f"argument {i + 1} of {tok.text} must be a positive type")
-            for i in range(decl.arity))
-        return NegData(tok.text, args)
+        return NegData(tok.text, self.constructor_args(tok.text))
+
+    def constructor_args(self, name: str) -> tuple:
+        args = []
+        for i in range(self.sig(name).arity):
+            a = self.pos_atom()
+            if not isinstance(a, PosType):
+                self.err(f"argument {i + 1} of {name} must be a positive type")
+            args.append(a)
+        return tuple(args)
 
     def neg_type(self) -> NegType:
         t = self.type_any()
@@ -229,7 +258,7 @@ class _Parser:
     def pos_type(self):
         """Constructor application plus the `P * Q` product sugar (right assoc)."""
         left = self.pos_app()
-        if self.at("punct", "*"):
+        if self.at("*"):
             if not isinstance(left, PosType):
                 self.err("product components must be positive types")
             self.next()
@@ -247,16 +276,15 @@ class _Parser:
                 self.err(f"{t.text} is a computation type constructor")
             if decl.arity > 0:
                 self.next()
-                args = tuple(self.pos_atom_checked(
-                    f"argument {i + 1} of {t.text} must be a positive type")
-                    for i in range(decl.arity))
-                return Data(t.text, args)
+                return Data(t.text, self.constructor_args(t.text))
         return self.pos_atom()
 
     def pos_atom(self):
         t = self.peek()
         if t.kind == "ident":
             self.next()
+            if t.text not in self.scope:
+                self.free.add(t.text)
             return UVar(t.text)
         if t.kind == "conid":
             decl = self.sig(t.text)
@@ -267,24 +295,24 @@ class _Parser:
                          "parenthesize the application")
             self.next()
             return Data(t.text, ())
-        if t.kind == "kw" and t.text == "dn":
+        if t.kind == "dn":
             self.next()
             return Down(self.neg_atom())
-        if t.kind == "punct" and t.text == "(":
+        if t.kind == "(":
             self.next()
             inner = self.type_any()
-            self.expect("punct", ")")
+            self.expect(")")
             return inner
         self.err(f"expected a type, found {t.text!r}")
 
     def neg_atom(self) -> NegType:
         t = self.peek()
-        if t.kind == "punct" and t.text == "(":
+        if t.kind == "(":
             self.next()
             inner = self.neg_type()
-            self.expect("punct", ")")
+            self.expect(")")
             return inner
-        if t.kind == "kw" and t.text == "up":
+        if t.kind == "up":
             self.next()
             return Up(self.pos_atom_checked("up expects a value type"))
         if t.kind == "conid" and self.sig(t.text).polarity == "-":
@@ -306,50 +334,55 @@ class _Parser:
     # -- terms -----------------------------------------------------------
 
     def computation(self) -> Computation:
+        """The `let`s in front of a computation are read in a loop and nested
+        afterwards, so a chain of them costs no stack."""
+        lets = []
+        while self.at("let"):
+            start = self.next().start
+            name = self.expect("ident").text
+            anno = None
+            if self.at(":"):
+                self.next()
+                anno = self.pos_type_checked("let annotations must be value types")
+            self.expect("=")
+            head = self.value()
+            self.expect("(")
+            args = []
+            if not self.at(")"):
+                args.append(self.value())
+                while self.at(","):
+                    self.next()
+                    args.append(self.value())
+            self.expect(")")
+            self.expect(";")
+            lets.append((start, name, anno, head, tuple(args)))
         t = self.peek()
         start = t.start
         if t.kind == "lambda":
             self.next()
             param = self.expect("ident").text
-            self.expect("punct", ":")
+            self.expect(":")
             anno = self.pos_type_checked("lambda annotations must be value types")
-            self.expect("punct", ".")
-            body = self.computation()
-            return Lambda(param, anno, body, self.span_from(start))
-        if t.kind == "tyabs":
+            self.expect(".")
+            body = Lambda(param, anno, self.computation(), self.span_from(start))
+        elif t.kind == "tyabs":
             self.next()
             binder = self.expect("ident").text
-            self.expect("punct", ".")
-            body = self.computation()
-            return TypeAbs(binder, body, self.span_from(start))
-        if t.kind == "kw" and t.text == "return":
+            self.expect(".")
+            body = TypeAbs(binder, self.computation(), self.span_from(start))
+        elif t.kind == "return":
             self.next()
-            v = self.value()
-            return Return(v, self.span_from(start))
-        if t.kind == "kw" and t.text == "let":
-            self.next()
-            name = self.expect("ident").text
-            anno = None
-            if self.at("punct", ":"):
-                self.next()
-                anno = self.pos_type_checked("let annotations must be value types")
-            self.expect("punct", "=")
-            head = self.value()
-            self.expect("punct", "(")
-            args = []
-            if not self.at("punct", ")"):
-                args.append(self.value())
-                while self.at("punct", ","):
-                    self.next()
-                    args.append(self.value())
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            cont = self.computation()
+            body = Return(self.value(), self.span_from(start))
+        else:
+            self.err(f"expected a computation, found {t.text or 'end of input'!r}")
+        # every let in the chain ends where its innermost continuation ends
+        for start, name, anno, head, args in reversed(lets):
             span = self.span_from(start)
             if anno is None:
-                return Let(name, head, tuple(args), cont, span)
-            return LetAnn(name, anno, head, tuple(args), cont, span)
-        self.err(f"expected a computation, found {t.text or 'end of input'!r}")
+                body = Let(name, head, args, body, span)
+            else:
+                body = LetAnn(name, anno, head, args, body, span)
+        return body
 
     def value(self) -> Value:
         t = self.peek()
@@ -360,23 +393,23 @@ class _Parser:
         if t.kind == "int":
             self.next()
             return IntLit(int(t.text), self.span_from(start))
-        if t.kind == "kw" and t.text in ("true", "false"):
+        if t.kind == "true" or t.kind == "false":
             self.next()
-            return BoolLit(t.text == "true", self.span_from(start))
-        if t.kind == "punct" and t.text == "{":
+            return BoolLit(t.kind == "true", self.span_from(start))
+        if t.kind == "{":
             self.next()
             body = self.computation()
-            self.expect("punct", "}")
+            self.expect("}")
             return Thunk(body, self.span_from(start))
-        if t.kind == "punct" and t.text == "(":
+        if t.kind == "(":
             self.next()
             first = self.value()
-            if self.at("punct", ","):
+            if self.at(","):
                 self.next()
                 second = self.value()
-                self.expect("punct", ")")
+                self.expect(")")
                 return PairVal(first, second, self.span_from(start))
-            self.expect("punct", ")")
+            self.expect(")")
             return first
         self.err(f"expected a value, found {t.text or 'end of input'!r}")
 
@@ -384,7 +417,7 @@ class _Parser:
 
     def program(self) -> Program:
         decls = []
-        while self.at("kw", "data"):
+        while self.at("data"):
             self.next()
             name_tok = self.expect("conid")
             if name_tok.text in self.sigs:
@@ -399,20 +432,21 @@ class _Parser:
             decls.append(decl)
         assumptions = []
         seen = set()
-        while self.at("kw", "val"):
+        while self.at("val"):
             self.next()
             name_tok = self.expect("ident")
             if name_tok.text in seen:
                 self.err(f"duplicate assumption {name_tok.text}", name_tok)
             seen.add(name_tok.text)
-            self.expect("punct", ":")
+            self.expect(":")
             tok0 = self.peek()
+            self.free.clear()
             ty = self.pos_type_checked("assumptions must have value types")
-            if free_uvars(ty):
-                loose = ", ".join(sorted(free_uvars(ty)))
+            if self.free:
+                loose = ", ".join(sorted(self.free))
                 self.err(f"assumption type must be closed (unbound: {loose})", tok0)
             assumptions.append((name_tok.text, ty))
-        self.expect("kw", "run")
+        self.expect("run")
         body = self.computation()
         self.expect("eof")
         return Program(tuple(decls), tuple(assumptions), body)
@@ -420,14 +454,15 @@ class _Parser:
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse a whole program; raises TypeCheckError(parse) with a span."""
-    return _Parser(text, filename).program()
+    p = _Parser(text, filename)
+    return p.parse(p.program)
 
 
 def parse_type(text: str, polarity: str = "any", filename: str = "<type>",
                signatures: Optional[dict] = None):
     """Parse a single type; `polarity` is '+', '-', or 'any'."""
     p = _Parser(text, filename, signatures)
-    t = p.type_any()
+    t = p.parse(p.type_any)
     p.expect("eof")
     if polarity == "+" and not isinstance(t, PosType):
         p.err("expected a positive type")

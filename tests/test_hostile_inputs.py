@@ -1,0 +1,108 @@
+"""Hostile inputs through the command line.
+
+No input may escape `polarf.cli.main` as a Python exception, and exit code
+1 (a type error) must come with a `type-error` record; everything the front
+end cannot read is a `parse` error with exit code 2.
+"""
+
+import json
+
+import pytest
+
+from polarf import Let, parse_program
+from polarf.cli import main
+
+DEEP = 3000
+
+
+def parens(depth):
+    return "(" * depth + "Int" + ")" * depth
+
+
+def let_chain(n):
+    lines = ["let i0 = inc(0);"] + [f"let i{j} = inc(i{j - 1});" for j in range(1, n)]
+    return ("val inc : dn (Int -> up Int)\nrun " + "\n".join(lines)
+            + f"\nreturn i{n - 1}\n")
+
+
+@pytest.fixture
+def source_file(tmp_path):
+    def write(data, name="prog.ipf"):
+        path = tmp_path / name
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        return str(path)
+    return write
+
+
+def check_json(path, capsys):
+    """Run `check --json`; the exit code must agree with the one record."""
+    code = main(["check", path, "--json"])
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    record = json.loads(out[0])
+    assert code == {"ok": 0, "type-error": 1, "parse-error": 2}[record["status"]]
+    return code, record
+
+
+def test_non_decimal_digit(source_file, capsys):
+    code, record = check_json(source_file("run return ²"), capsys)
+    assert code == 2
+    assert record["error"]["message"] == "unexpected character '²'"
+    assert record["error"]["span"]["start"] == 11
+
+
+def test_deep_parens_through_sub(source_file, capsys):
+    path = source_file(f"{parens(DEEP)} <: Int\n", "subs.txt")
+    assert main(["sub", path]) == 2
+    assert capsys.readouterr().out == "1: error: nested too deeply\n"
+
+
+def test_deep_parens_through_check(source_file, capsys):
+    path = source_file(f"val x : {parens(DEEP)}\nrun return x")
+    code, record = check_json(path, capsys)
+    assert code == 2
+    assert record["error"]["message"] == "nested too deeply"
+
+
+def test_invalid_utf8_through_check(source_file, capsys):
+    code, record = check_json(source_file(b"run return x \xff"), capsys)
+    assert code == 2
+    assert record["error"]["span"]["start"] == 13
+    assert record["error"]["span"]["end"] == 14
+    assert "0xff" in record["error"]["message"]
+
+
+def test_invalid_utf8_through_sub(source_file, capsys):
+    path = source_file(b"Int <: Int\n\xff <: Int\n", "subs.txt")
+    assert main(["sub", path]) == 2
+    assert capsys.readouterr().out.startswith("error[parse] at 11-12: ")
+
+
+def test_newlines_read_as_in_text_mode(source_file, capsys):
+    path = source_file(b"-- CRLF\r\nrun return\r1\r\n")
+    code, record = check_json(path, capsys)
+    assert (code, record["type"]) == (0, "up Int")
+
+
+def test_long_let_chain_parses():
+    src = let_chain(1600)
+    body = parse_program(src).body
+    end = src.rindex("return") + len("return i1599")
+    starts = []
+    while isinstance(body, Let):
+        starts.append(body.span.start)
+        assert body.span.end == end
+        body = body.cont
+    assert len(starts) == 1600
+    assert starts[0] == src.index("let i0") and starts[-1] == src.index("let i1599")
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="typing a let continuation still recurses once per let, "
+                          "so 1,600 lets run past the recursion limit")
+def test_long_let_chain_through_check(source_file, capsys):
+    try:
+        code, record = check_json(source_file(let_chain(1600)), capsys)
+    except RecursionError as e:
+        raise RecursionError(str(e)) from None  # a short traceback reports fast
+    assert code == 0 and record["type"] == "up Int"

@@ -88,6 +88,16 @@ class TestParseProgram:
             parse_program("val x : List a\nrun return x")
         assert "closed" in e.value.message
 
+    def test_assumption_scope_follows_binders(self):
+        with pytest.raises(TypeCheckError) as e:
+            parse_program("val f : dn (forall a. a -> up (c * a)) * "
+                          "dn (forall b. up (List b)) * b\nrun return f")
+        assert e.value.message == "assumption type must be closed (unbound: b, c)"
+        assert (e.value.span.start, e.value.span.end) == (8, 10)
+        prog = parse_program("val f : dn (forall a. (dn (forall a. up a)) -> up a)\n"
+                             "run return f")
+        assert len(prog.assumptions) == 1
+
     def test_duplicate_assumption(self):
         with pytest.raises(TypeCheckError):
             parse_program("val x : Int\nval x : Bool\nrun return x")
