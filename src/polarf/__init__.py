@@ -14,12 +14,12 @@ from .subtype import (
     NameSource, SubtypeResult, TraceStep, isomorphic, subtype_neg, subtype_pos,
 )
 from .syntax import (
-    ArgList, Arrow, BoolLit, Computation, Context, Data, Down, EVar, Forall,
-    IntLit, Lambda, Let, LetAnn, NegData, NegType, PairVal, PosType, Return,
-    Solved, Thunk, TypeAbs, TypeEnv, UVar, Universal, Unsolved, Up, Value,
-    Var, alpha_equal, apply_context, erase_context, extends, free_evars,
-    free_uvars, is_ground, num_prenex, restrict_context, subst_type,
-    termsize, weak_extends,
+    ArgList, Arrow, BVar, BoolLit, Computation, Context, Data, Down, EVar,
+    Forall, IntLit, Lambda, Let, LetAnn, NegData, NegType, PairVal, PosType,
+    Return, Solved, Thunk, TypeAbs, TypeEnv, UVar, Universal, Unsolved, Up,
+    Value, Var, alpha_equal, apply_context, erase_context, extends,
+    free_evars, free_uvars, is_ground, num_prenex, restrict_context,
+    subst_type, termsize, weak_extends,
 )
 from .typecheck import (
     SynthResult, check_program, synth_computation, synth_spine, synth_value,

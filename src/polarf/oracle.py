@@ -22,11 +22,10 @@ from .errors import OracleBudgetExceeded, require
 from .syntax import (
     Arrow, BoolLit, Computation, Context, Data, Down, Forall, IntLit,
     Lambda, Let, LetAnn, NegData, PairVal, PosType, Return, Thunk,
-    TypeAbs, TypeEnv, UVar, Universal, Up, Value, Var, alpha_key,
-    free_evars, free_uvars, fresh_name, is_ground, rename_tyvar_in_comp,
-    subst_type, tyvar_names_in_comp,
+    TypeAbs, TypeEnv, UVar, Universal, Up, Value, Var, bind_tyvar,
+    free_evars, free_uvars, fresh_name, is_ground, nodes, term_nodes,
 )
-from .wellformed import wf_type
+from .wellformed import wf_annotation, wf_type
 
 
 @dataclass(frozen=True)
@@ -39,38 +38,19 @@ class Budget:
 
 
 def positive_subterms(t):
-    """All positive types occurring inside `t` (including `t` if positive)."""
-    out = []
-    _collect_pos(t, out)
-    return out
-
-
-def _collect_pos(t, out):
-    if isinstance(t, PosType):
-        out.append(t)
-    if isinstance(t, (Down, Up)):
-        _collect_pos(t.body, out)
-    elif isinstance(t, (Data, NegData)):
-        for a in t.args:
-            _collect_pos(a, out)
-    elif isinstance(t, Arrow):
-        _collect_pos(t.domain, out)
-        _collect_pos(t.codomain, out)
-    elif isinstance(t, Forall):
-        _collect_pos(t.body, out)
+    """All positive types occurring inside `t` (including `t` if positive),
+    read through the named view: `forall a. up (List a)` gives `List a`, as
+    forall-right reuses a free binder name and may then need that type."""
+    return [v for v, _ in nodes(t, named=True) if isinstance(v, PosType)]
 
 
 def candidate_universe(types, theta=()) -> tuple:
     """Instantiation candidates: positive subterms of `types`, plus the
     universals in scope.  Deterministic order, first occurrence wins."""
-    seen = {}
-    for name in theta:
-        cand = UVar(name)
-        seen.setdefault(alpha_key(cand), cand)
+    cands = [UVar(name) for name in theta]
     for t in types:
-        for p in positive_subterms(t):
-            seen.setdefault(alpha_key(p), p)
-    return tuple(seen.values())
+        cands += positive_subterms(t)
+    return tuple(dict.fromkeys(cands))
 
 
 def _decl_ctx(theta) -> Context:
@@ -86,23 +66,15 @@ class _Search:
         self.universe = tuple(universe)
         self.budget = budget
         self.memo = {}
+        self.renamed = {}  # source type-variable names in scope; see `bind_tyvar`
 
     def candidates(self, theta, extra=()):
         """Universe members well-formed in scope, plus in-scope universals."""
-        out = []
-        seen = set()
-        for name in theta:
-            k = alpha_key(UVar(name))
-            if k not in seen:
-                seen.add(k)
-                out.append(UVar(name))
-        for p in tuple(self.universe) + tuple(extra):
-            if free_uvars(p) <= set(theta) and not free_evars(p):
-                k = alpha_key(p)
-                if k not in seen:
-                    seen.add(k)
-                    out.append(p)
-        return out
+        out = dict.fromkeys(UVar(name) for name in theta)
+        for p in self.universe + tuple(extra):
+            if p not in out and free_uvars(p) <= set(theta) and not free_evars(p):
+                out[p] = None
+        return list(out)
 
     def _spend(self, depth: int) -> int:
         if depth + 1 > self.budget.instantiations:
@@ -114,7 +86,7 @@ class _Search:
     # -- declarative subtyping -------------------------------------------
 
     def pos(self, theta, p, q, depth=0, extra=()) -> bool:
-        key = ("+", theta, alpha_key(p), alpha_key(q))
+        key = ("+", theta, p, q)
         if key in self.memo:
             return self.memo[key]
         if isinstance(p, UVar) and isinstance(q, UVar):
@@ -133,20 +105,17 @@ class _Search:
         return res
 
     def neg(self, theta, n, m, depth=0, extra=()) -> bool:
-        key = ("-", theta, alpha_key(n), alpha_key(m))
+        key = ("-", theta, n, m)
         if key in self.memo:
             return self.memo[key]
         if isinstance(m, Forall):
             # the right rule is invertible, so it can be applied greedily
-            binder, body = m.binder, m.body
-            if binder in theta:
-                binder = fresh_name(binder, set(theta))
-                body = subst_type(UVar(binder), m.binder, m.body)
-            res = self.neg(theta + (binder,), n, body, depth, extra)
+            binder = fresh_name(m.hint, set(theta))
+            res = self.neg(theta + (binder,), n, m.open(UVar(binder)), depth, extra)
         elif isinstance(n, Forall):
             d = self._spend(depth)
             res = any(
-                self.neg(theta, subst_type(p, n.binder, n.body), m, d, extra)
+                self.neg(theta, n.open(p), m, d, extra)
                 for p in self.candidates(theta, extra))
         elif isinstance(n, Arrow) and isinstance(m, Arrow):
             res = (self.pos(theta, m.domain, n.domain, depth, extra)
@@ -176,55 +145,48 @@ class _Search:
     def synth_value(self, theta, gamma, v, extra):
         if isinstance(v, Var):
             p = gamma.lookup(v.name)
-            return self._capped({alpha_key(p): p} if p is not None else {})
+            return self._capped([p] if p is not None else [])
         if isinstance(v, IntLit):
             return [Data("Int", ())]
         if isinstance(v, BoolLit):
             return [Data("Bool", ())]
         if isinstance(v, Thunk):
-            return self._capped(
-                {alpha_key(Down(n)): Down(n)
-                 for n in self.synth_comp(theta, gamma, v.body, extra)})
+            comps = self.synth_comp(theta, gamma, v.body, extra)
+            return self._capped(dict.fromkeys(Down(n) for n in comps))
         if isinstance(v, PairVal):
             firsts = self.synth_value(theta, gamma, v.first, extra)
             seconds = self.synth_value(theta, gamma, v.second, extra)
             out = {}
             for p1 in firsts:
                 for p2 in seconds:
-                    t = Data("Pair", (p1, p2))
-                    out[alpha_key(t)] = t
+                    out[Data("Pair", (p1, p2))] = None
             return self._capped(out)
         raise TypeError(f"not a value: {v!r}")
 
     def synth_comp(self, theta, gamma, t, extra):
         if isinstance(t, Lambda):
-            if not self._anno_ok(theta, t.annotation):
+            anno = wf_annotation(_decl_ctx(theta), t.annotation, self.renamed)
+            if anno is None:
                 return []
-            body = self.synth_comp(theta, gamma.extend(t.param, t.annotation),
-                                   t.body, extra)
-            return self._capped(
-                {alpha_key(Arrow(t.annotation, n)): Arrow(t.annotation, n)
-                 for n in body})
+            body = self.synth_comp(theta, gamma.extend(t.param, anno), t.body, extra)
+            return self._capped(dict.fromkeys(Arrow(anno, n) for n in body))
         if isinstance(t, TypeAbs):
-            binder, body = t.binder, t.body
-            if binder in theta:
-                binder = fresh_name(binder, set(theta) | tyvar_names_in_comp(body))
-                body = rename_tyvar_in_comp(body, t.binder, binder)
-            inner = self.synth_comp(theta + (binder,), gamma, body, extra)
-            return self._capped(
-                {alpha_key(Forall(binder, n)): Forall(binder, n) for n in inner})
+            outer = self.renamed
+            binder, self.renamed = bind_tyvar(t.binder, set(theta), outer)
+            inner = self.synth_comp(theta + (binder,), gamma, t.body, extra)
+            self.renamed = outer
+            return self._capped(dict.fromkeys(Forall(binder, n) for n in inner))
         if isinstance(t, Return):
             vals = self.synth_value(theta, gamma, t.value, extra)
-            return self._capped({alpha_key(Up(p)): Up(p) for p in vals})
+            return self._capped(dict.fromkeys(Up(p) for p in vals))
         if isinstance(t, LetAnn):
-            if not self._anno_ok(theta, t.annotation):
+            anno = wf_annotation(_decl_ctx(theta), t.annotation, self.renamed)
+            if anno is None:
                 return []
             results, enriched = self._application_results(theta, gamma, t, extra)
-            if not any(self.neg(theta, Up(q), Up(t.annotation), 0, enriched)
-                       for q in results):
+            if not any(self.neg(theta, Up(q), Up(anno), 0, enriched) for q in results):
                 return []
-            return self.synth_comp(theta, gamma.extend(t.name, t.annotation),
-                                   t.cont, extra)
+            return self.synth_comp(theta, gamma.extend(t.name, anno), t.cont, extra)
         if isinstance(t, Let):
             out = {}
             results, enriched = self._application_results(theta, gamma, t, extra)
@@ -238,7 +200,7 @@ class _Search:
             for q in results:
                 for n in self.synth_comp(theta, gamma.extend(t.name, q),
                                          t.cont, extra):
-                    out[alpha_key(n)] = n
+                    out[n] = None
             return self._capped(out)
         raise TypeError(f"not a computation: {t!r}")
 
@@ -246,15 +208,10 @@ class _Search:
         """Every positive type the application head(args) can synthesize,
         plus the candidate set enriched with head, argument, and result
         subterms (the pieces instantiations can be built from here)."""
-        arg_extra = list(extra)
-        seen = {alpha_key(p) for p in arg_extra}
+        arg_extra = dict.fromkeys(extra)  # first occurrences, in order
 
         def add(p):
-            for sub in positive_subterms(p):
-                k = alpha_key(sub)
-                if k not in seen:
-                    seen.add(k)
-                    arg_extra.append(sub)
+            arg_extra.update(dict.fromkeys(positive_subterms(p)))
 
         heads = self.synth_value(theta, gamma, t.head, extra)
         for a in heads:
@@ -269,7 +226,7 @@ class _Search:
             for m in self.spine(theta, gamma, t.args, a.body, 0,
                                 tuple(arg_extra)):
                 if isinstance(m, Up):
-                    out[alpha_key(m.body)] = m.body
+                    out[m.body] = None
         results = self._capped(out)
         for q in results:
             add(q)
@@ -278,19 +235,18 @@ class _Search:
     def spine(self, theta, gamma, args, n, depth, extra):
         out = {}
         if not args:
-            out[alpha_key(n)] = n
+            out[n] = None
         if isinstance(n, Forall):
             d = self._spend(depth)
             for p in self.candidates(theta, extra):
-                opened = subst_type(p, n.binder, n.body)
-                for m in self.spine(theta, gamma, args, opened, d, extra):
-                    out[alpha_key(m)] = m
+                for m in self.spine(theta, gamma, args, n.open(p), d, extra):
+                    out[m] = None
         elif args and isinstance(n, Arrow):
             vals = self.synth_value(theta, gamma, args[0], extra)
             if any(self.pos(theta, p, n.domain, 0, extra) for p in vals):
                 for m in self.spine(theta, gamma, args[1:], n.codomain, depth,
                                     extra):
-                    out[alpha_key(m)] = m
+                    out[m] = None
         return self._capped(out)
 
     # -- helpers -------------------------------------------------------------
@@ -298,11 +254,10 @@ class _Search:
     def _iso(self, theta, a, b, extra) -> bool:
         return self.sub(theta, a, b, 0, extra) and self.sub(theta, b, a, 0, extra)
 
-    def _anno_ok(self, theta, anno) -> bool:
-        return not free_evars(anno) and wf_type(_decl_ctx(theta), anno)
-
-    def _capped(self, d):
-        vals = list(d.values()) if isinstance(d, dict) else list(d)
+    def _capped(self, results):
+        """`results` (a list, or a dict whose keys are the distinct results)
+        as a list, within the budget."""
+        vals = list(results)
         if len(vals) > self.budget.results_cap:
             raise OracleBudgetExceeded(
                 f"more than {self.budget.results_cap} candidate results")
@@ -341,36 +296,11 @@ def typing_universe(gamma: TypeEnv, term) -> tuple:
     """Default candidate set for typing: environment types, annotations in
     the term, and the literal types (argument syntheses join dynamically)."""
     types = [p for _, p in gamma]
-    types.extend(_annotations(term))
+    types.extend(n.annotation for n in term_nodes(term)
+                 if isinstance(n, (Lambda, LetAnn)))
     types.append(Data("Int", ()))
     types.append(Data("Bool", ()))
     return candidate_universe(types)
-
-
-def _annotations(t):
-    if isinstance(t, (Var, IntLit, BoolLit)):
-        return []
-    if isinstance(t, Thunk):
-        return _annotations(t.body)
-    if isinstance(t, PairVal):
-        return _annotations(t.first) + _annotations(t.second)
-    if isinstance(t, Lambda):
-        return [t.annotation] + _annotations(t.body)
-    if isinstance(t, TypeAbs):
-        return _annotations(t.body)
-    if isinstance(t, Return):
-        return _annotations(t.value)
-    if isinstance(t, LetAnn):
-        acc = [t.annotation] + _annotations(t.head)
-        for v in t.args:
-            acc += _annotations(v)
-        return acc + _annotations(t.cont)
-    if isinstance(t, Let):
-        acc = _annotations(t.head)
-        for v in t.args:
-            acc += _annotations(v)
-        return acc + _annotations(t.cont)
-    raise TypeError(f"not a term: {t!r}")
 
 
 def decl_synth(theta, gamma: TypeEnv, term, universe=None,

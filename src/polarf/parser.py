@@ -34,9 +34,9 @@ from typing import Optional
 
 from .errors import SourceSpan, TypeCheckError
 from .syntax import (
-    Arrow, BoolLit, Computation, Context, Data, Down, EVar, Forall, IntLit,
-    Lambda, Let, LetAnn, NegData, NegType, PairVal, PosType, Return, Solved,
-    Thunk, TypeAbs, TypeEnv, UVar, Up, Value, Var,
+    Arrow, BVar, BoolLit, Computation, Context, Data, Down, EVar, Forall,
+    IntLit, Lambda, Let, LetAnn, NegData, NegType, PairVal, PosType, Return,
+    Solved, Thunk, TypeAbs, TypeEnv, UVar, Up, Value, Var, fresh_name,
 )
 
 KEYWORDS = {"forall", "up", "dn", "let", "return", "run", "val", "data",
@@ -227,7 +227,7 @@ class _Parser:
         body = self.neg_type()
         del self.scope[-len(binders):]
         for b in reversed(binders):
-            body = Forall(b, body)
+            body = Forall.bind(b, body)
         return body
 
     def negdata_type(self):
@@ -283,8 +283,9 @@ class _Parser:
         t = self.peek()
         if t.kind == "ident":
             self.next()
-            if t.text not in self.scope:
-                self.free.add(t.text)
+            if t.text in self.scope:  # counted in binders outward
+                return BVar(self.scope[::-1].index(t.text))
+            self.free.add(t.text)
             return UVar(t.text)
         if t.kind == "conid":
             decl = self.sig(t.text)
@@ -491,48 +492,91 @@ def pretty(x) -> str:
     raise TypeError(f"cannot pretty-print {x!r}")
 
 
-def _pp_pos(p) -> str:
-    if isinstance(p, (UVar, EVar)):
+def _pp_pos(p, env=None) -> str:
+    """`env` holds the binders around `p` (None outside every binder)."""
+    cls = type(p)
+    if cls is UVar or cls is EVar:
+        if env is not None and p.name in env.names:
+            env.mention(p.name, 0)
         return p.name
-    if isinstance(p, Down):
-        return f"dn ({_pp_neg(p.body)})"
-    if isinstance(p, Data):
+    if cls is BVar:
+        if env is None or p.index >= len(env.names):
+            raise TypeError(f"bound variable without a binder: {p!r}")
+        name = env.names[-1 - p.index]
+        if p.index and env.names.count(name) > 1:
+            env.mention(name, len(env.names) - p.index)
+        return name
+    if cls is Down:
+        return f"dn ({_pp_neg(p.body, env)})"
+    if cls is Data:
         if p.constructor == "Pair" and len(p.args) == 2:
             left, right = p.args
-            lt = f"({_pp_pos(left)})" if _is_pair(left) else _pp_pos(left)
-            return f"{lt} * {_pp_pos(right)}"
+            lt = f"({_pp_pos(left, env)})" if _is_pair(left) else _pp_pos(left, env)
+            return f"{lt} * {_pp_pos(right, env)}"
         if not p.args:
             return p.constructor
-        return p.constructor + " " + " ".join(_pp_pos_atom(a) for a in p.args)
+        return p.constructor + " " + " ".join(_pp_pos_atom(a, env) for a in p.args)
     raise TypeError(f"not a positive type: {p!r}")
+
+
+def _pp_pos_atom(p, env=None) -> str:
+    if type(p) in (UVar, EVar, BVar) or (type(p) is Data and not p.args):
+        return _pp_pos(p, env)
+    return f"({_pp_pos(p, env)})"
+
+
+def _pp_neg(n, env=None) -> str:
+    if isinstance(n, Forall):
+        return _Binders().render(n) if env is None else env.forall(n)
+    if isinstance(n, Arrow):
+        return f"{_pp_pos(n.domain, env)} -> {_pp_neg(n.codomain, env)}"
+    if isinstance(n, Up):
+        return f"up {_pp_pos_atom(n.body, env)}"
+    if isinstance(n, NegData):
+        if not n.args:
+            return n.constructor
+        return n.constructor + " " + " ".join(_pp_pos_atom(a, env) for a in n.args)
+    raise TypeError(f"not a negative type: {n!r}")
+
+
+class _Binders:
+    """The binders around the part of a type being printed, innermost last."""
+
+    def render(self, n) -> str:
+        """Print the outermost quantifier `n`.  A binder prints as its hint;
+        if that would capture something its scope mentions, the binder is
+        renamed to a name that appears nowhere in the output and `n` is
+        printed again."""
+        self.renamed = {}  # id of a Forall -> the name it prints as
+        while True:
+            self.foralls, self.names, self.capturing = [], [], {}
+            out = self.forall(n)
+            if not self.capturing:
+                return out
+            taken = set(re.split(r"[\s().*]+", out))
+            for key, binder in self.capturing.items():
+                self.renamed[key] = fresh_name(binder.hint, taken)
+                taken.add(self.renamed[key])
+
+    def forall(self, n) -> str:
+        k = len(self.names)
+        while isinstance(n, Forall):
+            self.foralls.append(n)
+            self.names.append(self.renamed.get(id(n), n.hint))
+            n = n.scope
+        out = f"forall {' '.join(self.names[k:])}. {_pp_neg(n, self)}"
+        del self.names[k:], self.foralls[k:]
+        return out
+
+    def mention(self, name: str, below: int):
+        """`name` occurs here: the binders past `below` that print as it capture it."""
+        for i in range(below, len(self.names)):
+            if self.names[i] == name:
+                self.capturing[id(self.foralls[i])] = self.foralls[i]
 
 
 def _is_pair(p) -> bool:
     return isinstance(p, Data) and p.constructor == "Pair" and len(p.args) == 2
-
-
-def _pp_pos_atom(p) -> str:
-    if isinstance(p, (UVar, EVar)) or (isinstance(p, Data) and not p.args):
-        return _pp_pos(p)
-    return f"({_pp_pos(p)})"
-
-
-def _pp_neg(n) -> str:
-    if isinstance(n, Forall):
-        binders = []
-        while isinstance(n, Forall):
-            binders.append(n.binder)
-            n = n.body
-        return f"forall {' '.join(binders)}. {_pp_neg(n)}"
-    if isinstance(n, Arrow):
-        return f"{_pp_pos(n.domain)} -> {_pp_neg(n.codomain)}"
-    if isinstance(n, Up):
-        return f"up {_pp_pos_atom(n.body)}"
-    if isinstance(n, NegData):
-        if not n.args:
-            return n.constructor
-        return n.constructor + " " + " ".join(_pp_pos_atom(a) for a in n.args)
-    raise TypeError(f"not a negative type: {n!r}")
 
 
 def _pp_value(v) -> str:

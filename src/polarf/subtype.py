@@ -20,7 +20,7 @@ engine costs 2^d rules on nested datatypes and 4^d on nested `dn (up ...)`;
 every other rule splits its conclusion into disjoint parts, so above the
 invariant rules a derivation is already linear in the size of the types.
 The memo key is the polarity, the universals in scope (in order) and both
-types up to renaming of bound variables.  A ground/ground judgment solves
+types (whose `==` is alpha-equivalence).  A ground/ground judgment solves
 no existential, so its output context is its input context: the judgment
 is remembered after it has succeeded and passed its postconditions, and a
 repeat returns the input context with a `memo` trace step, after its
@@ -37,9 +37,8 @@ from .errors import InvariantViolation, TypeCheckError, require
 from .parser import pretty
 from .syntax import (
     Arrow, Context, Data, Down, EVar, Forall, NegData, NegType, PosType,
-    Solved, UVar, Universal, Unsolved, Up, alpha_equal, alpha_key,
-    apply_context, erase_context, extends, fresh_name, is_ground, num_prenex,
-    subst_type, termsize, type_names,
+    Solved, UVar, Universal, Unsolved, Up, apply_context, erase_context,
+    extends, fresh_name, is_ground, num_prenex, termsize,
 )
 from .wellformed import wf_context, wf_type
 
@@ -79,18 +78,13 @@ class SubtypeResult:
     trace: tuple
 
 
-def _alpha_iso(decl_ctx, p, q) -> bool:
-    # extension checks inside the engine only ever see unchanged solutions
-    return alpha_equal(p, q)
-
-
 def _check_post(theta: Context, out: Context, ground_size: int, nonground,
                 goal: str):
     """Postconditions shared by every rule: extension (same entries, in
     order, with solutions only added), well-formedness, bounding."""
     if not wf_context(out):
         raise InvariantViolation(f"ill-formed output context in {goal}")
-    if not extends(theta, out, iso=_alpha_iso):
+    if not extends(theta, out):
         raise InvariantViolation(f"output context does not extend input in {goal}")
     completed = apply_context(out, nonground)
     if not is_ground(completed):
@@ -128,12 +122,12 @@ class _Engine:
     def _record(self, rule, goal, before, after):
         self.trace.append(TraceStep(rule, goal, pretty(before), pretty(after)))
 
-    def _memo_key(self, shared, polarity, theta, a, b, nonground, ground_size):
-        """Memo key of a judgment worth remembering (see the module
+    def _memo_entry(self, shared, polarity, theta, a, b, nonground, ground_size):
+        """Memo entry of a judgment worth remembering (see the module
         docstring), or None.  `shared`: the judgment is under an invariant rule."""
         if not shared or ground_size == 1 or not is_ground(nonground):
             return None
-        return (polarity, erase_context(theta), alpha_key(a), alpha_key(b))
+        return (polarity, erase_context(theta), a, b)
 
     def _remember(self, key, theta, out, goal):
         if key is None:
@@ -149,7 +143,7 @@ class _Engine:
         goal = f"{pretty(p)} <=+ {pretty(q)}"
         metric = _metric_pos(p, q)
         _check_metric(parent, metric, goal)
-        key = self._memo_key(shared, "+", theta, p, q, q, metric[0])
+        key = self._memo_entry(shared, "+", theta, p, q, q, metric[0])
         if key in self.memo:
             self._record("memo", goal, theta, theta)
             return theta
@@ -202,27 +196,23 @@ class _Engine:
         goal = f"{pretty(n)} <=- {pretty(m)}"
         metric = _metric_neg(n, m)
         _check_metric(parent, metric, goal)
-        key = self._memo_key(shared, "-", theta, n, m, n, metric[0])
+        key = self._memo_entry(shared, "-", theta, n, m, n, metric[0])
         if key in self.memo:
             self._record("memo", goal, theta, theta)
             return theta
 
         if isinstance(m, Forall):
             # eliminate quantifiers on the ground side first
-            binder = m.binder
-            body = m.body
-            if binder in set(theta.names()):
-                binder = fresh_name(m.binder, set(theta.names()) | type_names(m.body)
-                                    | type_names(n))
-                body = subst_type(UVar(binder), m.binder, m.body)
-            inner = self.neg(theta.push(Universal(binder)), n, body, metric, shared)
+            binder = fresh_name(m.hint, set(theta.names()))
+            inner = self.neg(theta.push(Universal(binder)), n, m.open(UVar(binder)),
+                             metric, shared)
             if not isinstance(inner.last(), Universal) or inner.last().name != binder:
                 raise InvariantViolation(f"universal {binder} lost in {goal}")
             out = inner.drop_last()
             self._record("forall-right", goal, theta, out)
         elif isinstance(n, Forall):
-            name = self.names.fresh_evar(n.binder, set(theta.names()))
-            opened = subst_type(EVar(name), n.binder, n.body)
+            name = self.names.fresh_evar(n.hint, set(theta.names()))
+            opened = n.open(EVar(name))
             inner = self.neg(theta.push(Unsolved(name)), opened, m, metric, shared)
             if inner.last() is None or inner.last().name != name \
                     or isinstance(inner.last(), Universal):
@@ -269,8 +259,8 @@ def subtype_pos(theta: Context, p: PosType, q: PosType,
     require(wf_context(theta), "input context is ill-formed")
     require(wf_type(theta, p) and wf_type(theta, q), "types must be well-formed")
     require(is_ground(p), "the left side of a positive judgment must be ground")
-    require(alpha_equal(apply_context(theta, q), q),
-             "the right side must not mention solved existentials")
+    require(apply_context(theta, q) == q,
+            "the right side must not mention solved existentials")
     eng = _Engine(names or NameSource())
     out = eng.pos(theta, p, q, None)
     return SubtypeResult(out, tuple(eng.trace))
@@ -282,8 +272,8 @@ def subtype_neg(theta: Context, n: NegType, m: NegType,
     require(wf_context(theta), "input context is ill-formed")
     require(wf_type(theta, n) and wf_type(theta, m), "types must be well-formed")
     require(is_ground(m), "the right side of a negative judgment must be ground")
-    require(alpha_equal(apply_context(theta, n), n),
-             "the left side must not mention solved existentials")
+    require(apply_context(theta, n) == n,
+            "the left side must not mention solved existentials")
     eng = _Engine(names or NameSource())
     out = eng.neg(theta, n, m, None)
     return SubtypeResult(out, tuple(eng.trace))

@@ -3,13 +3,19 @@
 Positive types classify values and negative types classify computations;
 the shifts mediate between the two (`Down` thunks a computation type into
 a value type, `Up` is the type of a computation returning a value).
-Types compare and hash up to renaming of bound variables.  Everything here
-is immutable, so values can be shared freely across threads.
+
+Binders are locally nameless (Charguéraud, "The Locally Nameless
+Representation", JAR 2012): a `Forall` binds the `BVar`s of its scope and
+every `UVar` is free, so `==` and `hash` are alpha-equivalence and
+substitution never renames.  One structural map (`_map`) and one node walk
+(`nodes`) serve every operation on types.  Everything here is immutable,
+so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import InvariantViolation, SourceSpan
@@ -37,6 +43,14 @@ class UVar(PosType):
     """Universal type variable."""
 
     name: str
+
+
+@dataclass(frozen=True)
+class BVar(PosType):
+    """Bound type variable, found only in a `Forall`'s scope: `BVar(0)` is
+    the variable of the nearest enclosing `Forall`, `BVar(1)` the next."""
+
+    index: int
 
 
 @dataclass(frozen=True)
@@ -69,20 +83,43 @@ class Arrow(NegType):
     codomain: NegType
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False)
 class Forall(NegType):
-    """Universal quantification over a positive type variable."""
+    """Universal quantification over a positive type variable.
 
-    binder: str
-    body: NegType
+    Inside `scope` the bound variable is a `BVar`, so the generated `==`
+    and `hash` are alpha-equivalence; `hint` is the name it prints as
+    unless that would capture.  `Forall(binder, body)`, `.binder` and
+    `.body` are a named view (opened once, then cached) for callers outside
+    the parser, the printer and the checker, which work on `scope`.
+    """
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Forall):
-            return NotImplemented
-        return alpha_key(self) == alpha_key(other)
+    scope: NegType
+    hint: str = field(compare=False)
 
-    def __hash__(self) -> int:
-        return hash(alpha_key(self))
+    # the class is frozen, so fields are set through `__dict__`
+    def __init__(self, binder: str, body: NegType):
+        close = lambda v, k: BVar(k) if type(v) is UVar and v.name == binder else v
+        self.__dict__.update(scope=_map(body, close), hint=binder, _named=(binder, body))
+
+    @classmethod
+    def bind(cls, hint: str, scope: NegType) -> "Forall":
+        """The quantifier whose scope is `scope` (its variable is `BVar(0)`)."""
+        self = object.__new__(cls)
+        self.__dict__.update(scope=scope, hint=hint)
+        return self
+
+    def open(self, p: PosType) -> NegType:
+        """The scope with the bound variable replaced by the closed type `p`."""
+        return _map(self.scope, lambda v, k: p if type(v) is BVar and v.index == k else v)
+
+    @cached_property
+    def _named(self) -> tuple:
+        binder = fresh_name(self.hint, free_uvars(self.scope))
+        return binder, self.open(UVar(binder))
+
+    binder = property(lambda self: self._named[0])
+    body = property(lambda self: self._named[1])
 
 
 @dataclass(frozen=True)
@@ -100,39 +137,59 @@ class NegData(NegType):
     args: tuple = ()
 
 
-def alpha_key(t: Type):
-    """Key that identifies a type up to renaming of bound variables.
-
-    Two types are alpha-equivalent iff their keys are equal; keys are
-    hashable, so they also serve as memo keys.
-    """
-    return _key(t, {}, 0)
-
-
-def _key(t, bound, next_level):
-    if isinstance(t, UVar):
-        return ("u", bound.get(t.name, t.name))
-    if isinstance(t, EVar):
-        return ("e", t.name)
-    if isinstance(t, Down):
-        return ("dn", _key(t.body, bound, next_level))
-    if isinstance(t, Data):
-        return ("data", t.constructor, tuple(_key(a, bound, next_level) for a in t.args))
-    if isinstance(t, Arrow):
-        return ("->", _key(t.domain, bound, next_level), _key(t.codomain, bound, next_level))
-    if isinstance(t, Forall):
-        inner = dict(bound)
-        inner[t.binder] = next_level
-        return ("all", _key(t.body, inner, next_level + 1))
-    if isinstance(t, Up):
-        return ("up", _key(t.body, bound, next_level))
-    if isinstance(t, NegData):
-        return ("ndata", t.constructor, tuple(_key(a, bound, next_level) for a in t.args))
-    raise TypeError(f"not a type: {t!r}")
-
-
 def alpha_equal(a: Type, b: Type) -> bool:
-    return a is b or alpha_key(a) == alpha_key(b)
+    """Equality up to renaming of bound variables, which is plain `==`."""
+    return a == b
+
+
+def nodes(t: Type, named: bool = False, k: int = 0, out: list = None) -> list:
+    """Every node of `t` in pre-order, each with the number of binders above
+    it (`k` and `out` carry the recursion).  The walk enters a `Forall`'s
+    `scope`, or with `named=True` its named view, where nodes are closed."""
+    if out is None:
+        out = []
+    out.append((t, k))
+    cls = type(t)
+    if cls is Arrow:
+        nodes(t.domain, named, k, out)
+        nodes(t.codomain, named, k, out)
+    elif cls is Down or cls is Up:
+        nodes(t.body, named, k, out)
+    elif cls is Data or cls is NegData:
+        for a in t.args:
+            nodes(a, named, k, out)
+    elif cls is Forall:
+        if named:
+            nodes(t.body, named, k, out)
+        else:
+            nodes(t.scope, named, k + 1, out)
+    return out
+
+
+def _map(t: Type, leaf, k: int = 0) -> Type:
+    """Rebuild `t` with every variable `v` (UVar, EVar or BVar) replaced by
+    `leaf(v, k)`, where `k` counts the binders above `v`.  Unchanged
+    subtrees are returned as they are.  Nothing is ever renamed: bound
+    variables are `BVar`s, and the types put in for free ones are closed.
+    """
+    cls = type(t)
+    if cls is Data or cls is NegData:
+        if not t.args:
+            return t
+        args = tuple([_map(a, leaf, k) for a in t.args])
+        return t if args == t.args else cls(t.constructor, args)
+    if cls is UVar or cls is EVar or cls is BVar:
+        return leaf(t, k)
+    if cls is Arrow:
+        dom, cod = _map(t.domain, leaf, k), _map(t.codomain, leaf, k)
+        return t if dom is t.domain and cod is t.codomain else Arrow(dom, cod)
+    if cls is Down or cls is Up:
+        body = _map(t.body, leaf, k)
+        return t if body is t.body else cls(body)
+    if cls is Forall:
+        scope = _map(t.scope, leaf, k + 1)
+        return t if scope is t.scope else Forall.bind(t.hint, scope)
+    raise TypeError(f"not a type: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +292,28 @@ class Let(Computation):
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
+def term_nodes(t):
+    """Every node of a term, in pre-order."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        yield t
+        if cls is Thunk or cls is Lambda or cls is TypeAbs:
+            stack.append(t.body)
+        elif cls is PairVal:
+            stack += (t.second, t.first)
+        elif cls is Return:
+            stack.append(t.value)
+        elif cls is Let or cls is LetAnn:
+            stack += (t.cont, *reversed(t.args), t.head)
+        elif cls is not Var and cls is not IntLit and cls is not BoolLit:
+            raise TypeError(f"not a term: {t!r}")
+
+
 def term_size(t) -> int:
-    """Structural size of a term or argument tuple (number of AST nodes)."""
-    if isinstance(t, (Var, IntLit, BoolLit)):
-        return 1
-    if isinstance(t, Thunk):
-        return 1 + term_size(t.body)
-    if isinstance(t, PairVal):
-        return 1 + term_size(t.first) + term_size(t.second)
-    if isinstance(t, Lambda):
-        return 1 + term_size(t.body)
-    if isinstance(t, TypeAbs):
-        return 1 + term_size(t.body)
-    if isinstance(t, Return):
-        return 1 + term_size(t.value)
-    if isinstance(t, (Let, LetAnn)):
-        return 1 + term_size(t.head) + term_size(t.args) + term_size(t.cont)
-    if isinstance(t, tuple):
-        return sum(term_size(v) for v in t)
-    raise TypeError(f"not a term: {t!r}")
+    """Structural size of a term (number of AST nodes)."""
+    return sum(1 for _ in term_nodes(t))
 
 
 # ---------------------------------------------------------------------------
@@ -381,70 +441,16 @@ def free_evars(t) -> set:
             if isinstance(e, Solved):
                 acc |= free_evars(e.solution)
         return acc
-    acc = set()
-    _walk_evars(t, acc)
-    return acc
-
-
-def _walk_evars(t, acc):
-    if isinstance(t, EVar):
-        acc.add(t.name)
-    elif isinstance(t, Down):
-        _walk_evars(t.body, acc)
-    elif isinstance(t, (Data, NegData)):
-        for a in t.args:
-            _walk_evars(a, acc)
-    elif isinstance(t, Arrow):
-        _walk_evars(t.domain, acc)
-        _walk_evars(t.codomain, acc)
-    elif isinstance(t, Forall):
-        _walk_evars(t.body, acc)
-    elif isinstance(t, Up):
-        _walk_evars(t.body, acc)
+    return {v.name for v, _ in nodes(t) if type(v) is EVar}
 
 
 def free_uvars(t) -> set:
-    """Free universal variables of a type, respecting binders."""
-    if isinstance(t, UVar):
-        return {t.name}
-    if isinstance(t, EVar):
-        return set()
-    if isinstance(t, Down):
-        return free_uvars(t.body)
-    if isinstance(t, (Data, NegData)):
-        acc = set()
-        for a in t.args:
-            acc |= free_uvars(a)
-        return acc
-    if isinstance(t, Arrow):
-        return free_uvars(t.domain) | free_uvars(t.codomain)
-    if isinstance(t, Forall):
-        return free_uvars(t.body) - {t.binder}
-    if isinstance(t, Up):
-        return free_uvars(t.body)
-    raise TypeError(f"not a type: {t!r}")
+    """Universal variables of a type; they are all free, as binders bind `BVar`s."""
+    return {v.name for v, _ in nodes(t) if type(v) is UVar}
 
 
 def is_ground(t: Type) -> bool:
     return not free_evars(t)
-
-
-def type_names(t) -> set:
-    """Every variable name appearing anywhere in a type (bound or free)."""
-    if isinstance(t, (UVar, EVar)):
-        return {t.name}
-    if isinstance(t, (Down, Up)):
-        return type_names(t.body)
-    if isinstance(t, (Data, NegData)):
-        acc = set()
-        for a in t.args:
-            acc |= type_names(a)
-        return acc
-    if isinstance(t, Arrow):
-        return type_names(t.domain) | type_names(t.codomain)
-    if isinstance(t, Forall):
-        return {t.binder} | type_names(t.body)
-    raise TypeError(f"not a type: {t!r}")
 
 
 def fresh_name(base: str, taken) -> str:
@@ -457,135 +463,33 @@ def fresh_name(base: str, taken) -> str:
     return f"{base}{i}"
 
 
+def bind_tyvar(name: str, taken, renamed: dict):
+    """The universal a type abstraction `/\\name` introduces, and the
+    source-name map for its body: `name` itself unless `taken` (the
+    context's names) has it; else a fresh name, which the map gives for
+    `name`, and which the source cannot name itself (the map gives None)."""
+    universal = fresh_name(name, taken)
+    if universal == name:
+        return universal, renamed
+    return universal, {**renamed, name: universal, universal: None}
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 
+def subst_uvars(sub: dict, target: Type) -> Type:
+    """Simultaneous substitution of closed types for universal variables."""
+    return _map(target, lambda v, k: sub.get(v.name, v) if type(v) is UVar else v)
+
+
 def subst_type(p: PosType, alpha: str, target: Type) -> Type:
-    """Capture-avoiding substitution of `p` for the universal variable `alpha`."""
-    return _substitute(target, {alpha: p}, UVar)
+    """Substitution of the closed type `p` for the universal variable `alpha`."""
+    return subst_uvars({alpha: p}, target)
 
 
 def subst_evar(p: PosType, name: str, target: Type) -> Type:
-    """Capture-avoiding substitution of `p` for the existential `name`."""
-    return _substitute(target, {name: p}, EVar)
-
-
-def _substitute(t: Type, sub: dict, var_cls) -> Type:
-    """Simultaneous capture-avoiding substitution in one traversal.
-
-    `sub` maps names of `var_cls` variables to positive types.  A binder
-    that occurs free in a substituted type is renamed on the way down (the
-    renaming travels in `ren`, so no second pass over the body is needed);
-    the free universals of the substituted types are computed once, at the
-    first binder met.  Unchanged subtrees are returned as they are, so
-    substituting into a type that mentions none of the names allocates
-    nothing.
-    """
-    solutions = tuple(sub.values())
-    fv = None
-
-    def walk(t, sub, ren):
-        nonlocal fv
-        if isinstance(t, UVar):
-            if t.name in ren:
-                return UVar(ren[t.name])
-            return sub.get(t.name, t) if var_cls is UVar else t
-        if isinstance(t, EVar):
-            return sub.get(t.name, t) if var_cls is EVar else t
-        if isinstance(t, (Down, Up)):
-            body = walk(t.body, sub, ren)
-            return t if body is t.body else type(t)(body)
-        if isinstance(t, (Data, NegData)):
-            args = tuple(walk(a, sub, ren) for a in t.args)
-            if all(a is b for a, b in zip(args, t.args)):
-                return t
-            return type(t)(t.constructor, args)
-        if isinstance(t, Arrow):
-            dom, cod = walk(t.domain, sub, ren), walk(t.codomain, sub, ren)
-            return t if dom is t.domain and cod is t.codomain else Arrow(dom, cod)
-        if isinstance(t, Forall):
-            binder = t.binder
-            if var_cls is UVar and binder in sub:
-                sub = {k: v for k, v in sub.items() if k != binder}
-            if binder in ren:
-                ren = {k: v for k, v in ren.items() if k != binder}
-            if not sub and not ren:
-                return t
-            if fv is None:
-                fv = set().union(*map(free_uvars, solutions))
-            new = binder
-            if sub and binder in fv:
-                # rename the binder so it cannot capture free variables of sub
-                new = fresh_name(binder, type_names(t.body) | fv | set(sub)
-                                 | set(ren.values()))
-                ren = {**ren, binder: new}
-            body = walk(t.body, sub, ren)
-            return t if body is t.body and new == binder else Forall(new, body)
-        raise TypeError(f"not a type: {t!r}")
-
-    return walk(t, sub, {})
-
-
-def rename_tyvar_in_comp(t, old: str, new: str):
-    """Rename a universal type variable throughout a term's annotations.
-
-    Only used to refresh a shadowed type-abstraction binder, with `new`
-    chosen fresh for the whole term, so plain traversal cannot capture.
-    """
-    sub = lambda ty: subst_type(UVar(new), old, ty)
-    if isinstance(t, Var) or isinstance(t, IntLit) or isinstance(t, BoolLit):
-        return t
-    if isinstance(t, Thunk):
-        return Thunk(rename_tyvar_in_comp(t.body, old, new), t.span)
-    if isinstance(t, PairVal):
-        return PairVal(rename_tyvar_in_comp(t.first, old, new),
-                       rename_tyvar_in_comp(t.second, old, new), t.span)
-    if isinstance(t, Lambda):
-        return Lambda(t.param, sub(t.annotation),
-                      rename_tyvar_in_comp(t.body, old, new), t.span)
-    if isinstance(t, TypeAbs):
-        if t.binder == old:
-            return t
-        return TypeAbs(t.binder, rename_tyvar_in_comp(t.body, old, new), t.span)
-    if isinstance(t, Return):
-        return Return(rename_tyvar_in_comp(t.value, old, new), t.span)
-    if isinstance(t, LetAnn):
-        return LetAnn(t.name, sub(t.annotation),
-                      rename_tyvar_in_comp(t.head, old, new),
-                      tuple(rename_tyvar_in_comp(v, old, new) for v in t.args),
-                      rename_tyvar_in_comp(t.cont, old, new), t.span)
-    if isinstance(t, Let):
-        return Let(t.name, rename_tyvar_in_comp(t.head, old, new),
-                   tuple(rename_tyvar_in_comp(v, old, new) for v in t.args),
-                   rename_tyvar_in_comp(t.cont, old, new), t.span)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def tyvar_names_in_comp(t) -> set:
-    """All type-variable names mentioned by a term's annotations and binders."""
-    if isinstance(t, (Var, IntLit, BoolLit)):
-        return set()
-    if isinstance(t, Thunk):
-        return tyvar_names_in_comp(t.body)
-    if isinstance(t, PairVal):
-        return tyvar_names_in_comp(t.first) | tyvar_names_in_comp(t.second)
-    if isinstance(t, Lambda):
-        return type_names(t.annotation) | tyvar_names_in_comp(t.body)
-    if isinstance(t, TypeAbs):
-        return {t.binder} | tyvar_names_in_comp(t.body)
-    if isinstance(t, Return):
-        return tyvar_names_in_comp(t.value)
-    if isinstance(t, LetAnn):
-        acc = type_names(t.annotation) | tyvar_names_in_comp(t.head) | tyvar_names_in_comp(t.cont)
-        for v in t.args:
-            acc |= tyvar_names_in_comp(v)
-        return acc
-    if isinstance(t, Let):
-        acc = tyvar_names_in_comp(t.head) | tyvar_names_in_comp(t.cont)
-        for v in t.args:
-            acc |= tyvar_names_in_comp(v)
-        return acc
-    raise TypeError(f"not a term: {t!r}")
+    """Substitution of the closed type `p` for the existential `name`."""
+    return _map(target, lambda v, k: p if type(v) is EVar and v.name == name else v)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +503,9 @@ def apply_context(theta: Context, t: Type) -> Type:
     at a time in any order, and it is idempotent.
     """
     solutions = {e.name: e.solution for e in theta.entries if isinstance(e, Solved)}
-    return _substitute(t, solutions, EVar) if solutions else t
+    if not solutions:
+        return t
+    return _map(t, lambda v, k: solutions.get(v.name, v) if type(v) is EVar else v)
 
 
 def restrict_context(theta_prime: Context, theta: Context) -> Context:
@@ -643,17 +549,6 @@ def erase_context(theta: Context) -> tuple:
     return tuple(e.name for e in theta.entries if isinstance(e, Universal))
 
 
-def _solutions_agree(theta: Context, i: int, p: PosType, q: PosType, iso) -> bool:
-    if alpha_equal(p, q):
-        return True
-    # only a non-trivial comparison needs the universals before entry i
-    prefix = erase_context(Context(theta.entries[:i]))
-    if iso is None:
-        from . import oracle
-        return oracle.decl_iso(prefix, p, q)
-    return iso(prefix, p, q)
-
-
 def _entry_compatible(e, e2, theta: Context, i: int, iso) -> bool:
     """Can entry i of theta (`e`) become `e2` by gaining information?"""
     if e is e2:
@@ -662,16 +557,18 @@ def _entry_compatible(e, e2, theta: Context, i: int, iso) -> bool:
         return isinstance(e2, Universal) and e2.name == e.name
     if isinstance(e, Unsolved):
         return isinstance(e2, (Unsolved, Solved)) and e2.name == e.name
-    # solved entries may only be replaced by isomorphic solutions
+    # a solved entry keeps its solution, or takes one `iso` accepts (only
+    # that comparison needs the universals before entry i)
     return (isinstance(e2, Solved) and e2.name == e.name
-            and _solutions_agree(theta, i, e.solution, e2.solution, iso))
+            and (e2.solution == e.solution or iso is not None and iso(
+                erase_context(Context(theta.entries[:i])), e.solution, e2.solution)))
 
 
 def extends(theta: Context, theta_prime: Context, iso=None) -> bool:
     """Information gain: same entries in order, with solutions only added.
 
-    Solved-to-solved entries may differ up to isomorphism; that check uses
-    the declarative oracle unless an `iso` predicate is supplied.
+    A solved entry must keep its solution (up to alpha-equivalence), unless
+    an `iso(universals, p, q)` predicate is supplied and accepts the new one.
     """
     if len(theta.entries) != len(theta_prime.entries):
         return False
@@ -707,21 +604,11 @@ def complete(theta: Context) -> bool:
 # Decidability metrics
 
 def termsize(t: Type) -> int:
-    """Size of a type ignoring quantification (quantifiers are free)."""
-    if isinstance(t, (UVar, EVar)):
-        return 1
-    if isinstance(t, Down):
-        return termsize(t.body) + 1
-    if isinstance(t, Forall):
-        return termsize(t.body)
-    if isinstance(t, Arrow):
-        return termsize(t.domain) + termsize(t.codomain) + 1
-    if isinstance(t, Up):
-        return termsize(t.body) + 1
-    if isinstance(t, (Data, NegData)):
-        # constructor arguments are strict subterms, keeping the metric decreasing
-        return 1 + sum(termsize(a) for a in t.args)
-    raise TypeError(f"not a type: {t!r}")
+    """Size of a type ignoring quantification (quantifiers are free).
+
+    Constructor arguments count as strict subterms, keeping the metric
+    decreasing."""
+    return len([v for v, _ in nodes(t) if type(v) is not Forall])
 
 
 def num_prenex(t: Type) -> int:
@@ -729,5 +616,5 @@ def num_prenex(t: Type) -> int:
     n = 0
     while isinstance(t, Forall):
         n += 1
-        t = t.body
+        t = t.scope
     return n

@@ -19,16 +19,15 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, TypeCheckError, require
 from .parser import pretty
-from .subtype import NameSource, TraceStep, _alpha_iso, subtype_pos
+from .subtype import NameSource, TraceStep, subtype_pos
 from .syntax import (
-    Arrow, BoolLit, Computation, Context, Data, Down, EVar, Forall, IntLit,
-    Lambda, Let, LetAnn, NegType, PairVal, Return, Thunk, TypeAbs,
-    TypeEnv, Universal, Unsolved, Up, Value, Var, alpha_equal,
-    apply_context, extends, free_evars, free_uvars, fresh_name, is_ground,
-    num_prenex, rename_tyvar_in_comp, restrict_context, subst_type,
-    term_size, tyvar_names_in_comp, weak_extends,
+    Arrow, BVar, BoolLit, Computation, Context, Data, Down, EVar, Forall,
+    IntLit, Lambda, Let, LetAnn, NegType, PairVal, Return, Thunk, TypeAbs,
+    TypeEnv, Universal, Unsolved, Up, Value, Var, apply_context, bind_tyvar,
+    extends, free_evars, is_ground, nodes, num_prenex, restrict_context,
+    term_size, weak_extends,
 )
-from .wellformed import wf_context, wf_env, wf_type
+from .wellformed import wf_annotation, wf_context, wf_env, wf_type
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,7 @@ class _Typer:
     def __init__(self, names: NameSource):
         self.names = names
         self.trace = []
+        self.renamed = {}  # source type-variable names in scope; see `bind_tyvar`
 
     def _record(self, rule, goal, before, after):
         self.trace.append(TraceStep(rule, goal, pretty(before), pretty(after)))
@@ -101,20 +101,15 @@ class _Typer:
             raise InvariantViolation("term recursion did not shrink")
 
         if isinstance(t, Lambda):
-            self._check_annotation(theta, t.annotation, "lambda annotation", t.span)
-            body_n, out = self.comp(theta, gamma.extend(t.param, t.annotation),
-                                    t.body, size)
-            n = Arrow(t.annotation, body_n)
+            anno = self._annotation(theta, t.annotation, "lambda annotation", t.span)
+            body_n, out = self.comp(theta, gamma.extend(t.param, anno), t.body, size)
+            n = Arrow(anno, body_n)
             self._record("lambda", f"\\{t.param} ==> {pretty(n)}", theta, out)
         elif isinstance(t, TypeAbs):
-            binder, body = t.binder, t.body
-            if binder in set(theta.names()):
-                fresh = fresh_name(binder, set(theta.names())
-                                   | tyvar_names_in_comp(body))
-                body = rename_tyvar_in_comp(body, binder, fresh)
-                binder = fresh
-            inner_n, inner = self.comp(theta.push(Universal(binder)), gamma,
-                                       body, size)
+            outer = self.renamed
+            binder, self.renamed = bind_tyvar(t.binder, set(theta.names()), outer)
+            inner_n, inner = self.comp(theta.push(Universal(binder)), gamma, t.body, size)
+            self.renamed = outer
             last = inner.last()
             if not isinstance(last, Universal) or last.name != binder:
                 raise InvariantViolation("type abstraction lost its binder")
@@ -126,16 +121,16 @@ class _Typer:
             n = Up(p)
             self._record("return", f"return ... ==> {pretty(n)}", theta, out)
         elif isinstance(t, LetAnn):
-            self._check_annotation(theta, t.annotation, "let annotation", t.span)
-            q, t4 = self._let_application(theta, gamma, t, size, annotated=True)
-            if not weak_extends(theta, t4, iso=_alpha_iso):
+            anno = self._annotation(theta, t.annotation, "let annotation", t.span)
+            q, t4 = self._let_application(theta, gamma, t, size, anno)
+            if not weak_extends(theta, t4):
                 raise InvariantViolation("restriction input lost information")
             t5 = restrict_context(t4, theta)
-            n, out = self.comp(t5, gamma.extend(t.name, t.annotation), t.cont, size)
-            self._record("let-annotated", f"let {t.name} : {pretty(t.annotation)}",
+            n, out = self.comp(t5, gamma.extend(t.name, anno), t.cont, size)
+            self._record("let-annotated", f"let {t.name} : {pretty(anno)}",
                          theta, out)
         elif isinstance(t, Let):
-            q, t2 = self._let_application(theta, gamma, t, size, annotated=False)
+            q, t2 = self._let_application(theta, gamma, t, size, None)
             if free_evars(q):
                 loose = ", ".join(sorted(free_evars(q)))
                 raise TypeCheckError(
@@ -144,7 +139,7 @@ class _Typer:
                     f"mentions {loose}; annotate the binding "
                     f"(let {t.name} : <type> = ...)",
                     t.span, tuple(self.trace))
-            if not weak_extends(theta, t2, iso=_alpha_iso):
+            if not weak_extends(theta, t2):
                 raise InvariantViolation("restriction input lost information")
             t3 = restrict_context(t2, theta)
             n, out = self.comp(t3, gamma.extend(t.name, q), t.cont, size)
@@ -155,10 +150,10 @@ class _Typer:
         self._check_synth_post(theta, out, n)
         return n, out
 
-    def _let_application(self, theta, gamma, t, size, annotated):
-        """Premises shared by both let forms: head, spine, and (if annotated)
-        the two subtyping checks against the annotation.  Returns the spine
-        result body and the context to restrict."""
+    def _let_application(self, theta, gamma, t, size, p):
+        """Premises shared by both let forms: head, spine, and (given the
+        annotation `p`) the two subtyping checks against it.  Returns the
+        spine result body and the context to restrict."""
         head_ty, t1 = self.value(theta, gamma, t.head, size)
         if not isinstance(head_ty, Down):
             raise TypeCheckError(
@@ -171,9 +166,8 @@ class _Typer:
                          f"leave the head at type {pretty(m)}, not a returner "
                          f"type", t.span, tuple(self.trace))
         q = m.body
-        if not annotated:
+        if p is None:
             return q, t2
-        p = t.annotation
         t3 = self._subtype_pos(
             t2, p, q, f"annotation {pretty(p)} does not match the inferred "
                       f"type {pretty(q)}", t.span)
@@ -187,7 +181,7 @@ class _Typer:
 
     def spine(self, theta: Context, gamma: TypeEnv, args: tuple, n: NegType,
               parent_metric):
-        if not alpha_equal(apply_context(theta, n), n):
+        if apply_context(theta, n) != n:
             raise InvariantViolation("spine head mentions solved existentials")
         metric = (len(args), num_prenex(n))
         if parent_metric is not None and metric >= parent_metric:
@@ -197,15 +191,14 @@ class _Typer:
             # quantified heads are always instantiated, even under an empty
             # spine: the let rules need a returner type, and an uninstantiated
             # quantifier can never become one
-            if n.binder not in free_uvars(n.body):
-                m, out = self.spine(theta, gamma, args, n.body, metric)
+            if not any(type(v) is BVar and v.index == k for v, k in nodes(n.scope)):
+                m, out = self.spine(theta, gamma, args, n.scope, metric)
                 self._record("spine-skip-unused",
                              f"{pretty(n)} >> {pretty(m)}", theta, out)
             else:
-                name = self.names.fresh_evar(n.binder, set(theta.names()))
-                opened = subst_type(EVar(name), n.binder, n.body)
+                name = self.names.fresh_evar(n.hint, set(theta.names()))
                 m, out = self.spine(theta.push(Unsolved(name)), gamma, args,
-                                    opened, metric)
+                                    n.open(EVar(name)), metric)
                 # the new existential stays in the output context; let rules
                 # remove it by restriction
                 self._record("spine-instantiate",
@@ -236,17 +229,19 @@ class _Typer:
 
     # -- shared checks ------------------------------------------------------
 
-    def _check_annotation(self, theta, anno, what, span):
-        if free_evars(anno) or not wf_type(theta, anno):
+    def _annotation(self, theta, anno, what, span):
+        p = wf_annotation(theta, anno, self.renamed)
+        if p is None:
             raise TypeCheckError(
                 "unbound-variable",
                 f"{what} {pretty(anno)} is not well-formed here", span,
                 tuple(self.trace))
+        return p
 
     def _check_synth_post(self, theta, out, result):
         if not wf_context(out):
             raise InvariantViolation("synthesis produced an ill-formed context")
-        if not extends(theta, out, iso=_alpha_iso):
+        if not extends(theta, out):
             raise InvariantViolation("synthesis output does not extend its input")
         if not is_ground(result):
             raise InvariantViolation("synthesized a non-ground type")
@@ -256,9 +251,9 @@ class _Typer:
     def _check_spine_post(self, theta, out, n, m):
         if not wf_context(out):
             raise InvariantViolation("spine produced an ill-formed context")
-        if not weak_extends(theta, out, iso=_alpha_iso):
+        if not weak_extends(theta, out):
             raise InvariantViolation("spine output does not weakly extend input")
-        if not alpha_equal(apply_context(out, m), m):
+        if apply_context(out, m) != m:
             raise InvariantViolation("spine result mentions solved existentials")
         new_evars = free_evars(out) - free_evars(theta)
         if not free_evars(m) <= (free_evars(n) | new_evars):
@@ -291,8 +286,8 @@ def synth_spine(theta: Context, gamma: TypeEnv, args: tuple, n: NegType,
     require(wf_context(theta), "input context is ill-formed")
     require(wf_env(theta, gamma), "environment is ill-formed")
     require(wf_type(theta, n), "head type is ill-formed")
-    require(alpha_equal(apply_context(theta, n), n),
-             "head type must not mention solved existentials")
+    require(apply_context(theta, n) == n,
+            "head type must not mention solved existentials")
     ty = _Typer(names or NameSource())
     m, out = ty.spine(theta, gamma, tuple(args), n, None)
     return SynthResult(m, out, tuple(ty.trace))

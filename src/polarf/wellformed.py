@@ -1,15 +1,15 @@
 """Well-formedness checks for types, contexts, and typing environments.
 
 These gate every public checker entry point: universal variables must be
-bound in the context, existentials must be tracked by it, solutions and
-environment bindings must be ground.
+bound in the context, existentials must be tracked by it, bound variables
+must have a binder, solutions and environment bindings must be ground.
 """
 
 from __future__ import annotations
 
 from .syntax import (
-    Arrow, Context, Data, Down, EVar, Forall, NegData, Solved, TypeEnv, UVar,
-    Universal, Up,
+    BVar, Context, EVar, NegType, PosType, Solved, TypeEnv, UVar, Universal,
+    free_uvars, nodes, subst_uvars,
 )
 
 _NONE = frozenset()
@@ -17,26 +17,29 @@ _NONE = frozenset()
 
 def wf_type(theta: Context, t) -> bool:
     """True iff `t` only mentions variables the context knows about."""
-    return _wf(t, theta.uvar_names(), theta.evar_names(), _NONE)
+    return _wf(t, theta.uvar_names(), theta.evar_names())
 
 
-def _wf(t, uvars, evars, bound) -> bool:
-    """Every universal of `t` is in `uvars` or bound, every existential in `evars`."""
-    if isinstance(t, UVar):
-        return t.name in bound or t.name in uvars
-    if isinstance(t, EVar):
-        return t.name in evars
-    if isinstance(t, (Down, Up)):
-        return _wf(t.body, uvars, evars, bound)
-    if isinstance(t, (Data, NegData)):
-        return all(_wf(a, uvars, evars, bound) for a in t.args)
-    if isinstance(t, Arrow):
-        return (_wf(t.domain, uvars, evars, bound)
-                and _wf(t.codomain, uvars, evars, bound))
-    if isinstance(t, Forall):
-        # binders may shadow; track them separately from the context
-        return _wf(t.body, uvars, evars, bound | {t.binder})
-    return False
+def _wf(t, uvars, evars) -> bool:
+    """Every universal of `t` is in `uvars`, every existential in `evars`,
+    and every bound variable is under its binder."""
+    for v, k in nodes(t):
+        cls = type(v)
+        if (cls is UVar and v.name not in uvars or cls is EVar and v.name not in evars
+                or cls is BVar and v.index >= k or not isinstance(v, (PosType, NegType))):
+            return False
+    return True
+
+
+def wf_annotation(theta: Context, anno: PosType, renamed: dict):
+    """An annotation's type in terms of the universals in scope, or None
+    unless it is ground and well-formed there.  `renamed` maps the source
+    names of shadowing type abstractions (see `syntax.bind_tyvar`)."""
+    names = free_uvars(anno) & renamed.keys() if renamed else ()
+    if any(renamed[a] is None for a in names):
+        return None
+    p = subst_uvars({a: UVar(renamed[a]) for a in names}, anno) if names else anno
+    return p if _wf(p, theta.uvar_names(), _NONE) else None
 
 
 def wf_context(theta: Context) -> bool:
@@ -53,7 +56,7 @@ def wf_context(theta: Context) -> bool:
         seen.add(e.name)
         if isinstance(e, Universal):
             universals.add(e.name)
-        elif isinstance(e, Solved) and not _wf(e.solution, universals, _NONE, _NONE):
+        elif isinstance(e, Solved) and not _wf(e.solution, universals, _NONE):
             return False
     return True
 
@@ -61,4 +64,4 @@ def wf_context(theta: Context) -> bool:
 def wf_env(theta: Context, gamma: TypeEnv) -> bool:
     """Every binding's type is ground and well-formed in the context."""
     uvars = theta.uvar_names()
-    return all(_wf(p, uvars, _NONE, _NONE) for _, p in gamma)
+    return all(_wf(p, uvars, _NONE) for _, p in gamma)

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from polarf import (
-    Context, Data, OracleBudgetExceeded, Return, TypeCheckError, TypeEnv,
-    UVar, Var, alpha_equal, candidate_universe, decl_iso, decl_subtype,
-    decl_synth, parse_program, parse_type, subst_type,
+    Arrow, Context, Data, Down, Forall, NegData, OracleBudgetExceeded,
+    PosType, Return, TypeCheckError, TypeEnv, UVar, Up, Var, alpha_equal,
+    candidate_universe, decl_iso, decl_subtype, decl_synth, parse_program,
+    parse_type, pretty, subst_type, subtype_neg,
 )
 from polarf.corpus import by_name
 from polarf.oracle import typing_universe
@@ -43,6 +44,54 @@ class TestCandidateUniverse:
             decl_subtype((), Data("Int", ()), Data("Int", ()),
                          universe=candidate_universe(big))
 
+
+def ref_collect_pos(t, out):
+    """The positive subterms of a type in pre-order, read by name."""
+    if isinstance(t, PosType):
+        out.append(t)
+    if isinstance(t, (Down, Up)):
+        ref_collect_pos(t.body, out)
+    elif isinstance(t, (Data, NegData)):
+        for a in t.args:
+            ref_collect_pos(a, out)
+    elif isinstance(t, Arrow):
+        ref_collect_pos(t.domain, out)
+        ref_collect_pos(t.codomain, out)
+    elif isinstance(t, Forall):
+        ref_collect_pos(t.body, out)
+
+
+def ref_universe(types, theta=()):
+    seen = {}
+    for name in theta:
+        seen.setdefault(UVar(name), UVar(name))
+    for t in types:
+        out = []
+        ref_collect_pos(t, out)
+        for p in out:
+            seen.setdefault(p, p)
+    return tuple(seen.values())
+
+
+class TestUniverseUnderBinders:
+    """Subterms under a binder enter the universe by their binder's name."""
+
+    def test_instantiation_with_a_bound_subterm(self):
+        n, m = T("forall b. up b", "-"), T("forall a. up (List a)", "-")
+        assert [pretty(c) for c in candidate_universe([n, m])] == ["b", "List a", "a"]
+        assert decl_subtype((), n, m)
+        subtype_neg(Context(), n, m)
+
+    def test_matches_the_named_reading(self):
+        rng = random.Random(42)
+        for _ in range(200):
+            types = [gen_type(rng, rng.choice("+-")) for _ in range(2)]
+            types.append(T(pretty(types[0])))
+            theta = ("a", "b")[:rng.randrange(3)]
+            got = candidate_universe(types, theta)
+            want = ref_universe(types, theta)
+            assert got == want
+            assert [pretty(c) for c in got] == [pretty(c) for c in want]
 
 class TestDeclSubtype:
     def test_section3_displays(self):

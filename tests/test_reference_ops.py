@@ -15,7 +15,7 @@ from polarf import (
     Universal, Unsolved, Up, apply_context, free_evars, free_uvars,
     subst_type, wf_context,
 )
-from polarf.syntax import fresh_name, subst_evar, type_names
+from polarf.syntax import fresh_name, subst_evar
 
 from gen import gen_type, holeify
 
@@ -23,6 +23,21 @@ UNIVERSALS = ("a", "b", "c")
 
 
 # -- reference definitions ----------------------------------------------------
+
+def type_names(t) -> set:
+    """Every variable name appearing anywhere in a named type (bound or free)."""
+    if isinstance(t, (UVar, EVar)):
+        return {t.name}
+    if isinstance(t, (Down, Up)):
+        return type_names(t.body)
+    if isinstance(t, (Data, NegData)):
+        return set().union(*map(type_names, t.args))
+    if isinstance(t, Arrow):
+        return type_names(t.domain) | type_names(t.codomain)
+    if isinstance(t, Forall):
+        return {t.binder} | type_names(t.body)
+    raise TypeError(f"not a type: {t!r}")
+
 
 def ref_subst(t, name, p, var_cls):
     """Substitute `p` for the `var_cls` variable `name`, one binder at a time."""

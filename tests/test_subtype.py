@@ -6,8 +6,8 @@ import pytest
 
 from polarf import (
     Context, Data, EVar, Solved, TypeCheckError, UVar, Universal,
-    Unsolved, Up, apply_context, extends, is_ground, isomorphic, parse_type,
-    subtype_neg, subtype_pos, termsize, wf_context,
+    Unsolved, Up, apply_context, decl_subtype, extends, is_ground,
+    isomorphic, parse_type, subtype_neg, subtype_pos, termsize, wf_context,
 )
 
 from gen import gen_related_pair, gen_type, holeify
@@ -90,6 +90,14 @@ class TestNegative:
                            T("Int -> up Int", "-"))
         assert accepts_neg(T("Int -> up Int", "-"),
                            T("forall a. a -> up a", "-")) is None
+
+    def test_forall_right_universal_is_fresh_for_the_context(self):
+        # the bound `a` on the right is not the universal `a` in scope
+        theta = Context((Universal("a"),))
+        n, m = T("a -> up a", "-"), T("forall a. a -> up a", "-")
+        assert accepts_neg(n, m, theta) is None
+        assert not decl_subtype(("a",), n, m)
+        assert accepts_neg(m, m, theta) and decl_subtype(("a",), m, m)
 
     def test_forall_left_keeps_unused_existential_out_of_output(self):
         res = accepts_neg(T("forall a. up Int", "-"), T("up Int", "-"))

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from polarf import (
-    Arrow, Context, Data, Down, EVar, Forall, Solved, UVar, Universal,
-    Unsolved, Up, alpha_equal, apply_context, erase_context, extends,
-    free_evars, free_uvars, num_prenex, parse_type, restrict_context,
-    subst_type, termsize, weak_extends,
+    Arrow, BVar, Context, Data, Down, EVar, Forall, Solved, UVar, Universal,
+    Unsolved, Up, alpha_equal, apply_context, decl_iso, erase_context,
+    extends, free_evars, free_uvars, num_prenex, parse_type, pretty,
+    restrict_context, subst_type, termsize, weak_extends,
 )
 from polarf.errors import InvariantViolation
 
@@ -115,6 +115,20 @@ class TestSubstitution:
         assert isinstance(got, Forall) and got.binder != "b"
         assert free_uvars(got) == {"b"}
 
+    def test_binders_keep_their_names(self):
+        got = subst_type(UVar("b"), "x", T("forall a b. a -> up b", "-"))
+        assert pretty(got) == "forall a b. a -> up b"
+
+    def test_captured_hint_is_renamed_in_print(self):
+        got = subst_type(UVar("a"), "b", T("forall a. b -> up a", "-"))
+        assert got == Forall("c", Arrow(UVar("a"), Up(UVar("c"))))
+        assert T(pretty(got), "-") == got
+        # an inner binder of the same hint would capture the outer one
+        outer = Forall.bind("a", Forall.bind("a", Arrow(BVar(1), Up(BVar(0)))))
+        assert outer == T("forall a b. a -> up b", "-")
+        assert T(pretty(outer), "-") == outer
+        assert outer.body.binder != outer.binder
+
     def test_alpha_equivalence_of_renamed_binders(self):
         assert T("forall a. a -> up a", "-") == T("forall b. b -> up b", "-")
         assert alpha_equal(T("forall a b. a -> up b", "-"),
@@ -199,7 +213,8 @@ class TestExtension:
     def test_isomorphic_solutions_extend(self):
         p = T("dn (forall a b. a -> b -> up (a * b))", "+")
         q = T("dn (forall b a. a -> b -> up (a * b))", "+")
-        assert extends(Context((Solved("?x", p),)), Context((Solved("?x", q),)))
+        assert extends(Context((Solved("?x", p),)), Context((Solved("?x", q),)),
+                       iso=decl_iso)
 
     def test_reflexive(self):
         theta = Context((Universal("a"), Unsolved("?x"),

@@ -5,8 +5,8 @@ import pytest
 from polarf import (
     BoolLit, Context, Data, Down, EVar, IntLit, PairVal, Return, Solved,
     Thunk, TypeCheckError, TypeEnv, Unsolved, Up, Var, alpha_equal,
-    apply_context, check_program, parse_program, parse_type, pretty,
-    synth_spine, synth_value, weak_extends,
+    apply_context, check_program, decl_synth, parse_program, parse_type,
+    pretty, synth_spine, synth_value, weak_extends,
 )
 from polarf.corpus import ENVIRONMENT, by_name
 
@@ -154,3 +154,24 @@ class TestDeterminism:
         r2 = check_program(prog)
         assert r1 == r2
         assert r1.trace == r2.trace
+
+
+class TestTypeAbsShadowing:
+    """A shadowing `/\\a` introduces a fresh universal; the source can only
+    reach it as `a`, never by the fresh name."""
+
+    def test_fresh_universal_is_not_a_source_name(self):
+        src = "/\\a. /\\a. \\x : a1. return x"
+        assert check_error(src, env="").kind == "unbound-variable"
+        assert decl_synth((), TypeEnv(), parse_program("run " + src).body) == ()
+
+    @pytest.mark.parametrize("src,expected", [
+        ("/\\a. /\\a. \\x : a. return x", "forall a b. b -> up b"),
+        ("/\\a. \\y : a. /\\a. \\x : a. return y",
+         "forall a. a -> forall b. b -> up a"),
+    ])
+    def test_shadowing_type_abstractions(self, src, expected):
+        ty = check(src, env="").type
+        assert ty == T(expected, "-")
+        assert T(pretty(ty), "-") == ty
+        assert ty in decl_synth((), TypeEnv(), parse_program("run " + src).body)

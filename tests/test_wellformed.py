@@ -1,8 +1,11 @@
 """Well-formedness of types, contexts, and environments."""
 
+import pytest
+
 from polarf import (
-    Arrow, Context, Data, Down, EVar, Solved, TypeEnv, UVar, Universal,
-    Unsolved, Up, parse_type, wf_context, wf_env, wf_type,
+    Arrow, BVar, Context, Data, Down, EVar, Forall, Return, Solved, TypeEnv,
+    UVar, Universal, Unsolved, Up, Var, parse_type, subtype_neg, subtype_pos,
+    synth_computation, synth_spine, synth_value, wf_context, wf_env, wf_type,
 )
 
 T = parse_type
@@ -31,6 +34,32 @@ class TestWfType:
         assert wf_type(Context(), T("forall a. a -> up a", "-"))
         assert not wf_type(Context(), T("a -> up a", "-"))
 
+
+    def test_bound_variable_needs_its_binder(self):
+        assert wf_type(Context(), Forall.bind("a", Up(BVar(0))))
+        assert wf_type(Context(), Forall.bind("a", Forall.bind("b", Up(BVar(1)))))
+        assert not wf_type(Context(), BVar(0))
+        assert not wf_type(Context(), Up(BVar(0)))
+        assert not wf_type(Context(), Forall.bind("a", Up(BVar(1))))
+        assert not wf_type(Context(), Down(Forall.bind("a", Arrow(BVar(0), Up(BVar(2))))))
+
+    def test_entry_points_refuse_a_bound_variable_without_binder(self):
+        dangling = Up(BVar(0))
+        ground = Up(Data("Int", ()))
+        with pytest.raises(ValueError):
+            subtype_pos(Context(), BVar(0), BVar(0))
+        with pytest.raises(ValueError):
+            subtype_neg(Context(), dangling, ground)
+        with pytest.raises(ValueError):
+            subtype_neg(Context(), ground, dangling)
+        with pytest.raises(ValueError):
+            synth_spine(Context(), TypeEnv(), (), dangling)
+        env = TypeEnv((("x", Down(dangling)),))
+        with pytest.raises(ValueError):
+            synth_value(Context(), env, Var("x"))
+        with pytest.raises(ValueError):
+            synth_computation(Context(), env, Return(Var("x")))
+        assert not wf_context(Context((Solved("?x", BVar(0)),)))
 
 class TestWfContext:
     def test_solution_wf_in_prefix(self):
