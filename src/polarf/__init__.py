@@ -11,7 +11,7 @@ from .parser import (
     BUILTIN_DATATYPES, DataDecl, Program, parse_program, parse_type, pretty,
 )
 from .subtype import (
-    NameSource, SubtypeResult, TraceStep, isomorphic, subtype_neg, subtype_pos,
+    SubtypeResult, TraceStep, isomorphic, subtype_neg, subtype_pos,
 )
 from .syntax import (
     ArgList, Arrow, BVar, BoolLit, Computation, Context, Data, Down, EVar,

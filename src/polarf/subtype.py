@@ -13,8 +13,13 @@ shape, groundness and size of the completed side) and every call checks
 the strict decrease of the decidability metric; violations raise
 InvariantViolation since they are bugs here, never user errors.
 
-Within one engine run (one `subtype_pos`/`subtype_neg` call), a
-ground/ground judgment under an invariant rule is derived once.  The
+A checking run (`_Engine`; the typer extends it) has one trace and one
+counter of fresh existentials.  A trace step keeps its judgment and its
+contexts as objects and prints them only when read.
+
+Within one subtyping check (one `subtype_pos`/`subtype_neg` call, or one
+subtyping premise of a typing rule), a ground/ground judgment under an
+invariant rule is derived once; the memo starts empty at each check.  The
 invariant rules check both directions one level down, so without this the
 engine costs 2^d rules on nested datatypes and 4^d on nested `dn (up ...)`;
 every other rule splits its conclusion into disjoint parts, so above the
@@ -26,7 +31,7 @@ is remembered after it has succeeded and passed its postconditions, and a
 repeat returns the input context with a `memo` trace step, after its
 metric check.  Judgments whose ground side is a variable or a constant are
 not remembered: they take one rule, as a memo step does.  Failures end
-the run, so they are not remembered either.
+the check, so they are not remembered either.
 """
 
 from __future__ import annotations
@@ -43,33 +48,25 @@ from .syntax import (
 from .wellformed import wf_context, wf_type
 
 
-class NameSource:
-    """Per-checking-run supply of fresh existential names.
-
-    Names derive from the instantiated binder plus a monotone counter, so
-    traces are readable and reproducible.  Confined to one checking
-    session; independent sessions may run in parallel.
-    """
-
-    def __init__(self):
-        self._counts = {}
-
-    def fresh_evar(self, base: str, taken) -> str:
-        n = self._counts.get(base, 0)
-        while f"?{base}{n}" in taken:
-            n += 1
-        self._counts[base] = n + 1
-        return f"?{base}{n}"
+def show(judgment) -> str:
+    """Print a judgment: its text parts as they are, everything else
+    (types, terms, contexts) with `pretty`."""
+    return "".join(p if isinstance(p, str) else pretty(p) for p in judgment)
 
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One completed rule application, with contexts before and after."""
+    """One completed rule application: the rule, its judgment and the
+    contexts before and after, kept as objects and printed when read."""
 
     rule: str
-    goal: str
-    context_before: str
-    context_after: str
+    judgment: tuple
+    before: Context
+    after: Context
+
+    goal = property(lambda self: show(self.judgment))
+    context_before = property(lambda self: pretty(self.before))
+    context_after = property(lambda self: pretty(self.after))
 
 
 @dataclass(frozen=True)
@@ -78,19 +75,18 @@ class SubtypeResult:
     trace: tuple
 
 
-def _check_post(theta: Context, out: Context, ground_size: int, nonground,
-                goal: str):
+def _check_post(theta: Context, out: Context, ground_size: int, nonground, goal):
     """Postconditions shared by every rule: extension (same entries, in
     order, with solutions only added), well-formedness, bounding."""
     if not wf_context(out):
-        raise InvariantViolation(f"ill-formed output context in {goal}")
+        raise InvariantViolation(f"ill-formed output context in {show(goal)}")
     if not extends(theta, out):
-        raise InvariantViolation(f"output context does not extend input in {goal}")
+        raise InvariantViolation(f"output context does not extend input in {show(goal)}")
     completed = apply_context(out, nonground)
     if not is_ground(completed):
-        raise InvariantViolation(f"completed non-ground side not ground in {goal}")
+        raise InvariantViolation(f"completed non-ground side not ground in {show(goal)}")
     if termsize(completed) > ground_size:
-        raise InvariantViolation(f"completed size exceeds ground size in {goal}")
+        raise InvariantViolation(f"completed size exceeds ground size in {show(goal)}")
 
 
 # the first component of either metric is the size of the ground side
@@ -103,24 +99,50 @@ def _metric_neg(n, m):
     return (termsize(m), num_prenex(m) + num_prenex(n))
 
 
-def _check_metric(parent, child, goal: str):
+def _check_metric(parent, child, goal):
     if parent is not None and child >= parent:
-        raise InvariantViolation(f"decidability metric did not decrease at {goal}")
-
-
-def _fail(goal: str, detail: str, trace):
-    raise TypeCheckError("subtype-failure", f"{detail} (while checking {goal})",
-                         trace=tuple(trace))
+        raise InvariantViolation(f"decidability metric did not decrease at {show(goal)}")
 
 
 class _Engine:
-    def __init__(self, names: NameSource):
-        self.names = names
-        self.trace = []
-        self.memo = set()  # keys of the remembered judgments derived so far
+    """One checking run: its trace, its fresh-existential counter and its memo."""
 
-    def _record(self, rule, goal, before, after):
-        self.trace.append(TraceStep(rule, goal, pretty(before), pretty(after)))
+    def __init__(self):
+        self.trace = []
+        self._counts = {}  # binder hint -> next fresh-existential number
+
+    def fresh_evar(self, base: str, theta: Context) -> str:
+        """A fresh existential: the binder's name plus a counter (reproducible)."""
+        taken = set(theta.names())
+        n = self._counts.get(base, 0)
+        while f"?{base}{n}" in taken:
+            n += 1
+        self._counts[base] = n + 1
+        return f"?{base}{n}"
+
+    def _record(self, rule, judgment, before, after):
+        self.trace.append(TraceStep(rule, judgment, before, after))
+
+    def fail(self, kind, message, span=None):
+        raise TypeCheckError(kind, message, span, tuple(self.trace))
+
+    def _mismatch(self, goal, detail):
+        self.fail("subtype-failure", f"{detail} (while checking {show(goal)})")
+
+    def subtype(self, polarity, theta: Context, a, b) -> Context:
+        """Check a <=polarity b under theta, after its preconditions, with a new memo."""
+        require(wf_context(theta), "input context is ill-formed")
+        require(wf_type(theta, a) and wf_type(theta, b), "types must be well-formed")
+        self.memo = set()  # keys of the remembered judgments derived so far
+        if polarity == "+":
+            require(is_ground(a), "the left side of a positive judgment must be ground")
+            require(apply_context(theta, b) == b,
+                    "the right side must not mention solved existentials")
+            return self.pos(theta, a, b, None)
+        require(is_ground(b), "the right side of a negative judgment must be ground")
+        require(apply_context(theta, a) == a,
+                "the left side must not mention solved existentials")
+        return self.neg(theta, a, b, None)
 
     def _memo_entry(self, shared, polarity, theta, a, b, nonground, ground_size):
         """Memo entry of a judgment worth remembering (see the module
@@ -133,14 +155,15 @@ class _Engine:
         if key is None:
             return
         if out != theta:
-            raise InvariantViolation(f"ground judgment changed its context in {goal}")
+            raise InvariantViolation(
+                f"ground judgment changed its context in {show(goal)}")
         self.memo.add(key)
 
     # -- positive: p ground, q may contain unsolved existentials --------
 
     def pos(self, theta: Context, p: PosType, q: PosType, parent,
             shared=False) -> Context:
-        goal = f"{pretty(p)} <=+ {pretty(q)}"
+        goal = (p, " <=+ ", q)
         metric = _metric_pos(p, q)
         _check_metric(parent, metric, goal)
         key = self._memo_entry(shared, "+", theta, p, q, q, metric[0])
@@ -151,19 +174,19 @@ class _Engine:
         if isinstance(q, EVar):
             entry = theta.lookup_evar(q.name)
             if entry is None:
-                _fail(goal, f"existential {q.name} is not in scope", self.trace)
+                self._mismatch(goal, f"existential {q.name} is not in scope")
             if isinstance(entry, Solved):
-                raise InvariantViolation(f"{q.name} already solved in {goal}")
+                raise InvariantViolation(f"{q.name} already solved in {show(goal)}")
             if not wf_type(theta.prefix_before(q.name), p):
-                _fail(goal, f"solution {pretty(p)} mentions variables bound "
-                            f"after {q.name} was introduced", self.trace)
+                self._mismatch(goal, f"solution {pretty(p)} mentions variables "
+                                     f"bound after {q.name} was introduced")
             out = theta.solve(q.name, p)
             self._record("instantiate", goal, theta, out)
         elif isinstance(p, UVar) and isinstance(q, UVar):
             if p.name != q.name:
-                _fail(goal, f"type variables {p.name} and {q.name} differ", self.trace)
+                self._mismatch(goal, f"type variables {p.name} and {q.name} differ")
             if not theta.has_universal(p.name):
-                _fail(goal, f"type variable {p.name} is not in scope", self.trace)
+                self._mismatch(goal, f"type variable {p.name} is not in scope")
             out = theta
             self._record("refl", goal, theta, out)
         elif isinstance(p, Down) and isinstance(q, Down):
@@ -174,8 +197,8 @@ class _Engine:
             self._record("shift-thunk", goal, theta, out)
         elif isinstance(p, Data) and isinstance(q, Data):
             if p.constructor != q.constructor or len(p.args) != len(q.args):
-                _fail(goal, f"constructors {pretty(p)} and {pretty(q)} do not match",
-                      self.trace)
+                self._mismatch(goal, f"constructors {pretty(p)} and {pretty(q)} "
+                                     f"do not match")
             out = theta
             for pa, qa in zip(p.args, q.args):
                 qa = apply_context(out, qa)
@@ -183,7 +206,7 @@ class _Engine:
                 out = self.pos(out, apply_context(out, qa), pa, metric, True)
             self._record("data", goal, theta, out)
         else:
-            _fail(goal, f"{pretty(p)} is not a subtype of {pretty(q)}", self.trace)
+            self._mismatch(goal, f"{pretty(p)} is not a subtype of {pretty(q)}")
 
         _check_post(theta, out, metric[0], q, goal)
         self._remember(key, theta, out, goal)
@@ -193,7 +216,7 @@ class _Engine:
 
     def neg(self, theta: Context, n: NegType, m: NegType, parent,
             shared=False) -> Context:
-        goal = f"{pretty(n)} <=- {pretty(m)}"
+        goal = (n, " <=- ", m)
         metric = _metric_neg(n, m)
         _check_metric(parent, metric, goal)
         key = self._memo_entry(shared, "-", theta, n, m, n, metric[0])
@@ -207,16 +230,16 @@ class _Engine:
             inner = self.neg(theta.push(Universal(binder)), n, m.open(UVar(binder)),
                              metric, shared)
             if not isinstance(inner.last(), Universal) or inner.last().name != binder:
-                raise InvariantViolation(f"universal {binder} lost in {goal}")
+                raise InvariantViolation(f"universal {binder} lost in {show(goal)}")
             out = inner.drop_last()
             self._record("forall-right", goal, theta, out)
         elif isinstance(n, Forall):
-            name = self.names.fresh_evar(n.hint, set(theta.names()))
+            name = self.fresh_evar(n.hint, theta)
             opened = n.open(EVar(name))
             inner = self.neg(theta.push(Unsolved(name)), opened, m, metric, shared)
             if inner.last() is None or inner.last().name != name \
                     or isinstance(inner.last(), Universal):
-                raise InvariantViolation(f"existential {name} lost in {goal}")
+                raise InvariantViolation(f"existential {name} lost in {show(goal)}")
             # the algorithm need not have solved it; either way it goes out of scope
             out = inner.drop_last()
             self._record("forall-left", goal, theta, out)
@@ -233,8 +256,8 @@ class _Engine:
             self._record("shift-return", goal, theta, out)
         elif isinstance(n, NegData) and isinstance(m, NegData):
             if n.constructor != m.constructor or len(n.args) != len(m.args):
-                _fail(goal, f"constructors {pretty(n)} and {pretty(m)} do not match",
-                      self.trace)
+                self._mismatch(goal, f"constructors {pretty(n)} and {pretty(m)} "
+                                     f"do not match")
             out = theta
             for na, ma in zip(n.args, m.args):
                 na = apply_context(out, na)
@@ -242,41 +265,27 @@ class _Engine:
                 out = self.pos(out, apply_context(out, na), ma, metric, True)
             self._record("data", goal, theta, out)
         else:
-            _fail(goal, f"{pretty(n)} is not a subtype of {pretty(m)}", self.trace)
+            self._mismatch(goal, f"{pretty(n)} is not a subtype of {pretty(m)}")
 
         _check_post(theta, out, metric[0], n, goal)
         self._remember(key, theta, out, goal)
         return out
 
 
-def subtype_pos(theta: Context, p: PosType, q: PosType,
-                names: NameSource = None) -> SubtypeResult:
+def subtype_pos(theta: Context, p: PosType, q: PosType) -> SubtypeResult:
     """Check p <=+ q under theta; p must be ground, q free of solved existentials.
 
     Returns the output context (same shape as the input, possibly with new
     solutions) and the derivation trace; raises TypeCheckError on failure.
     """
-    require(wf_context(theta), "input context is ill-formed")
-    require(wf_type(theta, p) and wf_type(theta, q), "types must be well-formed")
-    require(is_ground(p), "the left side of a positive judgment must be ground")
-    require(apply_context(theta, q) == q,
-            "the right side must not mention solved existentials")
-    eng = _Engine(names or NameSource())
-    out = eng.pos(theta, p, q, None)
-    return SubtypeResult(out, tuple(eng.trace))
+    run = _Engine()
+    return SubtypeResult(run.subtype("+", theta, p, q), tuple(run.trace))
 
 
-def subtype_neg(theta: Context, n: NegType, m: NegType,
-                names: NameSource = None) -> SubtypeResult:
+def subtype_neg(theta: Context, n: NegType, m: NegType) -> SubtypeResult:
     """Check n <=- m under theta; m must be ground, n free of solved existentials."""
-    require(wf_context(theta), "input context is ill-formed")
-    require(wf_type(theta, n) and wf_type(theta, m), "types must be well-formed")
-    require(is_ground(m), "the right side of a negative judgment must be ground")
-    require(apply_context(theta, n) == n,
-            "the left side must not mention solved existentials")
-    eng = _Engine(names or NameSource())
-    out = eng.neg(theta, n, m, None)
-    return SubtypeResult(out, tuple(eng.trace))
+    run = _Engine()
+    return SubtypeResult(run.subtype("-", theta, n, m), tuple(run.trace))
 
 
 def isomorphic(theta: Context, a, b) -> bool:

@@ -595,11 +595,6 @@ def weak_extends(theta: Context, theta_prime: Context, iso=None) -> bool:
     return i < 0
 
 
-def complete(theta: Context) -> bool:
-    """A complete context has no unsolved existentials."""
-    return not any(isinstance(e, Unsolved) for e in theta.entries)
-
-
 # ---------------------------------------------------------------------------
 # Decidability metrics
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, TypeCheckError, require
 from .parser import pretty
-from .subtype import NameSource, TraceStep, subtype_pos
+from .subtype import _Engine, show
 from .syntax import (
     Arrow, BVar, BoolLit, Computation, Context, Data, Down, EVar, Forall,
     IntLit, Lambda, Let, LetAnn, NegType, PairVal, Return, Thunk, TypeAbs,
@@ -39,23 +39,17 @@ class SynthResult:
     trace: tuple
 
 
-class _Typer:
-    def __init__(self, names: NameSource):
-        self.names = names
-        self.trace = []
-        self.renamed = {}  # source type-variable names in scope; see `bind_tyvar`
+class _Typer(_Engine):
+    """The checking run extended to terms; its subtyping checks share it."""
 
-    def _record(self, rule, goal, before, after):
-        self.trace.append(TraceStep(rule, goal, pretty(before), pretty(after)))
+    renamed = {}  # source type-variable names in scope, never mutated; see `bind_tyvar`
 
     def _subtype_pos(self, theta, p, q, what, span):
+        """p <=+ q; a failure's message starts with the judgment `what`."""
         try:
-            res = subtype_pos(theta, p, q, names=self.names)
+            return self.subtype("+", theta, p, q)
         except TypeCheckError as e:
-            raise TypeCheckError(e.kind, f"{what}: {e.message}", span or e.span,
-                                 tuple(self.trace) + e.trace) from None
-        self.trace.extend(res.trace)
-        return res.context
+            self.fail(e.kind, f"{show(what)}: {e.message}", span)
 
     # -- values ----------------------------------------------------------
 
@@ -67,26 +61,25 @@ class _Typer:
         if isinstance(v, Var):
             p = gamma.lookup(v.name)
             if p is None:
-                raise TypeCheckError("unbound-variable",
-                                     f"variable {v.name} is not in scope",
-                                     v.span, tuple(self.trace))
+                self.fail("unbound-variable", f"variable {v.name} is not in scope",
+                          v.span)
             out = theta
-            self._record("var", f"{v.name} ==> {pretty(p)}", theta, out)
+            self._record("var", (v.name, " ==> ", p), theta, out)
         elif isinstance(v, Thunk):
             n, out = self.comp(theta, gamma, v.body, size)
             p = Down(n)
-            self._record("thunk", f"{{...}} ==> {pretty(p)}", theta, out)
+            self._record("thunk", ("{...} ==> ", p), theta, out)
         elif isinstance(v, IntLit):
             p, out = Data("Int", ()), theta
-            self._record("int-literal", f"{v.value} ==> Int", theta, out)
+            self._record("int-literal", (v, " ==> Int"), theta, out)
         elif isinstance(v, BoolLit):
             p, out = Data("Bool", ()), theta
-            self._record("bool-literal", f"{pretty(v)} ==> Bool", theta, out)
+            self._record("bool-literal", (v, " ==> Bool"), theta, out)
         elif isinstance(v, PairVal):
             p1, t1 = self.value(theta, gamma, v.first, size)
             p2, out = self.value(t1, gamma, v.second, size)
             p = Data("Pair", (p1, p2))
-            self._record("pair", f"(...) ==> {pretty(p)}", theta, out)
+            self._record("pair", ("(...) ==> ", p), theta, out)
         else:
             raise TypeError(f"not a value: {v!r}")
 
@@ -104,7 +97,7 @@ class _Typer:
             anno = self._annotation(theta, t.annotation, "lambda annotation", t.span)
             body_n, out = self.comp(theta, gamma.extend(t.param, anno), t.body, size)
             n = Arrow(anno, body_n)
-            self._record("lambda", f"\\{t.param} ==> {pretty(n)}", theta, out)
+            self._record("lambda", ("\\", t.param, " ==> ", n), theta, out)
         elif isinstance(t, TypeAbs):
             outer = self.renamed
             binder, self.renamed = bind_tyvar(t.binder, set(theta.names()), outer)
@@ -115,11 +108,11 @@ class _Typer:
                 raise InvariantViolation("type abstraction lost its binder")
             out = inner.drop_last()
             n = Forall(binder, inner_n)
-            self._record("type-abs", f"/\\{binder} ==> {pretty(n)}", theta, out)
+            self._record("type-abs", ("/\\", binder, " ==> ", n), theta, out)
         elif isinstance(t, Return):
             p, out = self.value(theta, gamma, t.value, size)
             n = Up(p)
-            self._record("return", f"return ... ==> {pretty(n)}", theta, out)
+            self._record("return", ("return ... ==> ", n), theta, out)
         elif isinstance(t, LetAnn):
             anno = self._annotation(theta, t.annotation, "let annotation", t.span)
             q, t4 = self._let_application(theta, gamma, t, size, anno)
@@ -127,23 +120,20 @@ class _Typer:
                 raise InvariantViolation("restriction input lost information")
             t5 = restrict_context(t4, theta)
             n, out = self.comp(t5, gamma.extend(t.name, anno), t.cont, size)
-            self._record("let-annotated", f"let {t.name} : {pretty(anno)}",
-                         theta, out)
+            self._record("let-annotated", ("let ", t.name, " : ", anno), theta, out)
         elif isinstance(t, Let):
             q, t2 = self._let_application(theta, gamma, t, size, None)
             if free_evars(q):
                 loose = ", ".join(sorted(free_evars(q)))
-                raise TypeCheckError(
-                    "ambiguous-let",
-                    f"the type of {t.name} is ambiguous: {pretty(q)} still "
-                    f"mentions {loose}; annotate the binding "
-                    f"(let {t.name} : <type> = ...)",
-                    t.span, tuple(self.trace))
+                self.fail("ambiguous-let",
+                          f"the type of {t.name} is ambiguous: {pretty(q)} still "
+                          f"mentions {loose}; annotate the binding "
+                          f"(let {t.name} : <type> = ...)", t.span)
             if not weak_extends(theta, t2):
                 raise InvariantViolation("restriction input lost information")
             t3 = restrict_context(t2, theta)
             n, out = self.comp(t3, gamma.extend(t.name, q), t.cont, size)
-            self._record("let", f"let {t.name} ==> {pretty(q)}", theta, out)
+            self._record("let", ("let ", t.name, " ==> ", q), theta, out)
         else:
             raise TypeError(f"not a computation: {t!r}")
 
@@ -156,25 +146,23 @@ class _Typer:
         spine result body and the context to restrict."""
         head_ty, t1 = self.value(theta, gamma, t.head, size)
         if not isinstance(head_ty, Down):
-            raise TypeCheckError(
-                "shape", f"the head of a let must be a thunk, but it has type "
-                         f"{pretty(head_ty)}", t.span, tuple(self.trace))
+            self.fail("shape", f"the head of a let must be a thunk, but it has "
+                               f"type {pretty(head_ty)}", t.span)
         m, t2 = self.spine(t1, gamma, t.args, head_ty.body, None)
         if not isinstance(m, Up):
-            raise TypeCheckError(
-                "shape", f"partial application is forbidden: the arguments "
-                         f"leave the head at type {pretty(m)}, not a returner "
-                         f"type", t.span, tuple(self.trace))
+            self.fail("shape", f"partial application is forbidden: the arguments "
+                               f"leave the head at type {pretty(m)}, not a "
+                               f"returner type", t.span)
         q = m.body
         if p is None:
             return q, t2
         t3 = self._subtype_pos(
-            t2, p, q, f"annotation {pretty(p)} does not match the inferred "
-                      f"type {pretty(q)}", t.span)
+            t2, p, q, ("annotation ", p, " does not match the inferred type ", q),
+            t.span)
         qc = apply_context(t3, q)
         t4 = self._subtype_pos(
-            t3, qc, p, f"inferred type {pretty(qc)} does not match the "
-                       f"annotation {pretty(p)}", t.span)
+            t3, qc, p, ("inferred type ", qc, " does not match the annotation ", p),
+            t.span)
         return q, t4
 
     # -- spines -----------------------------------------------------------
@@ -193,36 +181,32 @@ class _Typer:
             # quantifier can never become one
             if not any(type(v) is BVar and v.index == k for v, k in nodes(n.scope)):
                 m, out = self.spine(theta, gamma, args, n.scope, metric)
-                self._record("spine-skip-unused",
-                             f"{pretty(n)} >> {pretty(m)}", theta, out)
+                self._record("spine-skip-unused", (n, " >> ", m), theta, out)
             else:
-                name = self.names.fresh_evar(n.hint, set(theta.names()))
+                name = self.fresh_evar(n.hint, theta)
                 m, out = self.spine(theta.push(Unsolved(name)), gamma, args,
                                     n.open(EVar(name)), metric)
                 # the new existential stays in the output context; let rules
                 # remove it by restriction
-                self._record("spine-instantiate",
-                             f"{pretty(n)} >> {pretty(m)}", theta, out)
+                self._record("spine-instantiate", (n, " >> ", m), theta, out)
         elif args and isinstance(n, Arrow):
             v, rest = args[0], args[1:]
             p, t1 = self.value(theta, gamma, v, None)
             dom = apply_context(t1, n.domain)
             t2 = self._subtype_pos(
-                t1, p, dom, f"argument {pretty(v)} of type {pretty(p)} does "
-                            f"not fit the parameter type {pretty(dom)}",
+                t1, p, dom, ("argument ", v, " of type ", p,
+                             " does not fit the parameter type ", dom),
                 getattr(v, "span", None))
             m, out = self.spine(t2, gamma, rest, apply_context(t2, n.codomain),
                                 metric)
-            self._record("spine-arg", f"{pretty(v)} : {pretty(n)} >> {pretty(m)}",
-                         theta, out)
+            self._record("spine-arg", (v, " : ", n, " >> ", m), theta, out)
         elif not args:
             m, out = n, theta
-            self._record("spine-done", f"{pretty(n)} >> {pretty(m)}", theta, out)
+            self._record("spine-done", (n, " >> ", m), theta, out)
         else:
-            raise TypeCheckError(
-                "arity", f"too many arguments: {len(args)} left over for a "
-                         f"head of type {pretty(n)}",
-                getattr(args[0], "span", None), tuple(self.trace))
+            self.fail("arity", f"too many arguments: {len(args)} left over for "
+                               f"a head of type {pretty(n)}",
+                      getattr(args[0], "span", None))
 
         self._check_spine_post(theta, out, n, m)
         return m, out
@@ -232,10 +216,8 @@ class _Typer:
     def _annotation(self, theta, anno, what, span):
         p = wf_annotation(theta, anno, self.renamed)
         if p is None:
-            raise TypeCheckError(
-                "unbound-variable",
-                f"{what} {pretty(anno)} is not well-formed here", span,
-                tuple(self.trace))
+            self.fail("unbound-variable",
+                      f"{what} {pretty(anno)} is not well-formed here", span)
         return p
 
     def _check_synth_post(self, theta, out, result):
@@ -260,45 +242,39 @@ class _Typer:
             raise InvariantViolation("spine result leaked unknown existentials")
 
 
-def synth_value(theta: Context, gamma: TypeEnv, v: Value,
-                names: NameSource = None) -> SynthResult:
+def _synth(judge, theta: Context, gamma: TypeEnv, *args,
+           env_error="environment is ill-formed", head=None) -> SynthResult:
+    """Run one typing judgment as a new checking run, after its preconditions."""
+    require(wf_context(theta), "input context is ill-formed")
+    require(wf_env(theta, gamma), env_error)
+    if head is not None:
+        require(wf_type(theta, head), "head type is ill-formed")
+        require(apply_context(theta, head) == head,
+                "head type must not mention solved existentials")
+    run = _Typer()
+    result, out = judge(run, theta, gamma, *args, None)
+    return SynthResult(result, out, tuple(run.trace))
+
+
+def synth_value(theta: Context, gamma: TypeEnv, v: Value) -> SynthResult:
     """Synthesize the (ground) type of a value."""
-    require(wf_context(theta), "input context is ill-formed")
-    require(wf_env(theta, gamma), "environment is ill-formed")
-    ty = _Typer(names or NameSource())
-    p, out = ty.value(theta, gamma, v, None)
-    return SynthResult(p, out, tuple(ty.trace))
+    return _synth(_Typer.value, theta, gamma, v)
 
 
-def synth_computation(theta: Context, gamma: TypeEnv, t: Computation,
-                      names: NameSource = None) -> SynthResult:
+def synth_computation(theta: Context, gamma: TypeEnv, t: Computation) -> SynthResult:
     """Synthesize the (ground) type of a computation."""
-    require(wf_context(theta), "input context is ill-formed")
-    require(wf_env(theta, gamma), "environment is ill-formed")
-    ty = _Typer(names or NameSource())
-    n, out = ty.comp(theta, gamma, t, None)
-    return SynthResult(n, out, tuple(ty.trace))
+    return _synth(_Typer.comp, theta, gamma, t)
 
 
-def synth_spine(theta: Context, gamma: TypeEnv, args: tuple, n: NegType,
-                names: NameSource = None) -> SynthResult:
+def synth_spine(theta: Context, gamma: TypeEnv, args: tuple, n: NegType) -> SynthResult:
     """Type an argument list against a head type; the result may be non-ground."""
-    require(wf_context(theta), "input context is ill-formed")
-    require(wf_env(theta, gamma), "environment is ill-formed")
-    require(wf_type(theta, n), "head type is ill-formed")
-    require(apply_context(theta, n) == n,
-            "head type must not mention solved existentials")
-    ty = _Typer(names or NameSource())
-    m, out = ty.spine(theta, gamma, tuple(args), n, None)
-    return SynthResult(m, out, tuple(ty.trace))
+    return _synth(_Typer.spine, theta, gamma, tuple(args), n, head=n)
 
 
 def check_program(program) -> SynthResult:
     """Typecheck a parsed program: synthesize its body under its assumptions."""
-    gamma = TypeEnv(tuple(program.assumptions))
-    require(wf_env(Context(), gamma), "assumption types must be ground and closed")
-    ty = _Typer(NameSource())
-    n, out = ty.comp(Context(), gamma, program.body, None)
-    if out.entries:
+    res = _synth(_Typer.comp, Context(), TypeEnv(tuple(program.assumptions)),
+                 program.body, env_error="assumption types must be ground and closed")
+    if res.context.entries:
         raise InvariantViolation("program checking leaked context entries")
-    return SynthResult(n, out, tuple(ty.trace))
+    return res

@@ -6,9 +6,10 @@ from polarf import (
     BoolLit, Context, Data, Down, EVar, IntLit, PairVal, Return, Solved,
     Thunk, TypeCheckError, TypeEnv, Unsolved, Up, Var, alpha_equal,
     apply_context, check_program, decl_synth, parse_program, parse_type,
-    pretty, synth_spine, synth_value, weak_extends,
+    pretty, subtype_pos, synth_spine, synth_value, weak_extends,
 )
-from polarf.corpus import ENVIRONMENT, by_name
+from polarf import subtype, typecheck
+from polarf.corpus import ENVIRONMENT, EXAMPLES, by_name
 
 T = parse_type
 ID_TYPE = T("dn (forall a. a -> up a)", "+")
@@ -175,3 +176,39 @@ class TestTypeAbsShadowing:
         assert ty == T(expected, "-")
         assert T(pretty(ty), "-") == ty
         assert ty in decl_synth((), TypeEnv(), parse_program("run " + src).body)
+
+
+class TestLazyTrace:
+    """Trace steps keep their judgments and contexts as objects: a check
+    prints nothing until a step's strings are read."""
+
+    @pytest.fixture
+    def pretty_calls(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return pretty(x)
+
+        monkeypatch.setattr(subtype, "pretty", counted)
+        monkeypatch.setattr(typecheck, "pretty", counted)
+        return calls
+
+    def test_accepted_checks_print_nothing_until_read(self, pretty_calls):
+        traces = [check_program(parse_program(ex.source, ex.name)).trace
+                  for ex in EXAMPLES if ex.expected in ("ok", "ann")]
+        ladder = "Int"
+        for _ in range(12):
+            ladder = f"dn (up ({ladder}))"
+        t = T(ladder, "+")
+        traces.append(subtype_pos(Context(), t, t).trace)
+        assert pretty_calls == []
+
+        steps = [step for trace in traces for step in trace]
+        for step in steps:
+            assert step.goal
+            assert step.context_before == pretty(step.before)
+            assert step.context_after == pretty(step.after)
+        printed = sum(2 + sum(not isinstance(part, str) for part in step.judgment)
+                      for step in steps)
+        assert len(pretty_calls) == printed
