@@ -23,7 +23,7 @@ from .syntax import (
     Arrow, BoolLit, Computation, Context, Data, Down, Forall, IntLit,
     Lambda, Let, LetAnn, NegData, PairVal, PosType, Return, Thunk,
     TypeAbs, TypeEnv, UVar, Universal, Up, Value, Var, bind_tyvar,
-    free_evars, free_uvars, fresh_name, is_ground, nodes, term_nodes,
+    fresh_name, is_ground, nodes, term_nodes,
 )
 from .wellformed import wf_annotation, wf_type
 
@@ -41,7 +41,7 @@ def positive_subterms(t):
     """All positive types occurring inside `t` (including `t` if positive),
     read through the named view: `forall a. up (List a)` gives `List a`, as
     forall-right reuses a free binder name and may then need that type."""
-    return [v for v, _ in nodes(t, named=True) if isinstance(v, PosType)]
+    return [v for v in nodes(t) if isinstance(v, PosType)]
 
 
 def candidate_universe(types, theta=()) -> tuple:
@@ -71,8 +71,9 @@ class _Search:
     def candidates(self, theta, extra=()):
         """Universe members well-formed in scope, plus in-scope universals."""
         out = dict.fromkeys(UVar(name) for name in theta)
+        scope = frozenset(theta)
         for p in self.universe + tuple(extra):
-            if p not in out and free_uvars(p) <= set(theta) and not free_evars(p):
+            if not p.evars and p.uvars <= scope and p not in out:
                 out[p] = None
         return list(out)
 

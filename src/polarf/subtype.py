@@ -113,7 +113,7 @@ class _Engine:
 
     def fresh_evar(self, base: str, theta: Context) -> str:
         """A fresh existential: the binder's name plus a counter (reproducible)."""
-        taken = set(theta.names())
+        taken = theta.names
         n = self._counts.get(base, 0)
         while f"?{base}{n}" in taken:
             n += 1
@@ -226,7 +226,7 @@ class _Engine:
 
         if isinstance(m, Forall):
             # eliminate quantifiers on the ground side first
-            binder = fresh_name(m.hint, set(theta.names()))
+            binder = fresh_name(m.hint, theta.names)
             inner = self.neg(theta.push(Universal(binder)), n, m.open(UVar(binder)),
                              metric, shared)
             if not isinstance(inner.last(), Universal) or inner.last().name != binder:

@@ -7,15 +7,43 @@ a value type, `Up` is the type of a computation returning a value).
 Binders are locally nameless (Charguéraud, "The Locally Nameless
 Representation", JAR 2012): a `Forall` binds the `BVar`s of its scope and
 every `UVar` is free, so `==` and `hash` are alpha-equivalence and
-substitution never renames.  One structural map (`_map`) and one node walk
-(`nodes`) serve every operation on types.  Everything here is immutable,
-so values can be shared freely across threads.
+substitution never renames.  Nothing here changes once built, so values
+can be shared freely across threads.
+
+Every type node carries its facts, computed when it is built from its
+children's facts in O(arity) (the per-node half of Filliâtre and Conchon,
+"Type-Safe Modular Hash-Consing", ML Workshop 2006):
+
+- `evars` and `uvars`: the names of its free existentials and universals,
+  as frozensets, shared with a child whose set already holds them all;
+- `size`: its `termsize`;
+- `dangling`: the largest index of a `BVar` below it that no `Forall` below
+  it binds, counted from the node itself, or -1 if there is none (so a type
+  is closed iff this is -1);
+- `typed`: whether every node below it is a type.
+
+The invariant is that a node's facts are those of the subtree below it.
+A node is never changed after it is built, so they stay true, and the
+operations that walked a type read them instead: `free_evars`,
+`free_uvars`, `is_ground` and `termsize` are attribute reads, and
+well-formedness is two set inclusions and an int test.
+
+One structural map (`_map`) serves every substitution, and it returns a
+subtree as it is when the subtree's facts show that the substitution
+cannot change it: none of its free existentials (or universals) is in the
+substitution's domain, or none of its dangling indices is the one being
+opened.  That is sound because a substitution changes only the variables
+it replaces, and the facts name every free variable and bound the
+dangling index of the subtree.  So a map costs only the nodes on the paths
+to the variables it replaces.
+
+Terms carry their node count (`size`) the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 from .errors import InvariantViolation, SourceSpan
@@ -23,13 +51,19 @@ from .errors import InvariantViolation, SourceSpan
 # ---------------------------------------------------------------------------
 # Types
 
-class PosType:
+class _Type:
+    """The facts every type node carries (see the module docstring)."""
+
+    __slots__ = ("evars", "uvars", "size", "dangling", "typed")
+
+
+class PosType(_Type):
     """Base class for positive (value) types."""
 
     __slots__ = ()
 
 
-class NegType:
+class NegType(_Type):
     """Base class for negative (computation) types."""
 
     __slots__ = ()
@@ -37,53 +71,136 @@ class NegType:
 
 Type = Union[PosType, NegType]
 
+_NONE = frozenset()
 
-@dataclass(frozen=True)
+
+@lru_cache(maxsize=4096)
+def _names(name: str) -> frozenset:
+    """The one-name set, shared by the variables of that name."""
+    return frozenset((name,))
+
+
+def _combine(node, kids, size=1, shift=0):
+    """Give `node` the facts of its children `kids`: `size` is what the node
+    adds itself (a quantifier adds nothing) and `shift` the binders it puts
+    around them.  A child that is not a type counts as one node, as a walk
+    would see it, and makes the node untyped."""
+    evars = uvars = _NONE
+    dangling, typed = -1, True
+    for c in kids:
+        if not isinstance(c, _Type):
+            size, typed = size + 1, False
+            continue
+        e, u = c.evars, c.uvars
+        evars = e if evars <= e else evars if e <= evars else evars | e
+        uvars = u if uvars <= u else uvars if u <= uvars else uvars | u
+        size += c.size
+        if c.dangling > dangling:
+            dangling = c.dangling
+        typed = typed and c.typed
+    node.evars, node.uvars, node.size, node.typed = evars, uvars, size, typed
+    node.dangling = dangling - shift if dangling >= shift else -1
+
+
+def _wrap(node, body, size=1, shift=0):
+    """`_combine` for one child, written out: it runs for every shift and
+    quantifier built."""
+    try:
+        node.evars, node.uvars, node.size = body.evars, body.uvars, body.size + size
+        node.typed, dangling = body.typed, body.dangling
+        node.dangling = dangling - shift if dangling >= shift else -1
+    except AttributeError:
+        _combine(node, (body,), size, shift)
+
+
+# Type nodes are not `frozen`: a frozen dataclass sets each slot through
+# `object.__setattr__`, which made building a node with its facts about
+# 2.5 times slower.  Nothing assigns to a node after `__post_init__`.
+_node = dataclass(slots=True, unsafe_hash=True)
+
+# A variable has one fact of its own; the others are class attributes,
+# shared by every variable of its class (and read-only on instances).
+
+@_node
 class UVar(PosType):
     """Universal type variable."""
 
     name: str
 
+    evars, size, dangling, typed = _NONE, 1, -1, True
 
-@dataclass(frozen=True)
+    def __post_init__(self):
+        self.uvars = _names(self.name)
+
+
+@_node
 class BVar(PosType):
     """Bound type variable, found only in a `Forall`'s scope: `BVar(0)` is
     the variable of the nearest enclosing `Forall`, `BVar(1)` the next."""
 
     index: int
 
+    evars, uvars, size, typed = _NONE, _NONE, 1, True
 
-@dataclass(frozen=True)
+    def __post_init__(self):
+        self.dangling = self.index
+
+
+@_node
 class EVar(PosType):
     """Existential placeholder; checker-internal, never produced by parsing."""
 
     name: str
 
+    uvars, size, dangling, typed = _NONE, 1, -1, True
 
-@dataclass(frozen=True)
+    def __post_init__(self):
+        self.evars = _names(self.name)
+
+
+@_node
 class Down(PosType):
     """Thunk type: suspends a computation of the wrapped negative type."""
 
     body: NegType
 
+    def __post_init__(self):
+        _wrap(self, self.body)
 
-@dataclass(frozen=True)
+
+@_node
 class Data(PosType):
     """Opaque positive datatype constructor applied to positive arguments."""
 
     constructor: str
     args: tuple = ()
 
+    def __post_init__(self):
+        _combine(self, self.args)
 
-@dataclass(frozen=True)
+
+@_node
 class Arrow(NegType):
     """Function type; domain is positive, codomain negative."""
 
     domain: PosType
     codomain: NegType
 
+    def __post_init__(self):
+        # `_combine` for two children, written out as `_wrap` is
+        d, c = self.domain, self.codomain
+        try:
+            e, f, u, v = d.evars, c.evars, d.uvars, c.uvars
+            self.evars = e if f <= e else f if e <= f else e | f
+            self.uvars = u if v <= u else v if u <= v else u | v
+            self.size = 1 + d.size + c.size
+            self.dangling = max(d.dangling, c.dangling)
+            self.typed = d.typed and c.typed
+        except AttributeError:
+            _combine(self, (d, c))
 
-@dataclass(frozen=True, init=False)
+
+@dataclass(init=False, unsafe_hash=True)
 class Forall(NegType):
     """Universal quantification over a positive type variable.
 
@@ -97,44 +214,52 @@ class Forall(NegType):
     scope: NegType
     hint: str = field(compare=False)
 
-    # the class is frozen, so fields are set through `__dict__`
     def __init__(self, binder: str, body: NegType):
-        close = lambda v, k: BVar(k) if type(v) is UVar and v.name == binder else v
-        self.__dict__.update(scope=_map(body, close), hint=binder, _named=(binder, body))
+        scope = _map(body, lambda v, k: BVar(k), lambda u, k: binder not in u.uvars)
+        self.__dict__.update(scope=scope, hint=binder, _named=(binder, body))
+        _wrap(self, scope, 0, 1)
 
     @classmethod
     def bind(cls, hint: str, scope: NegType) -> "Forall":
         """The quantifier whose scope is `scope` (its variable is `BVar(0)`)."""
         self = object.__new__(cls)
         self.__dict__.update(scope=scope, hint=hint)
+        _wrap(self, scope, 0, 1)
         return self
 
     def open(self, p: PosType) -> NegType:
         """The scope with the bound variable replaced by the closed type `p`."""
-        return _map(self.scope, lambda v, k: p if type(v) is BVar and v.index == k else v)
+        return _map(self.scope, lambda v, k: p if v.index == k else v,
+                    lambda u, k: u.dangling < k)
 
     @cached_property
     def _named(self) -> tuple:
-        binder = fresh_name(self.hint, free_uvars(self.scope))
+        binder = fresh_name(self.hint, self.scope.uvars)
         return binder, self.open(UVar(binder))
 
     binder = property(lambda self: self._named[0])
     body = property(lambda self: self._named[1])
 
 
-@dataclass(frozen=True)
+@_node
 class Up(NegType):
     """Returner type: a computation producing a value of the wrapped type."""
 
     body: PosType
 
+    def __post_init__(self):
+        _wrap(self, self.body)
 
-@dataclass(frozen=True)
+
+@_node
 class NegData(NegType):
     """Opaque negative datatype constructor (positive arguments)."""
 
     constructor: str
     args: tuple = ()
+
+    def __post_init__(self):
+        _combine(self, self.args)
 
 
 def alpha_equal(a: Type, b: Type) -> bool:
@@ -142,58 +267,58 @@ def alpha_equal(a: Type, b: Type) -> bool:
     return a == b
 
 
-def nodes(t: Type, named: bool = False, k: int = 0, out: list = None) -> list:
-    """Every node of `t` in pre-order, each with the number of binders above
-    it (`k` and `out` carry the recursion).  The walk enters a `Forall`'s
-    `scope`, or with `named=True` its named view, where nodes are closed."""
+def nodes(t: Type, out: list = None) -> list:
+    """Every node of `t` in pre-order (`out` carries the recursion),
+    entering a `Forall` through its named view, where nodes are closed."""
     if out is None:
         out = []
-    out.append((t, k))
+    out.append(t)
     cls = type(t)
     if cls is Arrow:
-        nodes(t.domain, named, k, out)
-        nodes(t.codomain, named, k, out)
+        nodes(t.domain, out)
+        nodes(t.codomain, out)
     elif cls is Down or cls is Up:
-        nodes(t.body, named, k, out)
+        nodes(t.body, out)
     elif cls is Data or cls is NegData:
         for a in t.args:
-            nodes(a, named, k, out)
+            nodes(a, out)
     elif cls is Forall:
-        if named:
-            nodes(t.body, named, k, out)
-        else:
-            nodes(t.scope, named, k + 1, out)
+        nodes(t.body, out)
     return out
 
 
-def _map(t: Type, leaf, k: int = 0) -> Type:
-    """Rebuild `t` with every variable `v` (UVar, EVar or BVar) replaced by
-    `leaf(v, k)`, where `k` counts the binders above `v`.  Unchanged
-    subtrees are returned as they are.  Nothing is ever renamed: bound
-    variables are `BVar`s, and the types put in for free ones are closed.
+def _map(t: Type, leaf, skip, k: int = 0) -> Type:
+    """Rebuild `t` with each variable `v` replaced by `leaf(v, k)`, where `k`
+    counts the binders above `v`.  A subtree `u` for which `skip(u, k)`
+    holds (its facts show the map cannot change it) is returned as it is,
+    and so is every subtree the map leaves unchanged.  Nothing is ever
+    renamed: bound variables are `BVar`s, and the types put in for free
+    ones are closed.
     """
+    if skip(t, k):
+        return t
     cls = type(t)
-    if cls is Data or cls is NegData:
-        if not t.args:
-            return t
-        args = tuple([_map(a, leaf, k) for a in t.args])
-        return t if args == t.args else cls(t.constructor, args)
-    if cls is UVar or cls is EVar or cls is BVar:
-        return leaf(t, k)
     if cls is Arrow:
-        dom, cod = _map(t.domain, leaf, k), _map(t.codomain, leaf, k)
+        dom, cod = _map(t.domain, leaf, skip, k), _map(t.codomain, leaf, skip, k)
         return t if dom is t.domain and cod is t.codomain else Arrow(dom, cod)
     if cls is Down or cls is Up:
-        body = _map(t.body, leaf, k)
+        body = _map(t.body, leaf, skip, k)
         return t if body is t.body else cls(body)
+    if cls is Data or cls is NegData:
+        args = tuple([_map(a, leaf, skip, k) for a in t.args])
+        return t if args == t.args else cls(t.constructor, args)
     if cls is Forall:
-        scope = _map(t.scope, leaf, k + 1)
+        scope = _map(t.scope, leaf, skip, k + 1)
         return t if scope is t.scope else Forall.bind(t.hint, scope)
-    raise TypeError(f"not a type: {t!r}")
+    return leaf(t, k)
 
 
 # ---------------------------------------------------------------------------
 # Terms
+#
+# Every term has `size`, its number of nodes (type annotations are not
+# nodes): a class attribute on the leaves, set at construction on the rest.
+# It is not a field, so `==`, `hash` and `repr` do not see it.
 
 class Value:
     """Base class for value terms."""
@@ -217,6 +342,7 @@ ArgList = tuple
 class Var(Value):
     name: str
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    size = 1
 
 
 @dataclass(frozen=True)
@@ -226,17 +352,22 @@ class Thunk(Value):
     body: Computation
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        self.__dict__["size"] = 1 + self.body.size
+
 
 @dataclass(frozen=True)
 class IntLit(Value):
     value: int
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    size = 1
 
 
 @dataclass(frozen=True)
 class BoolLit(Value):
     value: bool
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    size = 1
 
 
 @dataclass(frozen=True)
@@ -244,6 +375,9 @@ class PairVal(Value):
     first: Value
     second: Value
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.__dict__["size"] = 1 + self.first.size + self.second.size
 
 
 @dataclass(frozen=True)
@@ -255,6 +389,9 @@ class Lambda(Computation):
     body: Computation
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        self.__dict__["size"] = 1 + self.body.size
+
 
 @dataclass(frozen=True)
 class TypeAbs(Computation):
@@ -262,11 +399,22 @@ class TypeAbs(Computation):
     body: Computation
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        self.__dict__["size"] = 1 + self.body.size
+
 
 @dataclass(frozen=True)
 class Return(Computation):
     value: Value
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.__dict__["size"] = 1 + self.value.size
+
+
+def _let_size(self):
+    self.__dict__["size"] = (1 + self.head.size + sum(a.size for a in self.args)
+                             + self.cont.size)
 
 
 @dataclass(frozen=True)
@@ -280,6 +428,8 @@ class LetAnn(Computation):
     cont: Computation
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
+    __post_init__ = _let_size
+
 
 @dataclass(frozen=True)
 class Let(Computation):
@@ -290,6 +440,8 @@ class Let(Computation):
     args: ArgList
     cont: Computation
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+
+    __post_init__ = _let_size
 
 
 def term_nodes(t):
@@ -309,11 +461,6 @@ def term_nodes(t):
             stack += (t.cont, *reversed(t.args), t.head)
         elif cls is not Var and cls is not IntLit and cls is not BoolLit:
             raise TypeError(f"not a term: {t!r}")
-
-
-def term_size(t) -> int:
-    """Structural size of a term (number of AST nodes)."""
-    return sum(1 for _ in term_nodes(t))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +491,22 @@ class Solved:
 ContextEntry = Union[Universal, Unsolved, Solved]
 
 
+class _cached:
+    """`functools.cached_property` without the lock that Python 3.11 takes
+    on every first read: with it, a context's first `solutions` read cost
+    more than the map itself, and most contexts are read once or twice.
+    Threads that race compute the same value."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Context:
     """Ordered checker context; entry names are pairwise distinct."""
@@ -356,17 +519,27 @@ class Context:
     def __len__(self) -> int:
         return len(self.entries)
 
+    # computed once per context, when first read; shared, so never mutated
+
+    @_cached
     def names(self) -> tuple:
         return tuple(e.name for e in self.entries)
 
-    def evar_names(self) -> set:
-        return {e.name for e in self.entries if not isinstance(e, Universal)}
+    @_cached
+    def evar_names(self) -> frozenset:
+        return frozenset(e.name for e in self.entries if type(e) is not Universal)
 
-    def uvar_names(self) -> set:
-        return {e.name for e in self.entries if isinstance(e, Universal)}
+    @_cached
+    def uvar_names(self) -> frozenset:
+        return frozenset(e.name for e in self.entries if type(e) is Universal)
+
+    @_cached
+    def solutions(self) -> dict:
+        """Each solved existential's solution, by name."""
+        return {e.name: e.solution for e in self.entries if type(e) is Solved}
 
     def has_universal(self, name: str) -> bool:
-        return any(isinstance(e, Universal) and e.name == name for e in self.entries)
+        return name in self.uvar_names
 
     def lookup_evar(self, name: str):
         for e in self.entries:
@@ -382,7 +555,7 @@ class Context:
         raise KeyError(name)
 
     def push(self, entry: ContextEntry) -> "Context":
-        if entry.name in set(self.names()):
+        if entry.name in self.names:
             raise InvariantViolation(f"duplicate context entry {entry.name}")
         return Context(self.entries + (entry,))
 
@@ -431,26 +604,23 @@ class TypeEnv:
 # ---------------------------------------------------------------------------
 # Free variables
 
-def free_evars(t) -> set:
+def free_evars(t):
     """Existential names occurring in a type, or tracked by a context."""
     if isinstance(t, Context):
-        acc = set()
-        for e in t.entries:
-            if isinstance(e, (Unsolved, Solved)):
-                acc.add(e.name)
-            if isinstance(e, Solved):
-                acc |= free_evars(e.solution)
+        acc = set(t.evar_names)
+        for p in t.solutions.values():
+            acc |= p.evars
         return acc
-    return {v.name for v, _ in nodes(t) if type(v) is EVar}
+    return t.evars
 
 
-def free_uvars(t) -> set:
+def free_uvars(t: Type) -> frozenset:
     """Universal variables of a type; they are all free, as binders bind `BVar`s."""
-    return {v.name for v, _ in nodes(t) if type(v) is UVar}
+    return t.uvars
 
 
 def is_ground(t: Type) -> bool:
-    return not free_evars(t)
+    return not t.evars
 
 
 def fresh_name(base: str, taken) -> str:
@@ -479,7 +649,7 @@ def bind_tyvar(name: str, taken, renamed: dict):
 
 def subst_uvars(sub: dict, target: Type) -> Type:
     """Simultaneous substitution of closed types for universal variables."""
-    return _map(target, lambda v, k: sub.get(v.name, v) if type(v) is UVar else v)
+    return _map(target, lambda v, k: sub[v.name], lambda u, k: u.uvars.isdisjoint(sub))
 
 
 def subst_type(p: PosType, alpha: str, target: Type) -> Type:
@@ -489,7 +659,7 @@ def subst_type(p: PosType, alpha: str, target: Type) -> Type:
 
 def subst_evar(p: PosType, name: str, target: Type) -> Type:
     """Substitution of the closed type `p` for the existential `name`."""
-    return _map(target, lambda v, k: p if type(v) is EVar and v.name == name else v)
+    return _map(target, lambda v, k: p, lambda u, k: name not in u.evars)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +672,12 @@ def apply_context(theta: Context, t: Type) -> Type:
     ground in a well-formed context, so this equals substituting them one
     at a time in any order, and it is idempotent.
     """
-    solutions = {e.name: e.solution for e in theta.entries if isinstance(e, Solved)}
-    if not solutions:
+    solutions = theta.solutions
+    solved = solutions.keys()  # its `isdisjoint` walks the smaller side
+    if solved.isdisjoint(t.evars):
         return t
-    return _map(t, lambda v, k: solutions.get(v.name, v) if type(v) is EVar else v)
+    return _map(t, lambda v, k: solutions[v.name],
+                lambda u, k: solved.isdisjoint(u.evars))
 
 
 def restrict_context(theta_prime: Context, theta: Context) -> Context:
@@ -515,7 +687,7 @@ def restrict_context(theta_prime: Context, theta: Context) -> Context:
     theta keep theta_prime's (possibly newer) solutions, the rest are
     removed.  The caller guarantees theta_prime weakly extends theta.
     """
-    keep = theta.evar_names()
+    keep = theta.evar_names
     out = []
     i = len(theta_prime.entries) - 1
     j = len(theta.entries) - 1
@@ -580,11 +752,11 @@ def extends(theta: Context, theta_prime: Context, iso=None) -> bool:
 
 def weak_extends(theta: Context, theta_prime: Context, iso=None) -> bool:
     """Like `extends`, but theta_prime may interleave brand-new existentials."""
-    known = theta.evar_names() | theta.uvar_names()
     i = len(theta.entries) - 1
     for j in range(len(theta_prime.entries) - 1, -1, -1):
         e2 = theta_prime.entries[j]
-        if not isinstance(e2, Universal) and e2.name not in known:
+        if not isinstance(e2, Universal) and e2.name not in theta.evar_names \
+                and e2.name not in theta.uvar_names:
             continue
         if i < 0:
             return False
@@ -603,7 +775,7 @@ def termsize(t: Type) -> int:
 
     Constructor arguments count as strict subterms, keeping the metric
     decreasing."""
-    return len([v for v, _ in nodes(t) if type(v) is not Forall])
+    return t.size
 
 
 def num_prenex(t: Type) -> int:

@@ -21,11 +21,10 @@ from .errors import InvariantViolation, TypeCheckError, require
 from .parser import pretty
 from .subtype import _Engine, show
 from .syntax import (
-    Arrow, BVar, BoolLit, Computation, Context, Data, Down, EVar, Forall,
-    IntLit, Lambda, Let, LetAnn, NegType, PairVal, Return, Thunk, TypeAbs,
-    TypeEnv, Universal, Unsolved, Up, Value, Var, apply_context, bind_tyvar,
-    extends, free_evars, is_ground, nodes, num_prenex, restrict_context,
-    term_size, weak_extends,
+    Arrow, BoolLit, Computation, Context, Data, Down, EVar, Forall, IntLit,
+    Lambda, Let, LetAnn, NegType, PairVal, Return, Thunk, TypeAbs, TypeEnv,
+    Universal, Unsolved, Up, Value, Var, apply_context, bind_tyvar, extends,
+    free_evars, is_ground, num_prenex, restrict_context, weak_extends,
 )
 from .wellformed import wf_annotation, wf_context, wf_env, wf_type
 
@@ -54,7 +53,7 @@ class _Typer(_Engine):
     # -- values ----------------------------------------------------------
 
     def value(self, theta: Context, gamma: TypeEnv, v: Value, parent_size):
-        size = term_size(v)
+        size = v.size
         if parent_size is not None and size >= parent_size:
             raise InvariantViolation("term recursion did not shrink")
 
@@ -89,7 +88,7 @@ class _Typer(_Engine):
     # -- computations ------------------------------------------------------
 
     def comp(self, theta: Context, gamma: TypeEnv, t: Computation, parent_size):
-        size = term_size(t)
+        size = t.size
         if parent_size is not None and size >= parent_size:
             raise InvariantViolation("term recursion did not shrink")
 
@@ -100,7 +99,7 @@ class _Typer(_Engine):
             self._record("lambda", ("\\", t.param, " ==> ", n), theta, out)
         elif isinstance(t, TypeAbs):
             outer = self.renamed
-            binder, self.renamed = bind_tyvar(t.binder, set(theta.names()), outer)
+            binder, self.renamed = bind_tyvar(t.binder, theta.names, outer)
             inner_n, inner = self.comp(theta.push(Universal(binder)), gamma, t.body, size)
             self.renamed = outer
             last = inner.last()
@@ -178,8 +177,9 @@ class _Typer(_Engine):
         if isinstance(n, Forall):
             # quantified heads are always instantiated, even under an empty
             # spine: the let rules need a returner type, and an uninstantiated
-            # quantifier can never become one
-            if not any(type(v) is BVar and v.index == k for v, k in nodes(n.scope)):
+            # quantifier can never become one.  `n` is closed, so the only
+            # index that can dangle from its scope is its own variable's.
+            if n.scope.dangling < 0:
                 m, out = self.spine(theta, gamma, args, n.scope, metric)
                 self._record("spine-skip-unused", (n, " >> ", m), theta, out)
             else:
@@ -237,8 +237,11 @@ class _Typer(_Engine):
             raise InvariantViolation("spine output does not weakly extend input")
         if apply_context(out, m) != m:
             raise InvariantViolation("spine result mentions solved existentials")
-        new_evars = free_evars(out) - free_evars(theta)
-        if not free_evars(m) <= (free_evars(n) | new_evars):
+        # m may mention n's existentials and the new ones, which (as out
+        # weakly extends theta, and both have ground solutions) are out's
+        # existential entries that theta lacks
+        extra = m.evars - n.evars
+        if not (extra <= out.evar_names and extra.isdisjoint(theta.evar_names)):
             raise InvariantViolation("spine result leaked unknown existentials")
 
 

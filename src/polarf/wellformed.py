@@ -8,8 +8,8 @@ must have a binder, solutions and environment bindings must be ground.
 from __future__ import annotations
 
 from .syntax import (
-    BVar, Context, EVar, NegType, PosType, Solved, TypeEnv, UVar, Universal,
-    free_uvars, nodes, subst_uvars,
+    Context, NegType, PosType, Solved, TypeEnv, UVar, Universal, free_uvars,
+    subst_uvars,
 )
 
 _NONE = frozenset()
@@ -17,18 +17,15 @@ _NONE = frozenset()
 
 def wf_type(theta: Context, t) -> bool:
     """True iff `t` only mentions variables the context knows about."""
-    return _wf(t, theta.uvar_names(), theta.evar_names())
+    return _wf(t, theta.uvar_names, theta.evar_names)
 
 
 def _wf(t, uvars, evars) -> bool:
-    """Every universal of `t` is in `uvars`, every existential in `evars`,
-    and every bound variable is under its binder."""
-    for v, k in nodes(t):
-        cls = type(v)
-        if (cls is UVar and v.name not in uvars or cls is EVar and v.name not in evars
-                or cls is BVar and v.index >= k or not isinstance(v, (PosType, NegType))):
-            return False
-    return True
+    """Every node of `t` is a type, every universal of `t` is in `uvars`,
+    every existential in `evars`, and every bound variable is under its
+    binder; read from `t`'s facts."""
+    return (isinstance(t, (PosType, NegType)) and t.typed and t.dangling < 0
+            and t.uvars <= uvars and t.evars <= evars)
 
 
 def wf_annotation(theta: Context, anno: PosType, renamed: dict):
@@ -39,7 +36,7 @@ def wf_annotation(theta: Context, anno: PosType, renamed: dict):
     if any(renamed[a] is None for a in names):
         return None
     p = subst_uvars({a: UVar(renamed[a]) for a in names}, anno) if names else anno
-    return p if _wf(p, theta.uvar_names(), _NONE) else None
+    return p if _wf(p, theta.uvar_names, _NONE) else None
 
 
 def wf_context(theta: Context) -> bool:
@@ -63,5 +60,5 @@ def wf_context(theta: Context) -> bool:
 
 def wf_env(theta: Context, gamma: TypeEnv) -> bool:
     """Every binding's type is ground and well-formed in the context."""
-    uvars = theta.uvar_names()
+    uvars = theta.uvar_names
     return all(_wf(p, uvars, _NONE) for _, p in gamma)

@@ -1,4 +1,4 @@
-"""Context operations against their direct definitions.
+"""Type and context operations against their direct definitions.
 
 `apply_context` substitutes all solutions in one capture-avoiding walk and
 `wf_context` checks every solution against a running set of universals.
@@ -6,18 +6,26 @@ The reference definitions kept here are the direct ones: applying a context
 is a right fold of single capture-avoiding substitutions, and a context is
 well-formed when each solution is ground and well-formed in the context
 made of the entries before it.
+
+Types and terms carry facts computed when they are built (free variables,
+sizes, the largest dangling bound index, well-formedness).  The references
+for those are the walks over every node that the facts replace.
 """
 
 import random
 
 from polarf import (
-    Arrow, Context, Data, Down, EVar, Forall, NegData, Solved, UVar,
-    Universal, Unsolved, Up, apply_context, free_evars, free_uvars,
-    subst_type, wf_context,
+    Arrow, BVar, Context, Data, Down, EVar, Forall, NegData, NegType,
+    PosType, Solved, UVar, Universal, Unsolved, Up, apply_context,
+    free_evars, free_uvars, is_ground, subst_type, termsize, wf_context,
 )
-from polarf.syntax import fresh_name, subst_evar
+from polarf.syntax import (
+    BoolLit, IntLit, Lambda, Let, LetAnn, PairVal, Return, Thunk, TypeAbs, Var,
+    fresh_name, subst_evar, subst_uvars,
+)
+from polarf.wellformed import _wf
 
-from gen import gen_type, holeify
+from gen import gen_program, gen_type, holeify
 
 UNIVERSALS = ("a", "b", "c")
 
@@ -106,6 +114,68 @@ def ref_wf_context(theta):
     return True
 
 
+def ref_nodes(t, k=0):
+    """Every node of `t` with the number of binders above it, entering each
+    `Forall`'s scope: the walk that the facts of a type replace."""
+    yield t, k
+    if isinstance(t, (Down, Up)):
+        yield from ref_nodes(t.body, k)
+    elif isinstance(t, (Data, NegData)):
+        for a in t.args:
+            yield from ref_nodes(a, k)
+    elif isinstance(t, Arrow):
+        yield from ref_nodes(t.domain, k)
+        yield from ref_nodes(t.codomain, k)
+    elif isinstance(t, Forall):
+        yield from ref_nodes(t.scope, k + 1)
+
+
+def ref_free_evars(t):
+    return {v.name for v, _ in ref_nodes(t) if type(v) is EVar}
+
+
+def ref_free_uvars(t):
+    return {v.name for v, _ in ref_nodes(t) if type(v) is UVar}
+
+
+def ref_termsize(t):
+    return sum(1 for v, _ in ref_nodes(t) if type(v) is not Forall)
+
+
+def ref_dangling(t):
+    return max([v.index - k for v, k in ref_nodes(t) if type(v) is BVar and v.index >= k],
+               default=-1)
+
+
+def ref_wf(t, uvars, evars):
+    for v, k in ref_nodes(t):
+        cls = type(v)
+        if (cls is UVar and v.name not in uvars or cls is EVar and v.name not in evars
+                or cls is BVar and v.index >= k or not isinstance(v, (PosType, NegType))):
+            return False
+    return True
+
+
+def ref_term_nodes(t):
+    yield t
+    if isinstance(t, (Thunk, Lambda, TypeAbs)):
+        yield from ref_term_nodes(t.body)
+    elif isinstance(t, PairVal):
+        yield from ref_term_nodes(t.first)
+        yield from ref_term_nodes(t.second)
+    elif isinstance(t, Return):
+        yield from ref_term_nodes(t.value)
+    elif isinstance(t, (Let, LetAnn)):
+        for part in (t.head, *t.args, t.cont):
+            yield from ref_term_nodes(part)
+    elif not isinstance(t, (Var, IntLit, BoolLit)):
+        raise TypeError(f"not a term: {t!r}")
+
+
+def ref_term_size(t):
+    return sum(1 for _ in ref_term_nodes(t))
+
+
 # -- generated inputs ----------------------------------------------------------
 
 def solution(rng):
@@ -176,6 +246,8 @@ def test_single_substitutions_match_reference():
         target = gen_type(rng, rng.choice("+-"), uvars=("a",))
         p = solution(rng)
         assert subst_type(p, "a", target) == ref_subst(target, "a", p, UVar)
+        if isinstance(target, NegType):
+            assert Forall("a", target).open(p) == ref_subst(target, "a", p, UVar)
         holed, theta, _ = holeify(rng, target)
         for e in theta.entries:
             assert subst_evar(p, e.name, holed) == ref_subst(holed, e.name, p, EVar)
@@ -217,3 +289,70 @@ def test_wf_context_scopes_solutions_to_their_prefix():
     after = Context((Solved("?x", thunk), Universal("a")))
     assert wf_context(before) and ref_wf_context(before)
     assert not wf_context(after) and not ref_wf_context(after)
+
+
+# -- facts carried by types and terms -------------------------------------------
+
+def assert_facts(t):
+    assert free_evars(t) == ref_free_evars(t)
+    assert free_uvars(t) == ref_free_uvars(t)
+    assert is_ground(t) == (not ref_free_evars(t))
+    assert termsize(t) == ref_termsize(t)
+    assert t.dangling == ref_dangling(t)
+    for uvars in (frozenset(), frozenset(UNIVERSALS), ref_free_uvars(t)):
+        for evars in (frozenset(), ref_free_evars(t)):
+            assert _wf(t, uvars, evars) == ref_wf(t, uvars, evars)
+
+
+def built_types(rng):
+    """Types as the checker makes them: generated ones, and the results of
+    opening, closing, applying a context and both substitutions."""
+    t = gen_type(rng, rng.choice("+-"), uvars=UNIVERSALS)
+    holed, theta, _ = holeify(rng, t)
+    yield t
+    yield holed
+    holed, theta = holed_with_context(rng)
+    yield apply_context(theta, holed)
+    yield subst_type(solution(rng), rng.choice(UNIVERSALS), t)
+    yield subst_uvars({a: solution(rng) for a in UNIVERSALS[:2]}, t)
+    for e in theta.entries:
+        yield subst_evar(solution(rng), e.name, holed)
+    for body in (t, holed):
+        if isinstance(body, NegType):
+            closed = Forall(rng.choice(UNIVERSALS), body)
+            yield closed
+            yield closed.scope  # its variable dangles here
+            yield closed.open(EVar("?o"))
+            yield closed.open(solution(rng))
+    sub = t
+    while isinstance(sub, Forall):
+        yield sub.scope
+        sub = sub.open(EVar(f"?s{ref_termsize(sub)}"))
+        yield sub
+
+
+def test_type_facts_match_walks():
+    rng = random.Random(35)
+    seen = 0
+    for _ in range(300):
+        for t in built_types(rng):
+            assert_facts(t)
+            seen += 1
+    assert seen > 3000
+
+
+def test_facts_of_types_with_a_child_that_is_not_a_type():
+    junk = [Data("List", ("a",)), Arrow(UVar("a"), None), Down(3),
+            Up(Data("Pair", (EVar("?x"), "b"))), NegData("ST", (UVar("a"), []))]
+    for t in junk + [Forall.bind("a", Arrow(BVar(0), j)) for j in junk if isinstance(j, NegType)]:
+        assert not t.typed
+        assert_facts(t)
+    assert not _wf("not a type", frozenset(), frozenset())
+
+
+def test_term_sizes_match_walk():
+    rng = random.Random(36)
+    for _ in range(300):
+        _, body = gen_program(rng)
+        for node in ref_term_nodes(body):
+            assert node.size == ref_term_size(node)

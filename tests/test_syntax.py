@@ -191,7 +191,7 @@ class TestRestrictErase:
             for name, sol in solutions.items():
                 grown = grown.solve(name, sol)
             got = restrict_context(grown, theta)
-            assert free_evars(got) <= theta.evar_names()
+            assert free_evars(got) <= theta.evar_names
 
     def test_erase(self):
         theta = Context((Universal("a"), Solved("?x", Data("Int", ())),

@@ -8,7 +8,7 @@ from polarf import (
     apply_context, check_program, decl_synth, parse_program, parse_type,
     pretty, subtype_pos, synth_spine, synth_value, weak_extends,
 )
-from polarf import subtype, typecheck
+from polarf import oracle, subtype, syntax, typecheck, wellformed
 from polarf.corpus import ENVIRONMENT, EXAMPLES, by_name
 
 T = parse_type
@@ -212,3 +212,33 @@ class TestLazyTrace:
         printed = sum(2 + sum(not isinstance(part, str) for part in step.judgment)
                       for step in steps)
         assert len(pretty_calls) == printed
+
+
+class TestTypeFacts:
+    """Types carry their facts (free variables, size, scope): a check reads
+    them and walks no type."""
+
+    @pytest.fixture
+    def type_walks(self, monkeypatch):
+        calls = []
+        walk = syntax.nodes
+
+        def counted(t, *rest, **named):
+            calls.append(t)
+            return walk(t, *rest, **named)
+
+        for module in (syntax, wellformed, subtype, typecheck, oracle):
+            if hasattr(module, "nodes"):
+                monkeypatch.setattr(module, "nodes", counted)
+        return calls
+
+    def test_accepted_checks_walk_no_type(self, type_walks):
+        for ex in EXAMPLES:
+            if ex.expected in ("ok", "ann"):
+                check_program(parse_program(ex.source, ex.name))
+        ladder = "Int"
+        for _ in range(12):
+            ladder = f"dn (up ({ladder}))"
+        t = T(ladder, "+")
+        subtype_pos(Context(), t, t)
+        assert type_walks == []
