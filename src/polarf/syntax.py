@@ -43,7 +43,7 @@ Terms carry their node count (`size`) the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import InvariantViolation, SourceSpan
@@ -51,10 +51,32 @@ from .errors import InvariantViolation, SourceSpan
 # ---------------------------------------------------------------------------
 # Types
 
+class _cached:
+    """`functools.cached_property` without the lock that Python 3.11 takes
+    on every first read: with it, a context's first `solutions` read cost
+    more than the map itself, and most contexts are read once or twice.
+    The value is kept in the instance's `__dict__`; threads that race
+    compute the same value."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _Type:
     """The facts every type node carries (see the module docstring)."""
 
     __slots__ = ("evars", "uvars", "size", "dangling", "typed")
+
+    def __reduce__(self):
+        # `copy` and `pickle` rebuild a node from its fields, so that the
+        # copy computes its own facts
+        return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
 
 class PosType(_Type):
@@ -80,37 +102,36 @@ def _names(name: str) -> frozenset:
     return frozenset((name,))
 
 
+class _NotAType:
+    """The facts a child that is not a type counts with: one node, and not
+    a type (so neither is its parent), as a walk would see it."""
+
+    evars = uvars = _NONE
+    size, dangling, typed = 1, -1, False
+
+
 def _combine(node, kids, size=1, shift=0):
     """Give `node` the facts of its children `kids`: `size` is what the node
     adds itself (a quantifier adds nothing) and `shift` the binders it puts
-    around them.  A child that is not a type counts as one node, as a walk
-    would see it, and makes the node untyped."""
+    around them.  This runs for every node built, so it reads the facts
+    without testing the children's class; a child that is not a type makes
+    a read fail, and then counts as `_NotAType`."""
     evars = uvars = _NONE
-    dangling, typed = -1, True
-    for c in kids:
-        if not isinstance(c, _Type):
-            size, typed = size + 1, False
-            continue
-        e, u = c.evars, c.uvars
-        evars = e if evars <= e else evars if e <= evars else evars | e
-        uvars = u if uvars <= u else uvars if u <= uvars else uvars | u
-        size += c.size
-        if c.dangling > dangling:
-            dangling = c.dangling
-        typed = typed and c.typed
-    node.evars, node.uvars, node.size, node.typed = evars, uvars, size, typed
-    node.dangling = dangling - shift if dangling >= shift else -1
-
-
-def _wrap(node, body, size=1, shift=0):
-    """`_combine` for one child, written out: it runs for every shift and
-    quantifier built."""
+    total, dangling, typed = size, -1, True
     try:
-        node.evars, node.uvars, node.size = body.evars, body.uvars, body.size + size
-        node.typed, dangling = body.typed, body.dangling
-        node.dangling = dangling - shift if dangling >= shift else -1
+        for c in kids:
+            e, u = c.evars, c.uvars
+            evars = e if evars <= e else evars if e <= evars else evars | e
+            uvars = u if uvars <= u else uvars if u <= uvars else uvars | u
+            total += c.size
+            if c.dangling > dangling:
+                dangling = c.dangling
+            typed = typed and c.typed
     except AttributeError:
-        _combine(node, (body,), size, shift)
+        kids = [c if isinstance(c, _Type) else _NotAType for c in kids]
+        return _combine(node, kids, size, shift)
+    node.evars, node.uvars, node.size, node.typed = evars, uvars, total, typed
+    node.dangling = dangling - shift if dangling >= shift else -1
 
 
 # Type nodes are not `frozen`: a frozen dataclass sets each slot through
@@ -165,7 +186,7 @@ class Down(PosType):
     body: NegType
 
     def __post_init__(self):
-        _wrap(self, self.body)
+        _combine(self, (self.body,))
 
 
 @_node
@@ -187,17 +208,7 @@ class Arrow(NegType):
     codomain: NegType
 
     def __post_init__(self):
-        # `_combine` for two children, written out as `_wrap` is
-        d, c = self.domain, self.codomain
-        try:
-            e, f, u, v = d.evars, c.evars, d.uvars, c.uvars
-            self.evars = e if f <= e else f if e <= f else e | f
-            self.uvars = u if v <= u else v if u <= v else u | v
-            self.size = 1 + d.size + c.size
-            self.dangling = max(d.dangling, c.dangling)
-            self.typed = d.typed and c.typed
-        except AttributeError:
-            _combine(self, (d, c))
+        _combine(self, (self.domain, self.codomain))
 
 
 @dataclass(init=False, unsafe_hash=True)
@@ -217,22 +228,25 @@ class Forall(NegType):
     def __init__(self, binder: str, body: NegType):
         scope = _map(body, lambda v, k: BVar(k), lambda u, k: binder not in u.uvars)
         self.__dict__.update(scope=scope, hint=binder, _named=(binder, body))
-        _wrap(self, scope, 0, 1)
+        _combine(self, (scope,), 0, 1)
 
     @classmethod
     def bind(cls, hint: str, scope: NegType) -> "Forall":
         """The quantifier whose scope is `scope` (its variable is `BVar(0)`)."""
         self = object.__new__(cls)
         self.__dict__.update(scope=scope, hint=hint)
-        _wrap(self, scope, 0, 1)
+        _combine(self, (scope,), 0, 1)
         return self
+
+    def __reduce__(self):
+        return Forall.bind, (self.hint, self.scope)
 
     def open(self, p: PosType) -> NegType:
         """The scope with the bound variable replaced by the closed type `p`."""
         return _map(self.scope, lambda v, k: p if v.index == k else v,
                     lambda u, k: u.dangling < k)
 
-    @cached_property
+    @_cached
     def _named(self) -> tuple:
         binder = fresh_name(self.hint, self.scope.uvars)
         return binder, self.open(UVar(binder))
@@ -248,7 +262,7 @@ class Up(NegType):
     body: PosType
 
     def __post_init__(self):
-        _wrap(self, self.body)
+        _combine(self, (self.body,))
 
 
 @_node
@@ -491,22 +505,6 @@ class Solved:
 ContextEntry = Union[Universal, Unsolved, Solved]
 
 
-class _cached:
-    """`functools.cached_property` without the lock that Python 3.11 takes
-    on every first read: with it, a context's first `solutions` read cost
-    more than the map itself, and most contexts are read once or twice.
-    Threads that race compute the same value."""
-
-    def __init__(self, compute):
-        self.compute, self.name = compute, compute.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class Context:
     """Ordered checker context; entry names are pairwise distinct."""
@@ -522,8 +520,8 @@ class Context:
     # computed once per context, when first read; shared, so never mutated
 
     @_cached
-    def names(self) -> tuple:
-        return tuple(e.name for e in self.entries)
+    def names(self) -> frozenset:
+        return frozenset(e.name for e in self.entries)
 
     @_cached
     def evar_names(self) -> frozenset:

@@ -12,6 +12,8 @@ sizes, the largest dangling bound index, well-formedness).  The references
 for those are the walks over every node that the facts replace.
 """
 
+import copy
+import pickle
 import random
 
 from polarf import (
@@ -339,6 +341,23 @@ def test_type_facts_match_walks():
             assert_facts(t)
             seen += 1
     assert seen > 3000
+
+
+def test_copies_and_pickles_rebuild_the_facts():
+    rng = random.Random(37)
+    seen = 0
+    leaves = [UVar("a"), BVar(0), EVar("?x")]
+    for _ in range(60):
+        for t in [*leaves, *built_types(rng)]:
+            for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+                assert twin == t and type(twin) is type(t)
+                assert (twin.evars, twin.uvars, twin.size, twin.dangling, twin.typed) \
+                    == (t.evars, t.uvars, t.size, t.dangling, t.typed)
+                assert_facts(twin)
+                if isinstance(t, Forall):
+                    assert twin.hint == t.hint and twin.body == t.body
+                seen += 1
+    assert seen > 2000
 
 
 def test_facts_of_types_with_a_child_that_is_not_a_type():
