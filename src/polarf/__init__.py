@@ -5,7 +5,7 @@ from .errors import (
     InvariantViolation, OracleBudgetExceeded, SourceSpan, TypeCheckError,
 )
 from .oracle import (
-    Budget, candidate_universe, decl_iso, decl_subtype, decl_synth,
+    candidate_universe, decl_iso, decl_subtype, decl_synth,
 )
 from .parser import (
     BUILTIN_DATATYPES, DataDecl, Program, parse_program, parse_type, pretty,

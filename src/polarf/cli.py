@@ -51,14 +51,22 @@ def _check_source(text: str, filename: str, with_trace: bool):
         program = parse_program(text, filename)
         result = check_program(program)
     except TypeCheckError as e:
-        return _error_record(e, with_trace)
-    record = {
-        "status": "ok",
-        "type": pretty(result.type),
-        "error": None,
-        "trace": _trace_json(result.trace) if with_trace else None,
-    }
-    return record, EXIT_OK
+        result = e
+    try:
+        if isinstance(result, TypeCheckError):
+            return _error_record(result, with_trace)
+        record = {
+            "status": "ok",
+            "type": pretty(result.type),
+            "error": None,
+            "trace": _trace_json(result.trace) if with_trace else None,
+        }
+        return record, EXIT_OK
+    except RecursionError:
+        # the printer takes more stack per level of a type than the parser
+        # does per level of its source, so a type the parser could read may
+        # still be too deep to print
+        return _error_record(TypeCheckError("parse", "nested too deeply"), with_trace)
 
 
 def _error_record(e: TypeCheckError, with_trace: bool):

@@ -16,8 +16,6 @@ verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OracleBudgetExceeded, require
 from .syntax import (
     Arrow, BoolLit, Computation, Context, Data, Down, Forall, IntLit,
@@ -28,13 +26,10 @@ from .syntax import (
 from .wellformed import wf_annotation, wf_type
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Caps that keep the search finite and honest."""
-
-    universe_cap: int = 64
-    instantiations: int = 10  # quantifier eliminations along one branch
-    results_cap: int = 256
+# caps that keep the search finite and honest
+UNIVERSE_CAP = 64
+INSTANTIATIONS = 10  # quantifier eliminations along one branch
+RESULTS_CAP = 256
 
 
 def positive_subterms(t):
@@ -58,13 +53,11 @@ def _decl_ctx(theta) -> Context:
 
 
 class _Search:
-    def __init__(self, universe, budget: Budget):
-        if len(universe) > budget.universe_cap:
+    def __init__(self, universe):
+        if len(universe) > UNIVERSE_CAP:
             raise OracleBudgetExceeded(
-                f"universe has {len(universe)} candidates, cap is "
-                f"{budget.universe_cap}")
+                f"universe has {len(universe)} candidates, cap is {UNIVERSE_CAP}")
         self.universe = tuple(universe)
-        self.budget = budget
         self.memo = {}
         self.renamed = {}  # source type-variable names in scope; see `bind_tyvar`
 
@@ -78,10 +71,9 @@ class _Search:
         return list(out)
 
     def _spend(self, depth: int) -> int:
-        if depth + 1 > self.budget.instantiations:
+        if depth + 1 > INSTANTIATIONS:
             raise OracleBudgetExceeded(
-                f"more than {self.budget.instantiations} quantifier "
-                f"instantiations on one branch")
+                f"more than {INSTANTIATIONS} quantifier instantiations on one branch")
         return depth + 1
 
     # -- declarative subtyping -------------------------------------------
@@ -96,10 +88,7 @@ class _Search:
             res = (self.neg(theta, q.body, p.body, depth, extra)
                    and self.neg(theta, p.body, q.body, depth, extra))
         elif isinstance(p, Data) and isinstance(q, Data):
-            res = (p.constructor == q.constructor and len(p.args) == len(q.args)
-                   and all(self.pos(theta, a, b, depth, extra)
-                           and self.pos(theta, b, a, depth, extra)
-                           for a, b in zip(p.args, q.args)))
+            res = self._data(theta, p, q, depth, extra)
         else:
             res = False
         self.memo[key] = res
@@ -125,14 +114,19 @@ class _Search:
             res = (self.pos(theta, m.body, n.body, depth, extra)
                    and self.pos(theta, n.body, m.body, depth, extra))
         elif isinstance(n, NegData) and isinstance(m, NegData):
-            res = (n.constructor == m.constructor and len(n.args) == len(m.args)
-                   and all(self.pos(theta, a, b, depth, extra)
-                           and self.pos(theta, b, a, depth, extra)
-                           for a, b in zip(n.args, m.args)))
+            res = self._data(theta, n, m, depth, extra)
         else:
             res = False
         self.memo[key] = res
         return res
+
+    def _data(self, theta, a, b, depth, extra) -> bool:
+        """The invariant datatype rule: the same constructor and arity, and
+        each pair of arguments are subtypes both ways."""
+        return (a.constructor == b.constructor and len(a.args) == len(b.args)
+                and all(self.pos(theta, x, y, depth, extra)
+                        and self.pos(theta, y, x, depth, extra)
+                        for x, y in zip(a.args, b.args)))
 
     def sub(self, theta, a, b, depth=0, extra=()) -> bool:
         if isinstance(a, PosType) != isinstance(b, PosType):
@@ -259,13 +253,12 @@ class _Search:
         """`results` (a list, or a dict whose keys are the distinct results)
         as a list, within the budget."""
         vals = list(results)
-        if len(vals) > self.budget.results_cap:
-            raise OracleBudgetExceeded(
-                f"more than {self.budget.results_cap} candidate results")
+        if len(vals) > RESULTS_CAP:
+            raise OracleBudgetExceeded(f"more than {RESULTS_CAP} candidate results")
         return vals
 
 
-def decl_subtype(theta, a, b, universe=None, budget: Budget = None) -> bool:
+def decl_subtype(theta, a, b, universe=None) -> bool:
     """Is `a` a declarative subtype of `b` under the universal context `theta`?
 
     Both types must be ground and well-formed; quantifier instantiations
@@ -277,11 +270,11 @@ def decl_subtype(theta, a, b, universe=None, budget: Budget = None) -> bool:
     require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
     if universe is None:
         universe = candidate_universe([a, b], theta)
-    search = _Search(universe, budget or Budget())
+    search = _Search(universe)
     return search.sub(theta, a, b)
 
 
-def decl_iso(theta, a, b, universe=None, budget: Budget = None) -> bool:
+def decl_iso(theta, a, b, universe=None) -> bool:
     """Mutual declarative subtyping."""
     theta = tuple(theta)
     ctx = _decl_ctx(theta)
@@ -289,7 +282,7 @@ def decl_iso(theta, a, b, universe=None, budget: Budget = None) -> bool:
     require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
     if universe is None:
         universe = candidate_universe([a, b], theta)
-    search = _Search(universe, budget or Budget())
+    search = _Search(universe)
     return search.sub(theta, a, b) and search.sub(theta, b, a)
 
 
@@ -304,8 +297,7 @@ def typing_universe(gamma: TypeEnv, term) -> tuple:
     return candidate_universe(types)
 
 
-def decl_synth(theta, gamma: TypeEnv, term, universe=None,
-               budget: Budget = None):
+def decl_synth(theta, gamma: TypeEnv, term, universe=None):
     """All types the declarative system can give `term`, up to alpha-equality.
 
     An empty result means the term is untypeable (within the universe).
@@ -313,7 +305,7 @@ def decl_synth(theta, gamma: TypeEnv, term, universe=None,
     theta = tuple(theta)
     if universe is None:
         universe = typing_universe(gamma, term)
-    search = _Search(universe, budget or Budget())
+    search = _Search(universe)
     if isinstance(term, Value):
         res = search.synth_value(theta, gamma, term, ())
     elif isinstance(term, Computation):

@@ -24,6 +24,9 @@ Lexical grammar (files use the `.ipf` extension):
 Any other character is a parse error, as are a lone `-` or `/`.  Input
 nested past the interpreter's recursion limit is the parse error "nested
 too deeply"; a chain of `let`s is parsed in a loop and may be any length.
+`pretty` takes more stack per level than the parser, so the command line
+reports the same error when a checked program's type or trace is too deep
+to print.
 """
 
 from __future__ import annotations

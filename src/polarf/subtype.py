@@ -42,7 +42,7 @@ from .errors import InvariantViolation, TypeCheckError, require
 from .parser import pretty
 from .syntax import (
     Arrow, Context, Data, Down, EVar, Forall, NegData, NegType, PosType,
-    Solved, UVar, Universal, Unsolved, Up, apply_context, erase_context,
+    UVar, Universal, Unsolved, Up, apply_context, erase_context,
     extends, fresh_name, is_ground, num_prenex, termsize,
 )
 from .wellformed import wf_context, wf_type
@@ -113,7 +113,7 @@ class _Engine:
 
     def fresh_evar(self, base: str, theta: Context) -> str:
         """A fresh existential: the binder's name plus a counter (reproducible)."""
-        taken = theta.names
+        taken = theta.positions
         n = self._counts.get(base, 0)
         while f"?{base}{n}" in taken:
             n += 1
@@ -159,6 +159,21 @@ class _Engine:
                 f"ground judgment changed its context in {show(goal)}")
         self.memo.add(key)
 
+    def _data(self, theta, ground, other, goal, metric) -> Context:
+        """The invariant datatype rule: the same constructor and arity, then
+        each argument of `ground` against the one of `other`, both ways.
+        The mismatch message names the types in the judgment's order."""
+        if ground.constructor != other.constructor or len(ground.args) != len(other.args):
+            self._mismatch(goal, f"constructors {pretty(goal[0])} and {pretty(goal[2])} "
+                                 f"do not match")
+        out = theta
+        for g, o in zip(ground.args, other.args):
+            o = apply_context(out, o)
+            out = self.pos(out, g, o, metric, True)
+            out = self.pos(out, apply_context(out, o), g, metric, True)
+        self._record("data", goal, theta, out)
+        return out
+
     # -- positive: p ground, q may contain unsolved existentials --------
 
     def pos(self, theta: Context, p: PosType, q: PosType, parent,
@@ -172,20 +187,17 @@ class _Engine:
             return theta
 
         if isinstance(q, EVar):
-            entry = theta.lookup_evar(q.name)
-            if entry is None:
+            if theta.lookup_evar(q.name) is None:
                 self._mismatch(goal, f"existential {q.name} is not in scope")
-            if isinstance(entry, Solved):
-                raise InvariantViolation(f"{q.name} already solved in {show(goal)}")
             if not wf_type(theta.prefix_before(q.name), p):
                 self._mismatch(goal, f"solution {pretty(p)} mentions variables "
                                      f"bound after {q.name} was introduced")
-            out = theta.solve(q.name, p)
+            out = theta.solve(q.name, p)  # raises if q is already solved
             self._record("instantiate", goal, theta, out)
         elif isinstance(p, UVar) and isinstance(q, UVar):
             if p.name != q.name:
                 self._mismatch(goal, f"type variables {p.name} and {q.name} differ")
-            if not theta.has_universal(p.name):
+            if p.name not in theta.uvar_names:
                 self._mismatch(goal, f"type variable {p.name} is not in scope")
             out = theta
             self._record("refl", goal, theta, out)
@@ -196,15 +208,7 @@ class _Engine:
             out = t2
             self._record("shift-thunk", goal, theta, out)
         elif isinstance(p, Data) and isinstance(q, Data):
-            if p.constructor != q.constructor or len(p.args) != len(q.args):
-                self._mismatch(goal, f"constructors {pretty(p)} and {pretty(q)} "
-                                     f"do not match")
-            out = theta
-            for pa, qa in zip(p.args, q.args):
-                qa = apply_context(out, qa)
-                out = self.pos(out, pa, qa, metric, True)
-                out = self.pos(out, apply_context(out, qa), pa, metric, True)
-            self._record("data", goal, theta, out)
+            out = self._data(theta, p, q, goal, metric)
         else:
             self._mismatch(goal, f"{pretty(p)} is not a subtype of {pretty(q)}")
 
@@ -226,22 +230,17 @@ class _Engine:
 
         if isinstance(m, Forall):
             # eliminate quantifiers on the ground side first
-            binder = fresh_name(m.hint, theta.names)
+            binder = fresh_name(m.hint, theta.positions)
             inner = self.neg(theta.push(Universal(binder)), n, m.open(UVar(binder)),
                              metric, shared)
-            if not isinstance(inner.last(), Universal) or inner.last().name != binder:
-                raise InvariantViolation(f"universal {binder} lost in {show(goal)}")
-            out = inner.drop_last()
+            out = inner.pop(binder, universal=True)
             self._record("forall-right", goal, theta, out)
         elif isinstance(n, Forall):
             name = self.fresh_evar(n.hint, theta)
             opened = n.open(EVar(name))
             inner = self.neg(theta.push(Unsolved(name)), opened, m, metric, shared)
-            if inner.last() is None or inner.last().name != name \
-                    or isinstance(inner.last(), Universal):
-                raise InvariantViolation(f"existential {name} lost in {show(goal)}")
             # the algorithm need not have solved it; either way it goes out of scope
-            out = inner.drop_last()
+            out = inner.pop(name, universal=False)
             self._record("forall-left", goal, theta, out)
         elif isinstance(n, Arrow) and isinstance(m, Arrow):
             t1 = self.pos(theta, m.domain, n.domain, metric, shared)
@@ -255,15 +254,7 @@ class _Engine:
             out = t2
             self._record("shift-return", goal, theta, out)
         elif isinstance(n, NegData) and isinstance(m, NegData):
-            if n.constructor != m.constructor or len(n.args) != len(m.args):
-                self._mismatch(goal, f"constructors {pretty(n)} and {pretty(m)} "
-                                     f"do not match")
-            out = theta
-            for na, ma in zip(n.args, m.args):
-                na = apply_context(out, na)
-                out = self.pos(out, ma, na, metric, True)
-                out = self.pos(out, apply_context(out, na), ma, metric, True)
-            self._record("data", goal, theta, out)
+            out = self._data(theta, m, n, goal, metric)
         else:
             self._mismatch(goal, f"{pretty(n)} is not a subtype of {pretty(m)}")
 

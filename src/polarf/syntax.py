@@ -507,7 +507,18 @@ ContextEntry = Union[Universal, Unsolved, Solved]
 
 @dataclass(frozen=True)
 class Context:
-    """Ordered checker context; entry names are pairwise distinct."""
+    """Ordered checker context; entry names are pairwise distinct.
+
+    A context is a stack.  The checker changes one in only three ways: it
+    pushes an entry on the end, pops the last entry off again (`pop` checks
+    that it is the one pushed), or solves an existential in place.  A rule
+    that opens a quantifier pops its entry before it returns, and the spine
+    rules leave their existentials pushed on the end, where the let rules
+    cut them off (`restrict_context`).  So an output context is its input
+    with solutions added and, after a spine, new existentials at the end,
+    and the extension checks compare a prefix instead of matching entries
+    up by name.
+    """
 
     entries: tuple = ()
 
@@ -520,8 +531,9 @@ class Context:
     # computed once per context, when first read; shared, so never mutated
 
     @_cached
-    def names(self) -> frozenset:
-        return frozenset(e.name for e in self.entries)
+    def positions(self) -> dict:
+        """Each entry's position, by name."""
+        return {e.name: i for i, e in enumerate(self.entries)}
 
     @_cached
     def evar_names(self) -> frozenset:
@@ -536,48 +548,38 @@ class Context:
         """Each solved existential's solution, by name."""
         return {e.name: e.solution for e in self.entries if type(e) is Solved}
 
-    def has_universal(self, name: str) -> bool:
-        return name in self.uvar_names
-
     def lookup_evar(self, name: str):
-        for e in self.entries:
-            if not isinstance(e, Universal) and e.name == name:
-                return e
-        return None
+        i = self.positions.get(name)
+        if i is None or isinstance(self.entries[i], Universal):
+            return None
+        return self.entries[i]
 
     def prefix_before(self, name: str) -> "Context":
         """Entries strictly before the named entry."""
-        for i, e in enumerate(self.entries):
-            if e.name == name:
-                return Context(self.entries[:i])
-        raise KeyError(name)
+        return Context(self.entries[:self.positions[name]])
 
     def push(self, entry: ContextEntry) -> "Context":
-        if entry.name in self.names:
+        if entry.name in self.positions:
             raise InvariantViolation(f"duplicate context entry {entry.name}")
         return Context(self.entries + (entry,))
 
-    def drop_last(self) -> "Context":
+    def pop(self, name: str, universal: bool) -> "Context":
+        """The context without its last entry, which must be the universal
+        `name` (or, unless `universal`, the existential `name`)."""
+        kind = "universal" if universal else "existential"
+        last = self.entries[-1] if self.entries else None
+        if last is None or last.name != name or isinstance(last, Universal) != universal:
+            raise InvariantViolation(f"{kind} {name} is not the last context entry")
         return Context(self.entries[:-1])
-
-    def last(self):
-        return self.entries[-1] if self.entries else None
 
     def solve(self, name: str, solution: PosType) -> "Context":
         """Replace the unsolved entry for `name` with a solution."""
-        out = []
-        hit = False
-        for e in self.entries:
-            if e.name == name:
-                if not isinstance(e, Unsolved):
-                    raise InvariantViolation(f"{name} is not unsolved")
-                out.append(Solved(name, solution))
-                hit = True
-            else:
-                out.append(e)
-        if not hit:
+        i = self.positions.get(name)
+        if i is None:
             raise InvariantViolation(f"no entry named {name}")
-        return Context(tuple(out))
+        if not isinstance(self.entries[i], Unsolved):
+            raise InvariantViolation(f"{name} is not unsolved")
+        return Context(self.entries[:i] + (Solved(name, solution),) + self.entries[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -679,39 +681,13 @@ def apply_context(theta: Context, t: Type) -> Type:
 
 
 def restrict_context(theta_prime: Context, theta: Context) -> Context:
-    """Drop from theta_prime the existentials that theta does not know about.
-
-    Universal entries must line up pairwise; existential entries present in
-    theta keep theta_prime's (possibly newer) solutions, the rest are
-    removed.  The caller guarantees theta_prime weakly extends theta.
-    """
-    keep = theta.evar_names
-    out = []
-    i = len(theta_prime.entries) - 1
-    j = len(theta.entries) - 1
-    while i >= 0:
-        e = theta_prime.entries[i]
-        if isinstance(e, Universal):
-            if j < 0 or not isinstance(theta.entries[j], Universal) \
-                    or theta.entries[j].name != e.name:
-                raise InvariantViolation(
-                    f"restriction misaligned at universal {e.name}")
-            out.append(e)
-            i -= 1
-            j -= 1
-        elif e.name in keep:
-            if j < 0 or isinstance(theta.entries[j], Universal) \
-                    or theta.entries[j].name != e.name:
-                raise InvariantViolation(
-                    f"restriction misaligned at existential {e.name}")
-            out.append(e)
-            i -= 1
-            j -= 1
-        else:
-            i -= 1
-    if j >= 0:
-        raise InvariantViolation("restriction target has entries the source lacks")
-    return Context(tuple(reversed(out)))
+    """theta_prime without the existentials pushed after theta's entries:
+    its first len(theta) entries, which keep their (possibly newer)
+    solutions.  Raises InvariantViolation unless theta_prime weakly extends
+    theta."""
+    if not weak_extends(theta, theta_prime):
+        raise InvariantViolation("restriction input does not weakly extend its target")
+    return Context(theta_prime.entries[:len(theta.entries)])
 
 
 def erase_context(theta: Context) -> tuple:
@@ -719,50 +695,33 @@ def erase_context(theta: Context) -> tuple:
     return tuple(e.name for e in theta.entries if isinstance(e, Universal))
 
 
-def _entry_compatible(e, e2, theta: Context, i: int, iso) -> bool:
-    """Can entry i of theta (`e`) become `e2` by gaining information?"""
+def _entry_compatible(e, e2) -> bool:
+    """Can entry `e` become `e2` by gaining information?"""
     if e is e2:
         return True
     if isinstance(e, Universal):
         return isinstance(e2, Universal) and e2.name == e.name
     if isinstance(e, Unsolved):
         return isinstance(e2, (Unsolved, Solved)) and e2.name == e.name
-    # a solved entry keeps its solution, or takes one `iso` accepts (only
-    # that comparison needs the universals before entry i)
-    return (isinstance(e2, Solved) and e2.name == e.name
-            and (e2.solution == e.solution or iso is not None and iso(
-                erase_context(Context(theta.entries[:i])), e.solution, e2.solution)))
+    # a solved entry keeps its solution (up to alpha-equivalence)
+    return isinstance(e2, Solved) and e2.name == e.name and e2.solution == e.solution
 
 
-def extends(theta: Context, theta_prime: Context, iso=None) -> bool:
-    """Information gain: same entries in order, with solutions only added.
-
-    A solved entry must keep its solution (up to alpha-equivalence), unless
-    an `iso(universals, p, q)` predicate is supplied and accepts the new one.
-    """
-    if len(theta.entries) != len(theta_prime.entries):
-        return False
-    for i, (e, e2) in enumerate(zip(theta.entries, theta_prime.entries)):
-        if not _entry_compatible(e, e2, theta, i, iso):
-            return False
-    return True
+def extends(theta: Context, theta_prime: Context) -> bool:
+    """Information gain: same entries in order, with solutions only added."""
+    return (len(theta.entries) == len(theta_prime.entries)
+            and all(map(_entry_compatible, theta.entries, theta_prime.entries)))
 
 
-def weak_extends(theta: Context, theta_prime: Context, iso=None) -> bool:
-    """Like `extends`, but theta_prime may interleave brand-new existentials."""
-    i = len(theta.entries) - 1
-    for j in range(len(theta_prime.entries) - 1, -1, -1):
-        e2 = theta_prime.entries[j]
-        if not isinstance(e2, Universal) and e2.name not in theta.evar_names \
-                and e2.name not in theta.uvar_names:
-            continue
-        if i < 0:
-            return False
-        e = theta.entries[i]
-        if not _entry_compatible(e, e2, theta, i, iso):
-            return False
-        i -= 1
-    return i < 0
+def weak_extends(theta: Context, theta_prime: Context) -> bool:
+    """Like `extends`, but theta_prime may have new existentials pushed on
+    the end: its first len(theta) entries extend theta, and every later
+    entry is an existential whose name theta lacks."""
+    n = len(theta.entries)
+    return (len(theta_prime.entries) >= n
+            and all(map(_entry_compatible, theta.entries, theta_prime.entries))
+            and not any(isinstance(e, Universal) or e.name in theta.positions
+                        for e in theta_prime.entries[n:]))
 
 
 # ---------------------------------------------------------------------------

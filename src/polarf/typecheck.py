@@ -99,13 +99,10 @@ class _Typer(_Engine):
             self._record("lambda", ("\\", t.param, " ==> ", n), theta, out)
         elif isinstance(t, TypeAbs):
             outer = self.renamed
-            binder, self.renamed = bind_tyvar(t.binder, theta.names, outer)
+            binder, self.renamed = bind_tyvar(t.binder, theta.positions, outer)
             inner_n, inner = self.comp(theta.push(Universal(binder)), gamma, t.body, size)
             self.renamed = outer
-            last = inner.last()
-            if not isinstance(last, Universal) or last.name != binder:
-                raise InvariantViolation("type abstraction lost its binder")
-            out = inner.drop_last()
+            out = inner.pop(binder, universal=True)
             n = Forall(binder, inner_n)
             self._record("type-abs", ("/\\", binder, " ==> ", n), theta, out)
         elif isinstance(t, Return):
@@ -115,10 +112,8 @@ class _Typer(_Engine):
         elif isinstance(t, LetAnn):
             anno = self._annotation(theta, t.annotation, "let annotation", t.span)
             q, t4 = self._let_application(theta, gamma, t, size, anno)
-            if not weak_extends(theta, t4):
-                raise InvariantViolation("restriction input lost information")
-            t5 = restrict_context(t4, theta)
-            n, out = self.comp(t5, gamma.extend(t.name, anno), t.cont, size)
+            n, out = self.comp(restrict_context(t4, theta), gamma.extend(t.name, anno),
+                               t.cont, size)
             self._record("let-annotated", ("let ", t.name, " : ", anno), theta, out)
         elif isinstance(t, Let):
             q, t2 = self._let_application(theta, gamma, t, size, None)
@@ -128,10 +123,8 @@ class _Typer(_Engine):
                           f"the type of {t.name} is ambiguous: {pretty(q)} still "
                           f"mentions {loose}; annotate the binding "
                           f"(let {t.name} : <type> = ...)", t.span)
-            if not weak_extends(theta, t2):
-                raise InvariantViolation("restriction input lost information")
-            t3 = restrict_context(t2, theta)
-            n, out = self.comp(t3, gamma.extend(t.name, q), t.cont, size)
+            n, out = self.comp(restrict_context(t2, theta), gamma.extend(t.name, q),
+                               t.cont, size)
             self._record("let", ("let ", t.name, " ==> ", q), theta, out)
         else:
             raise TypeError(f"not a computation: {t!r}")
@@ -238,10 +231,9 @@ class _Typer(_Engine):
         if apply_context(out, m) != m:
             raise InvariantViolation("spine result mentions solved existentials")
         # m may mention n's existentials and the new ones, which (as out
-        # weakly extends theta, and both have ground solutions) are out's
-        # existential entries that theta lacks
+        # weakly extends theta) are out's entries past theta's
         extra = m.evars - n.evars
-        if not (extra <= out.evar_names and extra.isdisjoint(theta.evar_names)):
+        if not extra.issubset(e.name for e in out.entries[len(theta.entries):]):
             raise InvariantViolation("spine result leaked unknown existentials")
 
 

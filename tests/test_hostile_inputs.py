@@ -19,6 +19,19 @@ def parens(depth):
     return "(" * depth + "Int" + ")" * depth
 
 
+def thunks(depth):
+    return "run " + "return {" * depth + "return 1" + "}" * depth
+
+
+def thunked_lambdas(depth):
+    return ("run " + "".join(f"return {{\\x{i} : Int. " for i in range(depth))
+            + "return 1" + "}" * depth)
+
+
+def thunk_pairs(depth):
+    return "run return " + "({return " * depth + "1" + "}, 1)" * depth
+
+
 def let_chain(n):
     lines = ["let i0 = inc(0);"] + [f"let i{j} = inc(i{j - 1});" for j in range(1, n)]
     return ("val inc : dn (Int -> up Int)\nrun " + "\n".join(lines)
@@ -34,9 +47,9 @@ def source_file(tmp_path):
     return write
 
 
-def check_json(path, capsys):
+def check_json(path, capsys, *flags):
     """Run `check --json`; the exit code must agree with the one record."""
-    code = main(["check", path, "--json"])
+    code = main(["check", path, "--json", *flags])
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1
     record = json.loads(out[0])
@@ -62,6 +75,20 @@ def test_deep_parens_through_check(source_file, capsys):
     code, record = check_json(path, capsys)
     assert code == 2
     assert record["error"]["message"] == "nested too deeply"
+
+
+@pytest.mark.parametrize("flags", [(), ("--trace",)], ids=["json", "trace"])
+@pytest.mark.parametrize("shape,depth", [(thunks, 400), (thunked_lambdas, 280),
+                                         (thunk_pairs, 280)],
+                         ids=["thunks", "lambdas", "pairs"])
+def test_type_too_deep_to_print_through_check(source_file, capsys, shape, depth, flags):
+    # the program parses and types; only printing its type runs out of stack
+    source = shape(depth)
+    parse_program(source)
+    code, record = check_json(source_file(source), capsys, *flags)
+    assert code == 2
+    assert record["error"]["message"] == "nested too deeply"
+    assert record["trace"] == ([] if flags else None)
 
 
 def test_invalid_utf8_through_check(source_file, capsys):

@@ -10,16 +10,24 @@ made of the entries before it.
 Types and terms carry facts computed when they are built (free variables,
 sizes, the largest dangling bound index, well-formedness).  The references
 for those are the walks over every node that the facts replace.
+
+Contexts are stacks, so weak extension is a prefix check and restriction a
+slice.  The references are the name-aligned walks they replace, which also
+accept new existentials between old entries; on the contexts the checker
+builds, the two must agree.
 """
 
 import copy
 import pickle
 import random
 
+import pytest
+
 from polarf import (
-    Arrow, BVar, Context, Data, Down, EVar, Forall, NegData, NegType,
-    PosType, Solved, UVar, Universal, Unsolved, Up, apply_context,
-    free_evars, free_uvars, is_ground, subst_type, termsize, wf_context,
+    Arrow, BVar, Context, Data, Down, EVar, Forall, InvariantViolation, NegData,
+    NegType, PosType, Solved, TypeCheckError, UVar, Universal, Unsolved, Up,
+    apply_context, extends, free_evars, free_uvars, is_ground, restrict_context,
+    subst_type, synth_computation, termsize, weak_extends, wf_context,
 )
 from polarf.syntax import (
     BoolLit, IntLit, Lambda, Let, LetAnn, PairVal, Return, Thunk, TypeAbs, Var,
@@ -176,6 +184,41 @@ def ref_term_nodes(t):
 
 def ref_term_size(t):
     return sum(1 for _ in ref_term_nodes(t))
+
+
+def ref_weak_extends(theta, theta_prime):
+    """Walk both contexts from the end, matching theta's entries by name and
+    skipping the existentials theta lacks, wherever they are."""
+    i = len(theta.entries) - 1
+    for e2 in reversed(theta_prime.entries):
+        if not isinstance(e2, Universal) and e2.name not in theta.evar_names \
+                and e2.name not in theta.uvar_names:
+            continue
+        if i < 0 or not extends(Context((theta.entries[i],)), Context((e2,))):
+            return False
+        i -= 1
+    return i < 0
+
+
+def ref_restrict(theta_prime, theta):
+    """Drop from theta_prime, walking from the end, the existentials theta
+    lacks; the entries theta has must line up by name."""
+    keep = theta.evar_names
+    out = []
+    i = len(theta_prime.entries) - 1
+    j = len(theta.entries) - 1
+    while i >= 0:
+        e = theta_prime.entries[i]
+        if isinstance(e, Universal) or e.name in keep:
+            if j < 0 or isinstance(theta.entries[j], Universal) != isinstance(e, Universal) \
+                    or theta.entries[j].name != e.name:
+                raise InvariantViolation(f"restriction misaligned at {e.name}")
+            out.append(e)
+            j -= 1
+        i -= 1
+    if j >= 0:
+        raise InvariantViolation("restriction target has entries the source lacks")
+    return Context(tuple(reversed(out)))
 
 
 # -- generated inputs ----------------------------------------------------------
@@ -375,3 +418,35 @@ def test_term_sizes_match_walk():
         _, body = gen_program(rng)
         for node in ref_term_nodes(body):
             assert node.size == ref_term_size(node)
+
+
+# -- weak extension and restriction ------------------------------------------------
+
+def spine_contexts(rng, programs):
+    """The input and output context of every spine step in the traces of
+    generated programs, accepted or not."""
+    for _ in range(programs):
+        gamma, body = gen_program(rng)
+        try:
+            trace = synth_computation(Context(), gamma, body).trace
+        except TypeCheckError as e:
+            trace = e.trace
+        for step in trace:
+            if step.rule.startswith("spine-"):
+                yield step.before, step.after
+
+
+def test_stack_extension_matches_name_aligned_walk():
+    rng = random.Random(38)
+    grown = 0
+    for before, after in spine_contexts(rng, 1000):
+        for theta, out in ((before, after), (after, before)):
+            verdict = ref_weak_extends(theta, out)
+            assert weak_extends(theta, out) == verdict
+            if verdict:
+                assert restrict_context(out, theta) == ref_restrict(out, theta)
+            else:
+                with pytest.raises(InvariantViolation):
+                    restrict_context(out, theta)
+        grown += len(after) > len(before) > 0
+    assert grown > 50  # many spines push existentials onto a non-empty context

@@ -1,12 +1,13 @@
 """Core syntax operations: free variables, substitution, contexts, metrics."""
 
 import random
+import re
 
 import pytest
 
 from polarf import (
     Arrow, BVar, Context, Data, Down, EVar, Forall, Solved, UVar, Universal,
-    Unsolved, Up, alpha_equal, apply_context, decl_iso, erase_context,
+    Unsolved, Up, alpha_equal, apply_context, erase_context,
     extends, free_evars, free_uvars, num_prenex, parse_type, pretty,
     restrict_context, subst_type, termsize, weak_extends,
 )
@@ -182,6 +183,23 @@ class TestRestrictErase:
             restrict_context(Context((Universal("a"),)),
                              Context((Universal("b"),)))
 
+    def test_changed_solution_raises(self):
+        small = Context((Universal("a"), Solved("?x", Data("Int", ()))))
+        big = Context((Universal("a"), Solved("?x", Data("Bool", ())),
+                       Unsolved("?y")))
+        with pytest.raises(InvariantViolation):
+            restrict_context(big, small)
+
+    def test_pop_checks_the_last_entry(self):
+        theta = Context((Universal("a"), Unsolved("?x")))
+        assert theta.pop("?x", universal=False) == Context((Universal("a"),))
+        assert theta.pop("?x", False).pop("a", True) == Context()
+        for name, universal in (("?x", True), ("a", True), ("a", False), ("?y", False)):
+            with pytest.raises(InvariantViolation, match=re.escape(name)):
+                theta.pop(name, universal)
+        with pytest.raises(InvariantViolation):
+            Context().pop("a", True)
+
     def test_restriction_never_leaks(self):
         rng = random.Random(10)
         for _ in range(100):
@@ -210,12 +228,6 @@ class TestExtension:
         assert not extends(Context((Solved("?a", Data("Int", ())),)),
                            Context((Solved("?a", Data("Bool", ())),)))
 
-    def test_isomorphic_solutions_extend(self):
-        p = T("dn (forall a b. a -> b -> up (a * b))", "+")
-        q = T("dn (forall b a. a -> b -> up (a * b))", "+")
-        assert extends(Context((Solved("?x", p),)), Context((Solved("?x", q),)),
-                       iso=decl_iso)
-
     def test_reflexive(self):
         theta = Context((Universal("a"), Unsolved("?x"),
                          Solved("?y", Data("Int", ()))))
@@ -228,6 +240,20 @@ class TestExtension:
         assert weak_extends(base, Context((Universal("a"),
                                            Solved("?b", Data("Int", ())))))
         assert not extends(base, Context((Universal("a"), Unsolved("?b"))))
+
+    def test_weak_rejects_new_existential_between_old_entries(self):
+        base = Context((Universal("a"), Unsolved("?x")))
+        assert weak_extends(base, Context((Universal("a"), Unsolved("?x"),
+                                           Unsolved("?new"))))
+        assert not weak_extends(base, Context((Universal("a"), Unsolved("?new"),
+                                               Unsolved("?x"))))
+        assert not weak_extends(base, Context((Unsolved("?new"), Universal("a"),
+                                               Unsolved("?x"))))
+        # what is pushed on the end must be an existential with a new name
+        assert not weak_extends(base, Context((Universal("a"), Unsolved("?x"),
+                                               Universal("b"))))
+        assert not weak_extends(base, Context((Universal("a"), Unsolved("?x"),
+                                               Unsolved("a"))))
 
     def test_order_is_significant(self):
         ab = Context((Universal("a"), Universal("b")))
