@@ -63,9 +63,8 @@ def _check_source(text: str, filename: str, with_trace: bool):
         }
         return record, EXIT_OK
     except RecursionError:
-        # the printer takes more stack per level of a type than the parser
-        # does per level of its source, so a type the parser could read may
-        # still be too deep to print
+        # a type, trace or message built from deeply nested terms may be too
+        # deep to print
         return _error_record(TypeCheckError("parse", "nested too deeply"), with_trace)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 
@@ -34,17 +35,24 @@ ERROR_KINDS = (
 
 
 class TypeCheckError(Exception):
-    """A single structured rejection: kind, message, optional span and partial trace."""
+    """A single structured rejection: kind, message, optional span and partial trace.
 
-    def __init__(self, kind: str, message: str, span: Optional[SourceSpan] = None,
+    The message may be given as `parts` (text, and the types, terms or
+    contexts it names), printed when `message` is first read."""
+
+    def __init__(self, kind: str, message, span: Optional[SourceSpan] = None,
                  trace: Tuple = ()):
         if kind not in ERROR_KINDS:
             raise ValueError(f"unknown error kind: {kind}")
         self.kind = kind
-        self.message = message
+        self.parts = (message,) if isinstance(message, str) else tuple(message)
         self.span = span
         self.trace = tuple(trace)
-        super().__init__(message)
+
+    @cached_property
+    def message(self) -> str:
+        from .subtype import show  # not at the top: subtype imports this module
+        return show(self.parts)
 
     def __str__(self) -> str:
         at = f" at {self.span}" if self.span is not None else ""

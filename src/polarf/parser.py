@@ -1,9 +1,15 @@
 """Concrete syntax: lexer, recursive-descent parser, and pretty printer.
 
-The surface language is one-token-lookahead:
+The surface language is one-token-lookahead.  One rule reads types of
+both polarities (P value types, N computation types), checked where used:
 
-    positive types   a | dn N | T P1 ... Pk | P * Q | ( ... )
-    negative types   P -> N (right assoc) | forall a b. N | up P | ST P Q
+    type     forall a b. N
+           | up atom | C atom ... atom       C a computation constructor
+           | app (* app)* (-> N)?            `P * Q` is `Pair P Q`, right assoc
+    app      D atom ... atom | atom          D a value constructor
+    atom     a | D | ( type )                D of arity 0
+           | dn ( N ) | dn up atom | dn C atom ... atom
+
     values           x | { t } | 42 | true | false | (v, w)
     computations     \\x : P. t | /\\a. t | return v
                      | let x = v(s); t | let x : P = v(s); t
@@ -21,12 +27,16 @@ Lexical grammar (files use the `.ipf` extension):
     integer      decimal digits (`\\d+`, the digits `int()` reads)
     punctuation  ( ) { } , ; : . * = -> \\ /\\
 
-Any other character is a parse error, as are a lone `-` or `/`.  Input
-nested past the interpreter's recursion limit is the parse error "nested
-too deeply"; a chain of `let`s is parsed in a loop and may be any length.
-`pretty` takes more stack per level than the parser, so the command line
-reports the same error when a checked program's type or trace is too deep
-to print.
+Any other character is a parse error, as are a lone `-` or `/`.
+
+The parse error "nested too deeply" has two meanings.  A type taller than
+`MAX_TYPE_HEIGHT` (nodes on its longest path to a leaf, quantifiers
+included) is one, at the first token of the innermost type too tall: the
+layers after the parser follow types by recursion.  Other input nested
+past the interpreter's recursion limit, such as 3,000 nested parentheses
+(which add no height) or braces, is one at the token reached; a chain of
+`let`s is read in a loop.  The command line reports the same error when a
+program's type, trace or error message is too deep to print.
 """
 
 from __future__ import annotations
@@ -65,8 +75,14 @@ BUILTIN_DATATYPES = (
 )
 
 
-def builtin_signatures() -> dict:
-    return {d.name: d for d in BUILTIN_DATATYPES}
+# The tallest type the parser reads; a taller one is the parse error "nested
+# too deeply".  From an empty stack, under the default recursion limit of
+# 1,000, the subtyping engine and the printer follow nested constructors (the
+# shape that costs them the most frames per level) to a height of about 250,
+# so this leaves room for their callers' frames.
+MAX_TYPE_HEIGHT = 200
+
+_PRODUCT = "product components must be positive types"
 
 
 @dataclass(frozen=True)
@@ -146,11 +162,11 @@ def _lex(src: str, filename: str) -> list:
 
 
 class _Parser:
-    def __init__(self, src: str, filename: str, signatures: Optional[dict] = None):
+    def __init__(self, src: str, filename: str):
         self.filename = filename
         self.toks = _lex(src, filename)
         self.pos = 0
-        self.sigs = dict(signatures) if signatures is not None else builtin_signatures()
+        self.sigs = {d.name: d for d in BUILTIN_DATATYPES}
         self.scope = []    # the type variables bound by enclosing foralls
         self.free = set()  # type variables read outside their scope
 
@@ -180,6 +196,12 @@ class _Parser:
         self.pos += 1
         return t
 
+    def sig(self, name: str) -> DataDecl:
+        decl = self.sigs.get(name)
+        if decl is None:
+            self.err(f"unknown type constructor {name}")
+        return decl
+
     def span_from(self, start: int) -> SourceSpan:
         end = self.toks[self.pos - 1].end if self.pos > 0 else start
         return SourceSpan(self.filename, start, end)
@@ -194,146 +216,108 @@ class _Parser:
         self.err("nested too deeply")
 
     # -- types ---------------------------------------------------------
+    # One rule reads a type of either polarity; `want` checks the polarity
+    # where the type is used.
 
     def type_any(self):
-        """Parse a type of either polarity; polarity is checked at use sites."""
-        t = self.peek()
-        if t.kind == "forall":
-            return self.forall_type()
-        if t.kind == "up":
+        """A quantifier, or a head, its `*` factors and then `-> N`."""
+        first = self.peek()
+        if first.kind == "forall":
             self.next()
-            body = self.pos_atom_checked("up expects a value type")
-            res = Up(body)
+            binders = [self.expect("ident").text]
+            while self.at("ident"):
+                binders.append(self.next().text)
+            self.expect(".")
+            self.scope += binders
+            t = self.want(self.type_any(), NegType, "expected a computation type here")
+            del self.scope[-len(binders):]
+            for b in reversed(binders):
+                t = Forall.bind(b, t)
+        else:
+            t = self.neg_head()
+            if t is None:
+                t = self.atom(True)
+                if self.at("*"):  # `P * Q` is `Pair P Q`, right associative
+                    factors = []
+                    while self.at("*"):
+                        factors.append(self.want(t, PosType, _PRODUCT))
+                        self.next()
+                        t = self.want(self.atom(True), PosType, _PRODUCT)
+                    for f in reversed(factors):
+                        t = Data("Pair", (f, t))
             if self.at("arrow"):
-                self.err("arrow domain must be positive (wrap it in 'dn (...)')")
-            return res
-        if t.kind == "conid" and self.sig(t.text).polarity == "-":
-            res = self.negdata_type()
-            if self.at("arrow"):
-                self.err("arrow domain must be positive (wrap it in 'dn (...)')")
-            return res
-        left = self.pos_type()
-        if self.at("arrow"):
-            if not isinstance(left, PosType):
-                self.err("arrow domain must be positive (wrap it in 'dn (...)')")
+                self.want(t, PosType,
+                          "arrow domain must be positive (wrap it in 'dn (...)')")
+                self.next()
+                t = Arrow(t, self.want(self.type_any(), NegType,
+                                       "expected a computation type here"))
+        if t.height > MAX_TYPE_HEIGHT:
+            self.err("nested too deeply", first)
+        return t
+
+    def atom(self, apply: bool):
+        """A variable, `dn N`, a parenthesized type, or a value constructor,
+        which takes its arguments only when `apply`."""
+        tok = self.peek()
+        kind = tok.kind
+        if kind == "ident":
+            self.pos += 1
+            if tok.text in self.scope:  # counted in binders outward
+                return BVar(self.scope[::-1].index(tok.text))
+            self.free.add(tok.text)
+            return UVar(tok.text)
+        if kind == "conid":
+            decl = self.sig(tok.text)
+            if decl.polarity == "-":
+                self.err(f"{tok.text} is a computation type constructor")
+            if decl.arity and not apply:
+                self.err(f"{tok.text} needs {decl.arity} argument(s); "
+                         "parenthesize the application")
+            self.pos += 1
+            return Data(tok.text, self.args(decl) if decl.arity else ())
+        if kind == "(":
+            self.pos += 1
+            t = self.type_any()
+            self.expect(")")
+            return t
+        if kind != "dn":
+            self.err(f"expected a type, found {tok.text!r}")
+        self.pos += 1
+        if not self.at("("):  # `dn` before a computation head
+            return Down(self.neg_head()
+                        or self.err("dn expects a computation type (usually 'dn (...)')"))
+        self.pos += 1
+        t = self.want(self.type_any(), NegType, "expected a computation type here")
+        self.expect(")")
+        return Down(t)
+
+    def neg_head(self):
+        """`up P` or a computation constructor and its arguments; None at
+        any other token."""
+        tok = self.peek()
+        if tok.kind == "up":
             self.next()
-            return Arrow(left, self.neg_type())
-        return left
+            return Up(self.want(self.atom(False), PosType, "up expects a value type"))
+        if tok.kind == "conid":
+            decl = self.sig(tok.text)
+            if decl.polarity == "-":
+                self.next()
+                return NegData(tok.text, self.args(decl))
+        return None
 
-    def forall_type(self):
-        self.expect("forall")
-        binders = [self.expect("ident").text]
-        while self.at("ident"):
-            binders.append(self.next().text)
-        self.expect(".")
-        self.scope += binders
-        body = self.neg_type()
-        del self.scope[-len(binders):]
-        for b in reversed(binders):
-            body = Forall.bind(b, body)
-        return body
-
-    def negdata_type(self):
-        tok = self.next()
-        return NegData(tok.text, self.constructor_args(tok.text))
-
-    def constructor_args(self, name: str) -> tuple:
+    def args(self, decl: DataDecl) -> tuple:
+        """The arguments of `decl`'s constructor, one atom each."""
         args = []
-        for i in range(self.sig(name).arity):
-            a = self.pos_atom()
-            if not isinstance(a, PosType):
-                self.err(f"argument {i + 1} of {name} must be a positive type")
-            args.append(a)
+        for i in range(decl.arity):
+            msg = f"argument {i + 1} of {decl.name} must be a positive type"
+            args.append(self.want(self.atom(False), PosType, msg))
         return tuple(args)
 
-    def neg_type(self) -> NegType:
-        t = self.type_any()
-        if not isinstance(t, NegType):
-            self.err("expected a computation type here")
-        return t
-
-    def pos_type_checked(self, msg: str) -> PosType:
-        t = self.type_any()
-        if not isinstance(t, PosType):
+    def want(self, t, cls, msg: str):
+        """`t`, if it has the polarity `cls`; else the parse error `msg`."""
+        if not isinstance(t, cls):
             self.err(msg)
         return t
-
-    def pos_type(self):
-        """Constructor application plus the `P * Q` product sugar (right assoc)."""
-        left = self.pos_app()
-        if self.at("*"):
-            if not isinstance(left, PosType):
-                self.err("product components must be positive types")
-            self.next()
-            right = self.pos_type()
-            if not isinstance(right, PosType):
-                self.err("product components must be positive types")
-            return Data("Pair", (left, right))
-        return left
-
-    def pos_app(self):
-        t = self.peek()
-        if t.kind == "conid":
-            decl = self.sig(t.text)
-            if decl.polarity == "-":
-                self.err(f"{t.text} is a computation type constructor")
-            if decl.arity > 0:
-                self.next()
-                return Data(t.text, self.constructor_args(t.text))
-        return self.pos_atom()
-
-    def pos_atom(self):
-        t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            if t.text in self.scope:  # counted in binders outward
-                return BVar(self.scope[::-1].index(t.text))
-            self.free.add(t.text)
-            return UVar(t.text)
-        if t.kind == "conid":
-            decl = self.sig(t.text)
-            if decl.polarity == "-":
-                self.err(f"{t.text} is a computation type constructor")
-            if decl.arity > 0:
-                self.err(f"{t.text} needs {decl.arity} argument(s); "
-                         "parenthesize the application")
-            self.next()
-            return Data(t.text, ())
-        if t.kind == "dn":
-            self.next()
-            return Down(self.neg_atom())
-        if t.kind == "(":
-            self.next()
-            inner = self.type_any()
-            self.expect(")")
-            return inner
-        self.err(f"expected a type, found {t.text!r}")
-
-    def neg_atom(self) -> NegType:
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
-            inner = self.neg_type()
-            self.expect(")")
-            return inner
-        if t.kind == "up":
-            self.next()
-            return Up(self.pos_atom_checked("up expects a value type"))
-        if t.kind == "conid" and self.sig(t.text).polarity == "-":
-            return self.negdata_type()
-        self.err("dn expects a computation type (usually 'dn (...)')")
-
-    def pos_atom_checked(self, msg: str) -> PosType:
-        t = self.pos_atom()
-        if not isinstance(t, PosType):
-            self.err(msg)
-        return t
-
-    def sig(self, name: str) -> DataDecl:
-        decl = self.sigs.get(name)
-        if decl is None:
-            self.err(f"unknown type constructor {name}")
-        return decl
 
     # -- terms -----------------------------------------------------------
 
@@ -347,7 +331,8 @@ class _Parser:
             anno = None
             if self.at(":"):
                 self.next()
-                anno = self.pos_type_checked("let annotations must be value types")
+                anno = self.want(self.type_any(), PosType,
+                                 "let annotations must be value types")
             self.expect("=")
             head = self.value()
             self.expect("(")
@@ -366,7 +351,8 @@ class _Parser:
             self.next()
             param = self.expect("ident").text
             self.expect(":")
-            anno = self.pos_type_checked("lambda annotations must be value types")
+            anno = self.want(self.type_any(), PosType,
+                             "lambda annotations must be value types")
             self.expect(".")
             body = Lambda(param, anno, self.computation(), self.span_from(start))
         elif t.kind == "tyabs":
@@ -445,7 +431,7 @@ class _Parser:
             self.expect(":")
             tok0 = self.peek()
             self.free.clear()
-            ty = self.pos_type_checked("assumptions must have value types")
+            ty = self.want(self.type_any(), PosType, "assumptions must have value types")
             if self.free:
                 loose = ", ".join(sorted(self.free))
                 self.err(f"assumption type must be closed (unbound: {loose})", tok0)
@@ -462,10 +448,9 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
     return p.parse(p.program)
 
 
-def parse_type(text: str, polarity: str = "any", filename: str = "<type>",
-               signatures: Optional[dict] = None):
+def parse_type(text: str, polarity: str = "any", filename: str = "<type>"):
     """Parse a single type; `polarity` is '+', '-', or 'any'."""
-    p = _Parser(text, filename, signatures)
+    p = _Parser(text, filename)
     t = p.parse(p.type_any)
     p.expect("eof")
     if polarity == "+" and not isinstance(t, PosType):

@@ -15,7 +15,8 @@ InvariantViolation since they are bugs here, never user errors.
 
 A checking run (`_Engine`; the typer extends it) has one trace and one
 counter of fresh existentials.  A trace step keeps its judgment and its
-contexts as objects and prints them only when read.
+contexts as objects and prints them only when read, and a failure keeps
+the types in its message the same way (`TypeCheckError.parts`).
 
 Within one subtyping check (one `subtype_pos`/`subtype_neg` call, or one
 subtyping premise of a typing rule), a ground/ground judgment under an
@@ -48,10 +49,10 @@ from .syntax import (
 from .wellformed import wf_context, wf_type
 
 
-def show(judgment) -> str:
-    """Print a judgment: its text parts as they are, everything else
-    (types, terms, contexts) with `pretty`."""
-    return "".join(p if isinstance(p, str) else pretty(p) for p in judgment)
+def show(parts) -> str:
+    """Print a judgment or a message: its text parts as they are,
+    everything else (types, terms, contexts) with `pretty`."""
+    return "".join(p if isinstance(p, str) else pretty(p) for p in parts)
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,8 @@ class _Engine:
     def fail(self, kind, message, span=None):
         raise TypeCheckError(kind, message, span, tuple(self.trace))
 
-    def _mismatch(self, goal, detail):
-        self.fail("subtype-failure", f"{detail} (while checking {show(goal)})")
+    def _mismatch(self, goal, *detail):
+        self.fail("subtype-failure", (*detail, " (while checking ", *goal, ")"))
 
     def subtype(self, polarity, theta: Context, a, b) -> Context:
         """Check a <=polarity b under theta, after its preconditions, with a new memo."""
@@ -164,8 +165,8 @@ class _Engine:
         each argument of `ground` against the one of `other`, both ways.
         The mismatch message names the types in the judgment's order."""
         if ground.constructor != other.constructor or len(ground.args) != len(other.args):
-            self._mismatch(goal, f"constructors {pretty(goal[0])} and {pretty(goal[2])} "
-                                 f"do not match")
+            self._mismatch(goal, "constructors ", goal[0], " and ", goal[2],
+                           " do not match")
         out = theta
         for g, o in zip(ground.args, other.args):
             o = apply_context(out, o)
@@ -190,8 +191,8 @@ class _Engine:
             if theta.lookup_evar(q.name) is None:
                 self._mismatch(goal, f"existential {q.name} is not in scope")
             if not wf_type(theta.prefix_before(q.name), p):
-                self._mismatch(goal, f"solution {pretty(p)} mentions variables "
-                                     f"bound after {q.name} was introduced")
+                self._mismatch(goal, "solution ", p, " mentions variables bound "
+                                     f"after {q.name} was introduced")
             out = theta.solve(q.name, p)  # raises if q is already solved
             self._record("instantiate", goal, theta, out)
         elif isinstance(p, UVar) and isinstance(q, UVar):
@@ -210,7 +211,7 @@ class _Engine:
         elif isinstance(p, Data) and isinstance(q, Data):
             out = self._data(theta, p, q, goal, metric)
         else:
-            self._mismatch(goal, f"{pretty(p)} is not a subtype of {pretty(q)}")
+            self._mismatch(goal, p, " is not a subtype of ", q)
 
         _check_post(theta, out, metric[0], q, goal)
         self._remember(key, theta, out, goal)
@@ -256,7 +257,7 @@ class _Engine:
         elif isinstance(n, NegData) and isinstance(m, NegData):
             out = self._data(theta, m, n, goal, metric)
         else:
-            self._mismatch(goal, f"{pretty(n)} is not a subtype of {pretty(m)}")
+            self._mismatch(goal, n, " is not a subtype of ", m)
 
         _check_post(theta, out, metric[0], n, goal)
         self._remember(key, theta, out, goal)

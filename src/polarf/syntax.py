@@ -17,6 +17,8 @@ children's facts in O(arity) (the per-node half of Filliâtre and Conchon,
 - `evars` and `uvars`: the names of its free existentials and universals,
   as frozensets, shared with a child whose set already holds them all;
 - `size`: its `termsize`;
+- `height`: the number of nodes on its longest path down to a leaf, a
+  quantifier included (a variable or a constant is 1);
 - `dangling`: the largest index of a `BVar` below it that no `Forall` below
   it binds, counted from the node itself, or -1 if there is none (so a type
   is closed iff this is -1);
@@ -71,7 +73,7 @@ class _cached:
 class _Type:
     """The facts every type node carries (see the module docstring)."""
 
-    __slots__ = ("evars", "uvars", "size", "dangling", "typed")
+    __slots__ = ("evars", "uvars", "size", "height", "dangling", "typed")
 
     def __reduce__(self):
         # `copy` and `pickle` rebuild a node from its fields, so that the
@@ -107,7 +109,7 @@ class _NotAType:
     a type (so neither is its parent), as a walk would see it."""
 
     evars = uvars = _NONE
-    size, dangling, typed = 1, -1, False
+    size, height, dangling, typed = 1, 1, -1, False
 
 
 def _combine(node, kids, size=1, shift=0):
@@ -117,13 +119,16 @@ def _combine(node, kids, size=1, shift=0):
     without testing the children's class; a child that is not a type makes
     a read fail, and then counts as `_NotAType`."""
     evars = uvars = _NONE
-    total, dangling, typed = size, -1, True
+    total, height, dangling, typed = size, 1, -1, True
     try:
         for c in kids:
             e, u = c.evars, c.uvars
             evars = e if evars <= e else evars if e <= evars else evars | e
             uvars = u if uvars <= u else uvars if u <= uvars else uvars | u
             total += c.size
+            h = c.height
+            if h >= height:
+                height = h + 1
             if c.dangling > dangling:
                 dangling = c.dangling
             typed = typed and c.typed
@@ -131,6 +136,7 @@ def _combine(node, kids, size=1, shift=0):
         kids = [c if isinstance(c, _Type) else _NotAType for c in kids]
         return _combine(node, kids, size, shift)
     node.evars, node.uvars, node.size, node.typed = evars, uvars, total, typed
+    node.height = height
     node.dangling = dangling - shift if dangling >= shift else -1
 
 
@@ -148,7 +154,7 @@ class UVar(PosType):
 
     name: str
 
-    evars, size, dangling, typed = _NONE, 1, -1, True
+    evars, size, height, dangling, typed = _NONE, 1, 1, -1, True
 
     def __post_init__(self):
         self.uvars = _names(self.name)
@@ -161,7 +167,7 @@ class BVar(PosType):
 
     index: int
 
-    evars, uvars, size, typed = _NONE, _NONE, 1, True
+    evars, uvars, size, height, typed = _NONE, _NONE, 1, 1, True
 
     def __post_init__(self):
         self.dangling = self.index
@@ -173,7 +179,7 @@ class EVar(PosType):
 
     name: str
 
-    uvars, size, dangling, typed = _NONE, 1, -1, True
+    uvars, size, height, dangling, typed = _NONE, 1, 1, -1, True
 
     def __post_init__(self):
         self.evars = _names(self.name)

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, TypeCheckError, require
-from .parser import pretty
-from .subtype import _Engine, show
+from .subtype import _Engine
 from .syntax import (
     Arrow, BoolLit, Computation, Context, Data, Down, EVar, Forall, IntLit,
     Lambda, Let, LetAnn, NegType, PairVal, Return, Thunk, TypeAbs, TypeEnv,
@@ -48,7 +47,7 @@ class _Typer(_Engine):
         try:
             return self.subtype("+", theta, p, q)
         except TypeCheckError as e:
-            self.fail(e.kind, f"{show(what)}: {e.message}", span)
+            self.fail(e.kind, (*what, ": ", *e.parts), span)
 
     # -- values ----------------------------------------------------------
 
@@ -120,9 +119,9 @@ class _Typer(_Engine):
             if free_evars(q):
                 loose = ", ".join(sorted(free_evars(q)))
                 self.fail("ambiguous-let",
-                          f"the type of {t.name} is ambiguous: {pretty(q)} still "
-                          f"mentions {loose}; annotate the binding "
-                          f"(let {t.name} : <type> = ...)", t.span)
+                          (f"the type of {t.name} is ambiguous: ", q, " still "
+                           f"mentions {loose}; annotate the binding "
+                           f"(let {t.name} : <type> = ...)"), t.span)
             n, out = self.comp(restrict_context(t2, theta), gamma.extend(t.name, q),
                                t.cont, size)
             self._record("let", ("let ", t.name, " ==> ", q), theta, out)
@@ -138,13 +137,13 @@ class _Typer(_Engine):
         spine result body and the context to restrict."""
         head_ty, t1 = self.value(theta, gamma, t.head, size)
         if not isinstance(head_ty, Down):
-            self.fail("shape", f"the head of a let must be a thunk, but it has "
-                               f"type {pretty(head_ty)}", t.span)
+            self.fail("shape", ("the head of a let must be a thunk, but it has "
+                                "type ", head_ty), t.span)
         m, t2 = self.spine(t1, gamma, t.args, head_ty.body, None)
         if not isinstance(m, Up):
-            self.fail("shape", f"partial application is forbidden: the arguments "
-                               f"leave the head at type {pretty(m)}, not a "
-                               f"returner type", t.span)
+            self.fail("shape", ("partial application is forbidden: the arguments "
+                                "leave the head at type ", m, ", not a returner type"),
+                      t.span)
         q = m.body
         if p is None:
             return q, t2
@@ -197,9 +196,8 @@ class _Typer(_Engine):
             m, out = n, theta
             self._record("spine-done", (n, " >> ", m), theta, out)
         else:
-            self.fail("arity", f"too many arguments: {len(args)} left over for "
-                               f"a head of type {pretty(n)}",
-                      getattr(args[0], "span", None))
+            self.fail("arity", (f"too many arguments: {len(args)} left over for "
+                                "a head of type ", n), getattr(args[0], "span", None))
 
         self._check_spine_post(theta, out, n, m)
         return m, out
@@ -209,8 +207,8 @@ class _Typer(_Engine):
     def _annotation(self, theta, anno, what, span):
         p = wf_annotation(theta, anno, self.renamed)
         if p is None:
-            self.fail("unbound-variable",
-                      f"{what} {pretty(anno)} is not well-formed here", span)
+            self.fail("unbound-variable", (f"{what} ", anno, " is not well-formed here"),
+                      span)
         return p
 
     def _check_synth_post(self, theta, out, result):

@@ -11,6 +11,7 @@ import pytest
 
 from polarf import Let, parse_program
 from polarf.cli import main
+from polarf.parser import MAX_TYPE_HEIGHT
 
 DEEP = 3000
 
@@ -30,6 +31,35 @@ def thunked_lambdas(depth):
 
 def thunk_pairs(depth):
     return "run return " + "({return " * depth + "1" + "}, 1)" * depth
+
+
+def thunk_argument(depth):
+    return ("val f : dn (Int -> up Int)\nrun let x = f(" + "{return " * depth + "1"
+            + "}" * depth + "); return x")
+
+
+# Value types of height exactly `h` (the nodes on the longest path down to a
+# leaf), for h >= 3: the five ways a type nests.
+
+def arrow_chain(h):
+    return "dn (" + "Int -> " * (h - 3) + "up Int)"
+
+
+def forall_chain(h):
+    return "dn (" + "".join(f"forall a{i}. " for i in range(h - 3)) + "up a0)"
+
+
+def shift_pairs(h):
+    pairs, leaf = ((h - 1) // 2, "Int") if h % 2 else ((h - 2) // 2, "List Int")
+    return "dn (up (" * pairs + leaf + "))" * pairs
+
+
+def nested_lists(h):
+    return "List (" * (h - 1) + "Int" + ")" * (h - 1)
+
+
+def product_chain(h):
+    return " * ".join(["Int"] * h)
 
 
 def let_chain(n):
@@ -79,16 +109,50 @@ def test_deep_parens_through_check(source_file, capsys):
 
 @pytest.mark.parametrize("flags", [(), ("--trace",)], ids=["json", "trace"])
 @pytest.mark.parametrize("shape,depth", [(thunks, 400), (thunked_lambdas, 280),
-                                         (thunk_pairs, 280)],
-                         ids=["thunks", "lambdas", "pairs"])
+                                         (thunk_pairs, 280), (thunk_argument, 400)],
+                         ids=["thunks", "lambdas", "pairs", "argument"])
 def test_type_too_deep_to_print_through_check(source_file, capsys, shape, depth, flags):
-    # the program parses and types; only printing its type runs out of stack
+    # the program parses and types (or is rejected); only printing its type,
+    # trace or error message runs out of stack
     source = shape(depth)
     parse_program(source)
     code, record = check_json(source_file(source), capsys, *flags)
     assert code == 2
     assert record["error"]["message"] == "nested too deeply"
     assert record["trace"] == ([] if flags else None)
+
+
+LADDER = [MAX_TYPE_HEIGHT - 1, MAX_TYPE_HEIGHT, MAX_TYPE_HEIGHT + 1, 350, 1500]
+SHAPES = [arrow_chain, forall_chain, shift_pairs, nested_lists, product_chain]
+
+
+@pytest.mark.parametrize("height", LADDER)
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: shape.__name__)
+def test_type_height_ladder(source_file, capsys, shape, height):
+    """Every type up to the bound is checked, every taller one is the parse
+    error "nested too deeply", and nothing ends in a traceback.  `height`
+    is that of the tallest type in each input."""
+    fits = height <= MAX_TYPE_HEIGHT
+    t = shape(height)
+    code = main(["sub", source_file(f"{t} <: {t}\n", "subs.txt")])
+    out = capsys.readouterr().out
+    if fits:
+        assert code == 0 and out.startswith("1: ok  ") and out.count("\n") == 1
+    else:
+        assert (code, out) == (2, "1: error: nested too deeply\n")
+
+    low = shape(height - 2)  # g's type puts two nodes above it
+    accepted = (f"val f : {low}\nval g : dn ({low} -> up Int)\n"
+                "run let x = g(f); return x")
+    rejected = f"val f : {t}\nval g : dn (Bool -> up Int)\nrun let x = g(f); return x"
+    for source, verdict in ((accepted, "ok"), (rejected, "subtype-failure")):
+        code, record = check_json(source_file(source), capsys)
+        if not fits:
+            assert record["error"]["message"] == "nested too deeply"
+        elif verdict == "ok":
+            assert record["type"] == "up Int"
+        else:
+            assert record["error"]["kind"] == verdict
 
 
 def test_invalid_utf8_through_check(source_file, capsys):

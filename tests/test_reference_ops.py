@@ -8,8 +8,9 @@ well-formed when each solution is ground and well-formed in the context
 made of the entries before it.
 
 Types and terms carry facts computed when they are built (free variables,
-sizes, the largest dangling bound index, well-formedness).  The references
-for those are the walks over every node that the facts replace.
+sizes and heights, the largest dangling bound index, well-formedness).
+The references for those are the walks over every node that the facts
+replace.
 
 Contexts are stacks, so weak extension is a prefix check and restriction a
 slice.  The references are the name-aligned walks they replace, which also
@@ -150,6 +151,21 @@ def ref_free_uvars(t):
 
 def ref_termsize(t):
     return sum(1 for v, _ in ref_nodes(t) if type(v) is not Forall)
+
+
+def ref_height(t):
+    """Nodes on the longest path from `t` down to a leaf, quantifiers included."""
+    if isinstance(t, (Down, Up)):
+        kids = [t.body]
+    elif isinstance(t, (Data, NegData)):
+        kids = t.args
+    elif isinstance(t, Arrow):
+        kids = [t.domain, t.codomain]
+    elif isinstance(t, Forall):
+        kids = [t.scope]
+    else:
+        kids = []
+    return 1 + max(map(ref_height, kids), default=0)
 
 
 def ref_dangling(t):
@@ -343,6 +359,7 @@ def assert_facts(t):
     assert free_uvars(t) == ref_free_uvars(t)
     assert is_ground(t) == (not ref_free_evars(t))
     assert termsize(t) == ref_termsize(t)
+    assert t.height == ref_height(t)
     assert t.dangling == ref_dangling(t)
     for uvars in (frozenset(), frozenset(UNIVERSALS), ref_free_uvars(t)):
         for evars in (frozenset(), ref_free_evars(t)):
@@ -394,8 +411,9 @@ def test_copies_and_pickles_rebuild_the_facts():
         for t in [*leaves, *built_types(rng)]:
             for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
                 assert twin == t and type(twin) is type(t)
-                assert (twin.evars, twin.uvars, twin.size, twin.dangling, twin.typed) \
-                    == (t.evars, t.uvars, t.size, t.dangling, t.typed)
+                assert (twin.evars, twin.uvars, twin.size, twin.height, twin.dangling,
+                        twin.typed) \
+                    == (t.evars, t.uvars, t.size, t.height, t.dangling, t.typed)
                 assert_facts(twin)
                 if isinstance(t, Forall):
                     assert twin.hint == t.hint and twin.body == t.body

@@ -179,8 +179,9 @@ class TestTypeAbsShadowing:
 
 
 class TestLazyTrace:
-    """Trace steps keep their judgments and contexts as objects: a check
-    prints nothing until a step's strings are read."""
+    """Trace steps keep their judgments and contexts as objects, and a
+    rejection keeps its message as parts: a check prints nothing until a
+    step's strings or the message are read."""
 
     @pytest.fixture
     def pretty_calls(self, monkeypatch):
@@ -191,7 +192,6 @@ class TestLazyTrace:
             return pretty(x)
 
         monkeypatch.setattr(subtype, "pretty", counted)
-        monkeypatch.setattr(typecheck, "pretty", counted)
         return calls
 
     def test_accepted_checks_print_nothing_until_read(self, pretty_calls):
@@ -211,6 +211,20 @@ class TestLazyTrace:
             assert step.context_after == pretty(step.after)
         printed = sum(2 + sum(not isinstance(part, str) for part in step.judgment)
                       for step in steps)
+        assert len(pretty_calls) == printed
+
+    def test_rejections_print_nothing_until_read(self, pretty_calls):
+        errors = []
+        for ex in EXAMPLES:
+            if ex.expected == "reject":
+                with pytest.raises(TypeCheckError) as e:
+                    check_program(parse_program(ex.source, ex.name))
+                errors.append(e.value)
+        assert pretty_calls == []
+        messages = [e.message for e in errors]
+        printed = sum(not isinstance(part, str) for e in errors for part in e.parts)
+        assert len(pretty_calls) == printed > 0
+        assert [e.message for e in errors] == messages  # printed once, then kept
         assert len(pretty_calls) == printed
 
 
