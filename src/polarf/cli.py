@@ -49,9 +49,12 @@ def check_source_json(text: str, filename: str = "<input>",
 def _check_source(text: str, filename: str, with_trace: bool):
     try:
         program = parse_program(text, filename)
-        result = check_program(program)
+        result = check_program(program, trace=with_trace)
     except TypeCheckError as e:
         result = e
+    except RecursionError:
+        # typing a term nested deeply around a deep type runs out of stack
+        result = TypeCheckError("parse", "nested too deeply")
     try:
         if isinstance(result, TypeCheckError):
             return _error_record(result, with_trace)

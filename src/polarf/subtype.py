@@ -7,16 +7,39 @@ solved exactly once, by matching a ground type against an existential on
 the non-ground side.  Shifts (and datatype constructors) are invariant:
 both directions are checked underneath them.
 
-Every derived judgment checks the metatheoretic postconditions once
-(well-formed output context, extension of the input, which fixes its
-shape, groundness and size of the completed side) and every call checks
-the strict decrease of the decidability metric; violations raise
-InvariantViolation since they are bugs here, never user errors.
+Every rule, here and in the typer, checks its postconditions once it has
+derived its judgment, and every call checks the strict decrease of the
+decidability metric; violations raise InvariantViolation since they are
+bugs here, never user errors.  The postconditions are: the output context
+is well-formed and extends the input, which fixes its shape; and the
+completed non-ground side is ground and no larger than the ground side.
+
+The context postcondition is checked on what the rule changed
+(`wellformed.wf_extension`), by the context-extension lemma (after
+Dunfield and Krishnaswami, ICFP 2013; proved in `wf_extension`'s
+docstring): if Θ is well-formed and Θ′ differs from it only at entries
+unsolved in Θ and solved in Θ′ (and, for the spine rules, at fresh
+existentials pushed past Θ), then Θ′ is well-formed iff each new solution
+is ground and well-formed in its prefix.  A rule whose output is its input
+(`out is theta`) changed nothing, so there is nothing to check.  The lemma
+needs a well-formed Θ, and every context a rule receives is one: it was
+checked at an entry gate (`subtype_pos`, `subtype_neg`, the `synth_*`
+functions and `check_program`), or it was produced by a rule whose
+postcondition ran, or it is a push, pop or restriction of such a context
+(a pushed entry is a fresh universal or unsolved existential, and dropping
+entries from the end leaves every remaining solution in scope).  So the
+delta check decides exactly what `wf_context(out) and extends(theta, out)`
+decides, which the tests keep as its reference: every rule still runs a
+postcondition and checks the same property, at the cost of what it
+changed.  For the same reason a subtyping premise of a typing rule
+(`_Engine.premise`) does not re-check its context.
 
 A checking run (`_Engine`; the typer extends it) has one trace and one
 counter of fresh existentials.  A trace step keeps its judgment and its
 contexts as objects and prints them only when read, and a failure keeps
-the types in its message the same way (`TypeCheckError.parts`).
+the types in its message the same way (`TypeCheckError.parts`).  A run
+asked for no trace (`trace=False`) builds no steps at all, and its
+failures carry an empty trace.
 
 Within one subtyping check (one `subtype_pos`/`subtype_neg` call, or one
 subtyping premise of a typing rule), a ground/ground judgment under an
@@ -43,10 +66,10 @@ from .errors import InvariantViolation, TypeCheckError, require
 from .parser import pretty
 from .syntax import (
     Arrow, Context, Data, Down, EVar, Forall, NegData, NegType, PosType,
-    UVar, Universal, Unsolved, Up, apply_context, erase_context,
-    extends, fresh_name, is_ground, num_prenex, termsize,
+    UVar, Universal, Unsolved, Up, apply_context, fresh_name, is_ground,
+    num_prenex, termsize,
 )
-from .wellformed import wf_context, wf_type
+from .wellformed import wf_context, wf_extension, wf_type
 
 
 def show(parts) -> str:
@@ -77,12 +100,12 @@ class SubtypeResult:
 
 
 def _check_post(theta: Context, out: Context, ground_size: int, nonground, goal):
-    """Postconditions shared by every rule: extension (same entries, in
-    order, with solutions only added), well-formedness, bounding."""
-    if not wf_context(out):
-        raise InvariantViolation(f"ill-formed output context in {show(goal)}")
-    if not extends(theta, out):
-        raise InvariantViolation(f"output context does not extend input in {show(goal)}")
+    """Postconditions shared by every rule: well-formedness and extension
+    (same entries, in order, with solutions only added), checked on the
+    delta; bounding."""
+    if not wf_extension(theta, out):
+        raise InvariantViolation(
+            f"output context is ill-formed or does not extend input in {show(goal)}")
     completed = apply_context(out, nonground)
     if not is_ground(completed):
         raise InvariantViolation(f"completed non-ground side not ground in {show(goal)}")
@@ -106,10 +129,11 @@ def _check_metric(parent, child, goal):
 
 
 class _Engine:
-    """One checking run: its trace, its fresh-existential counter and its memo."""
+    """One checking run: its trace (None if not asked for), its
+    fresh-existential counter and its memo."""
 
-    def __init__(self):
-        self.trace = []
+    def __init__(self, trace=True):
+        self.trace = [] if trace else None
         self._counts = {}  # binder hint -> next fresh-existential number
 
     def fresh_evar(self, base: str, theta: Context) -> str:
@@ -122,10 +146,11 @@ class _Engine:
         return f"?{base}{n}"
 
     def _record(self, rule, judgment, before, after):
-        self.trace.append(TraceStep(rule, judgment, before, after))
+        if self.trace is not None:
+            self.trace.append(TraceStep(rule, judgment, before, after))
 
     def fail(self, kind, message, span=None):
-        raise TypeCheckError(kind, message, span, tuple(self.trace))
+        raise TypeCheckError(kind, message, span, tuple(self.trace or ()))
 
     def _mismatch(self, goal, *detail):
         self.fail("subtype-failure", (*detail, " (while checking ", *goal, ")"))
@@ -133,6 +158,11 @@ class _Engine:
     def subtype(self, polarity, theta: Context, a, b) -> Context:
         """Check a <=polarity b under theta, after its preconditions, with a new memo."""
         require(wf_context(theta), "input context is ill-formed")
+        return self.premise(polarity, theta, a, b)
+
+    def premise(self, polarity, theta: Context, a, b) -> Context:
+        """`subtype` for a context already known to be well-formed (see the
+        module docstring): the preconditions on the types, and a new memo."""
         require(wf_type(theta, a) and wf_type(theta, b), "types must be well-formed")
         self.memo = set()  # keys of the remembered judgments derived so far
         if polarity == "+":
@@ -150,12 +180,12 @@ class _Engine:
         docstring), or None.  `shared`: the judgment is under an invariant rule."""
         if not shared or ground_size == 1 or not is_ground(nonground):
             return None
-        return (polarity, erase_context(theta), a, b)
+        return (polarity, theta.erased, a, b)
 
     def _remember(self, key, theta, out, goal):
         if key is None:
             return
-        if out != theta:
+        if out is not theta and out != theta:
             raise InvariantViolation(
                 f"ground judgment changed its context in {show(goal)}")
         self.memo.add(key)

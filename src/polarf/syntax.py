@@ -524,6 +524,16 @@ class Context:
     with solutions added and, after a spine, new existentials at the end,
     and the extension checks compare a prefix instead of matching entries
     up by name.
+
+    A context carries its facts the way a type node does: `positions`,
+    `uvar_names`, `evar_names`, `solutions` and `erased`.  A context built
+    from a tuple of entries computes each when it is first read; `push`,
+    `pop` and `solve` hand the new context its facts, made from those of
+    the context they change by one set or dict operation on the entry that
+    changed (a copy in C, not a walk over the entries).  A pushed context
+    also keeps the context it was pushed on, which `pop` returns as it is
+    (`_below`).  Facts are shared between contexts, so they are never
+    mutated.
     """
 
     entries: tuple = ()
@@ -533,8 +543,6 @@ class Context:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    # computed once per context, when first read; shared, so never mutated
 
     @_cached
     def positions(self) -> dict:
@@ -554,6 +562,21 @@ class Context:
         """Each solved existential's solution, by name."""
         return {e.name: e.solution for e in self.entries if type(e) is Solved}
 
+    @_cached
+    def erased(self) -> tuple:
+        """The declarative context: universal names only, in order."""
+        return tuple(e.name for e in self.entries if type(e) is Universal)
+
+    def _derive(self, entries, positions, solutions, below=None) -> "Context":
+        """The context of `entries` with the given facts, and with this
+        context's universal and existential names, which a caller that adds
+        or removes an entry then updates."""
+        new = object.__new__(Context)
+        new.__dict__.update(entries=entries, positions=positions, solutions=solutions,
+                            uvar_names=self.uvar_names, evar_names=self.evar_names,
+                            erased=self.erased, _below=below)
+        return new
+
     def lookup_evar(self, name: str):
         i = self.positions.get(name)
         if i is None or isinstance(self.entries[i], Universal):
@@ -565,9 +588,22 @@ class Context:
         return Context(self.entries[:self.positions[name]])
 
     def push(self, entry: ContextEntry) -> "Context":
-        if entry.name in self.positions:
-            raise InvariantViolation(f"duplicate context entry {entry.name}")
-        return Context(self.entries + (entry,))
+        positions = self.positions
+        name = entry.name
+        if name in positions:
+            raise InvariantViolation(f"duplicate context entry {name}")
+        solutions = self.solutions
+        if type(entry) is Solved:
+            solutions = {**solutions, name: entry.solution}
+        new = self._derive(self.entries + (entry,), {**positions, name: len(positions)},
+                           solutions, self)
+        one = _names(name)
+        if type(entry) is Universal:
+            new.__dict__.update(uvar_names=self.uvar_names | one,
+                                erased=self.erased + (name,))
+        else:
+            new.__dict__["evar_names"] = self.evar_names | one
+        return new
 
     def pop(self, name: str, universal: bool) -> "Context":
         """The context without its last entry, which must be the universal
@@ -576,16 +612,35 @@ class Context:
         last = self.entries[-1] if self.entries else None
         if last is None or last.name != name or isinstance(last, Universal) != universal:
             raise InvariantViolation(f"{kind} {name} is not the last context entry")
-        return Context(self.entries[:-1])
+        below = self.__dict__.get("_below")
+        if below is not None:
+            return below
+        positions = dict(self.positions)
+        del positions[name]
+        solutions = self.solutions
+        if type(last) is Solved:
+            solutions = dict(solutions)
+            del solutions[name]
+        new = self._derive(self.entries[:-1], positions, solutions)
+        one = _names(name)
+        if universal:
+            new.__dict__.update(uvar_names=self.uvar_names - one, erased=self.erased[:-1])
+        else:
+            new.__dict__["evar_names"] = self.evar_names - one
+        return new
 
     def solve(self, name: str, solution: PosType) -> "Context":
         """Replace the unsolved entry for `name` with a solution."""
         i = self.positions.get(name)
         if i is None:
             raise InvariantViolation(f"no entry named {name}")
-        if not isinstance(self.entries[i], Unsolved):
+        entries = self.entries
+        if not isinstance(entries[i], Unsolved):
             raise InvariantViolation(f"{name} is not unsolved")
-        return Context(self.entries[:i] + (Solved(name, solution),) + self.entries[i + 1:])
+        # solving the last entry leaves the context below it as it was
+        below = self.__dict__.get("_below") if i == len(entries) - 1 else None
+        return self._derive(entries[:i] + (Solved(name, solution),) + entries[i + 1:],
+                            self.positions, {**self.solutions, name: solution}, below)
 
 
 @dataclass(frozen=True)
@@ -691,14 +746,22 @@ def restrict_context(theta_prime: Context, theta: Context) -> Context:
     its first len(theta) entries, which keep their (possibly newer)
     solutions.  Raises InvariantViolation unless theta_prime weakly extends
     theta."""
+    if theta_prime is theta:
+        return theta
     if not weak_extends(theta, theta_prime):
         raise InvariantViolation("restriction input does not weakly extend its target")
-    return Context(theta_prime.entries[:len(theta.entries)])
+    entries = theta_prime.entries[:len(theta.entries)]
+    if entries == theta.entries:
+        return theta
+    # the same names as theta's, in the same order and of the same kinds
+    positions = theta.positions
+    solutions = {x: p for x, p in theta_prime.solutions.items() if x in positions}
+    return theta._derive(entries, positions, solutions)
 
 
 def erase_context(theta: Context) -> tuple:
     """The declarative context: universal names only, in order."""
-    return tuple(e.name for e in theta.entries if isinstance(e, Universal))
+    return theta.erased
 
 
 def _entry_compatible(e, e2) -> bool:

@@ -11,6 +11,16 @@ in the result; otherwise the user is told to annotate.
 Value and computation synthesis always produce ground types; only spine
 results may mention existentials, and the let rules restrict them away so
 nothing leaks into the output context.
+
+A chain of lets is typed in a loop, so a long program takes no more stack
+than a short one: `comp` walks down the continuations, types each let's
+application and pushes a frame for it, types the computation the chain
+ends in, then pops the frames to record the `let` and `let-annotated`
+steps and run their postconditions, innermost first.  That is the
+post-order the recursive rule had, so the trace is the same step for
+step.  The term variables in scope live in one table per run (`_Scope`),
+changed in place as binders are entered and left, so a lookup costs the
+same after a thousand lets as after one.
 """
 
 from __future__ import annotations
@@ -22,10 +32,10 @@ from .subtype import _Engine
 from .syntax import (
     Arrow, BoolLit, Computation, Context, Data, Down, EVar, Forall, IntLit,
     Lambda, Let, LetAnn, NegType, PairVal, Return, Thunk, TypeAbs, TypeEnv,
-    Universal, Unsolved, Up, Value, Var, apply_context, bind_tyvar, extends,
-    free_evars, is_ground, num_prenex, restrict_context, weak_extends,
+    Universal, Unsolved, Up, Value, Var, apply_context, bind_tyvar,
+    free_evars, is_ground, num_prenex, restrict_context,
 )
-from .wellformed import wf_annotation, wf_context, wf_env, wf_type
+from .wellformed import wf_annotation, wf_context, wf_env, wf_extension, wf_type
 
 
 @dataclass(frozen=True)
@@ -37,34 +47,60 @@ class SynthResult:
     trace: tuple
 
 
+class _Scope:
+    """The term variables in scope during one run, changed in place: each
+    name maps to its innermost type and the binding that one shadows, so
+    binding, unbinding and lookup cost O(1).  A binder unbinds its name
+    when its scope has been typed; a failure ends the run, so it need not."""
+
+    def __init__(self, gamma: TypeEnv):
+        self.types = {}
+        for x, p in gamma:
+            self.bind(x, p)
+
+    def lookup(self, name: str):
+        binding = self.types.get(name)
+        return binding[0] if binding else None
+
+    def bind(self, name: str, p):
+        self.types[name] = (p, self.types.get(name))
+
+    def unbind(self, name: str):
+        self.types[name] = self.types[name][1]
+
+
 class _Typer(_Engine):
     """The checking run extended to terms; its subtyping checks share it."""
 
     renamed = {}  # source type-variable names in scope, never mutated; see `bind_tyvar`
 
+    def __init__(self, gamma: TypeEnv, trace=True):
+        super().__init__(trace)
+        self.env = _Scope(gamma)
+
     def _subtype_pos(self, theta, p, q, what, span):
         """p <=+ q; a failure's message starts with the judgment `what`."""
         try:
-            return self.subtype("+", theta, p, q)
+            return self.premise("+", theta, p, q)
         except TypeCheckError as e:
             self.fail(e.kind, (*what, ": ", *e.parts), span)
 
     # -- values ----------------------------------------------------------
 
-    def value(self, theta: Context, gamma: TypeEnv, v: Value, parent_size):
+    def value(self, theta: Context, v: Value, parent_size):
         size = v.size
         if parent_size is not None and size >= parent_size:
             raise InvariantViolation("term recursion did not shrink")
 
         if isinstance(v, Var):
-            p = gamma.lookup(v.name)
+            p = self.env.lookup(v.name)
             if p is None:
                 self.fail("unbound-variable", f"variable {v.name} is not in scope",
                           v.span)
             out = theta
             self._record("var", (v.name, " ==> ", p), theta, out)
         elif isinstance(v, Thunk):
-            n, out = self.comp(theta, gamma, v.body, size)
+            n, out = self.comp(theta, v.body, size)
             p = Down(n)
             self._record("thunk", ("{...} ==> ", p), theta, out)
         elif isinstance(v, IntLit):
@@ -74,8 +110,8 @@ class _Typer(_Engine):
             p, out = Data("Bool", ()), theta
             self._record("bool-literal", (v, " ==> Bool"), theta, out)
         elif isinstance(v, PairVal):
-            p1, t1 = self.value(theta, gamma, v.first, size)
-            p2, out = self.value(t1, gamma, v.second, size)
+            p1, t1 = self.value(theta, v.first, size)
+            p2, out = self.value(t1, v.second, size)
             p = Data("Pair", (p1, p2))
             self._record("pair", ("(...) ==> ", p), theta, out)
         else:
@@ -86,60 +122,72 @@ class _Typer(_Engine):
 
     # -- computations ------------------------------------------------------
 
-    def comp(self, theta: Context, gamma: TypeEnv, t: Computation, parent_size):
+    def comp(self, theta: Context, t: Computation, parent_size):
+        frames = []  # (let, its input context, the type it binds), outermost first
+        while type(t) is Let or type(t) is LetAnn:
+            size = t.size
+            if parent_size is not None and size >= parent_size:
+                raise InvariantViolation("term recursion did not shrink")
+            if type(t) is LetAnn:
+                q = self._annotation(theta, t.annotation, "let annotation", t.span)
+                _, out = self._let_application(theta, t, size, q)
+            else:
+                q, out = self._let_application(theta, t, size, None)
+                if free_evars(q):
+                    loose = ", ".join(sorted(free_evars(q)))
+                    self.fail("ambiguous-let",
+                              (f"the type of {t.name} is ambiguous: ", q, " still "
+                               f"mentions {loose}; annotate the binding "
+                               f"(let {t.name} : <type> = ...)"), t.span)
+            frames.append((t, theta, q))
+            self.env.bind(t.name, q)
+            theta, t, parent_size = restrict_context(out, theta), t.cont, size
+
         size = t.size
         if parent_size is not None and size >= parent_size:
             raise InvariantViolation("term recursion did not shrink")
 
         if isinstance(t, Lambda):
             anno = self._annotation(theta, t.annotation, "lambda annotation", t.span)
-            body_n, out = self.comp(theta, gamma.extend(t.param, anno), t.body, size)
+            self.env.bind(t.param, anno)
+            body_n, out = self.comp(theta, t.body, size)
+            self.env.unbind(t.param)
             n = Arrow(anno, body_n)
             self._record("lambda", ("\\", t.param, " ==> ", n), theta, out)
         elif isinstance(t, TypeAbs):
             outer = self.renamed
             binder, self.renamed = bind_tyvar(t.binder, theta.positions, outer)
-            inner_n, inner = self.comp(theta.push(Universal(binder)), gamma, t.body, size)
+            inner_n, inner = self.comp(theta.push(Universal(binder)), t.body, size)
             self.renamed = outer
             out = inner.pop(binder, universal=True)
             n = Forall(binder, inner_n)
             self._record("type-abs", ("/\\", binder, " ==> ", n), theta, out)
         elif isinstance(t, Return):
-            p, out = self.value(theta, gamma, t.value, size)
+            p, out = self.value(theta, t.value, size)
             n = Up(p)
             self._record("return", ("return ... ==> ", n), theta, out)
-        elif isinstance(t, LetAnn):
-            anno = self._annotation(theta, t.annotation, "let annotation", t.span)
-            q, t4 = self._let_application(theta, gamma, t, size, anno)
-            n, out = self.comp(restrict_context(t4, theta), gamma.extend(t.name, anno),
-                               t.cont, size)
-            self._record("let-annotated", ("let ", t.name, " : ", anno), theta, out)
-        elif isinstance(t, Let):
-            q, t2 = self._let_application(theta, gamma, t, size, None)
-            if free_evars(q):
-                loose = ", ".join(sorted(free_evars(q)))
-                self.fail("ambiguous-let",
-                          (f"the type of {t.name} is ambiguous: ", q, " still "
-                           f"mentions {loose}; annotate the binding "
-                           f"(let {t.name} : <type> = ...)"), t.span)
-            n, out = self.comp(restrict_context(t2, theta), gamma.extend(t.name, q),
-                               t.cont, size)
-            self._record("let", ("let ", t.name, " ==> ", q), theta, out)
         else:
             raise TypeError(f"not a computation: {t!r}")
-
         self._check_synth_post(theta, out, n)
+
+        for let, before, q in reversed(frames):
+            self.env.unbind(let.name)
+            if type(let) is LetAnn:
+                self._record("let-annotated", ("let ", let.name, " : ", q), before, out)
+            else:
+                self._record("let", ("let ", let.name, " ==> ", q), before, out)
+            self._check_synth_post(before, out, n)
         return n, out
 
-    def _let_application(self, theta, gamma, t, size, p):
+    def _let_application(self, theta, t, size, p):
         """Premises shared by both let forms: head, spine, and (given the
         annotation `p`) the two subtyping checks against it.  Returns the
         spine result body and the context to restrict."""
-        head_ty, t1 = self.value(theta, gamma, t.head, size)
+        head_ty, t1 = self.value(theta, t.head, size)
         if not isinstance(head_ty, Down):
             self.fail("shape", ("the head of a let must be a thunk, but it has "
                                 "type ", head_ty), t.span)
-        m, t2 = self.spine(t1, gamma, t.args, head_ty.body, None)
+        m, t2 = self.spine(t1, t.args, head_ty.body, None)
         if not isinstance(m, Up):
             self.fail("shape", ("partial application is forbidden: the arguments "
                                 "leave the head at type ", m, ", not a returner type"),
@@ -158,8 +206,7 @@ class _Typer(_Engine):
 
     # -- spines -----------------------------------------------------------
 
-    def spine(self, theta: Context, gamma: TypeEnv, args: tuple, n: NegType,
-              parent_metric):
+    def spine(self, theta: Context, args: tuple, n: NegType, parent_metric):
         if apply_context(theta, n) != n:
             raise InvariantViolation("spine head mentions solved existentials")
         metric = (len(args), num_prenex(n))
@@ -172,25 +219,24 @@ class _Typer(_Engine):
             # quantifier can never become one.  `n` is closed, so the only
             # index that can dangle from its scope is its own variable's.
             if n.scope.dangling < 0:
-                m, out = self.spine(theta, gamma, args, n.scope, metric)
+                m, out = self.spine(theta, args, n.scope, metric)
                 self._record("spine-skip-unused", (n, " >> ", m), theta, out)
             else:
                 name = self.fresh_evar(n.hint, theta)
-                m, out = self.spine(theta.push(Unsolved(name)), gamma, args,
+                m, out = self.spine(theta.push(Unsolved(name)), args,
                                     n.open(EVar(name)), metric)
                 # the new existential stays in the output context; let rules
                 # remove it by restriction
                 self._record("spine-instantiate", (n, " >> ", m), theta, out)
         elif args and isinstance(n, Arrow):
             v, rest = args[0], args[1:]
-            p, t1 = self.value(theta, gamma, v, None)
+            p, t1 = self.value(theta, v, None)
             dom = apply_context(t1, n.domain)
             t2 = self._subtype_pos(
                 t1, p, dom, ("argument ", v, " of type ", p,
                              " does not fit the parameter type ", dom),
                 getattr(v, "span", None))
-            m, out = self.spine(t2, gamma, rest, apply_context(t2, n.codomain),
-                                metric)
+            m, out = self.spine(t2, rest, apply_context(t2, n.codomain), metric)
             self._record("spine-arg", (v, " : ", n, " >> ", m), theta, out)
         elif not args:
             m, out = n, theta
@@ -212,31 +258,29 @@ class _Typer(_Engine):
         return p
 
     def _check_synth_post(self, theta, out, result):
-        if not wf_context(out):
-            raise InvariantViolation("synthesis produced an ill-formed context")
-        if not extends(theta, out):
-            raise InvariantViolation("synthesis output does not extend its input")
+        if not wf_extension(theta, out):
+            raise InvariantViolation(
+                "synthesis output is ill-formed or does not extend its input")
         if not is_ground(result):
             raise InvariantViolation("synthesized a non-ground type")
         if not wf_type(out, result):
             raise InvariantViolation("synthesized an ill-formed type")
 
     def _check_spine_post(self, theta, out, n, m):
-        if not wf_context(out):
-            raise InvariantViolation("spine produced an ill-formed context")
-        if not weak_extends(theta, out):
-            raise InvariantViolation("spine output does not weakly extend input")
+        if not wf_extension(theta, out, weak=True):
+            raise InvariantViolation(
+                "spine output is ill-formed or does not weakly extend its input")
         if apply_context(out, m) != m:
             raise InvariantViolation("spine result mentions solved existentials")
         # m may mention n's existentials and the new ones, which (as out
-        # weakly extends theta) are out's entries past theta's
+        # weakly extends theta) are out's existentials that theta lacks
         extra = m.evars - n.evars
-        if not extra.issubset(e.name for e in out.entries[len(theta.entries):]):
+        if not (extra <= out.evar_names and theta.positions.keys().isdisjoint(extra)):
             raise InvariantViolation("spine result leaked unknown existentials")
 
 
 def _synth(judge, theta: Context, gamma: TypeEnv, *args,
-           env_error="environment is ill-formed", head=None) -> SynthResult:
+           env_error="environment is ill-formed", head=None, trace=True) -> SynthResult:
     """Run one typing judgment as a new checking run, after its preconditions."""
     require(wf_context(theta), "input context is ill-formed")
     require(wf_env(theta, gamma), env_error)
@@ -244,9 +288,9 @@ def _synth(judge, theta: Context, gamma: TypeEnv, *args,
         require(wf_type(theta, head), "head type is ill-formed")
         require(apply_context(theta, head) == head,
                 "head type must not mention solved existentials")
-    run = _Typer()
-    result, out = judge(run, theta, gamma, *args, None)
-    return SynthResult(result, out, tuple(run.trace))
+    run = _Typer(gamma, trace)
+    result, out = judge(run, theta, *args, None)
+    return SynthResult(result, out, tuple(run.trace or ()))
 
 
 def synth_value(theta: Context, gamma: TypeEnv, v: Value) -> SynthResult:
@@ -264,10 +308,14 @@ def synth_spine(theta: Context, gamma: TypeEnv, args: tuple, n: NegType) -> Synt
     return _synth(_Typer.spine, theta, gamma, tuple(args), n, head=n)
 
 
-def check_program(program) -> SynthResult:
-    """Typecheck a parsed program: synthesize its body under its assumptions."""
+def check_program(program, trace=True) -> SynthResult:
+    """Typecheck a parsed program: synthesize its body under its assumptions.
+
+    With `trace=False` no derivation step is built: the result's trace, and
+    that of a TypeCheckError, is empty."""
     res = _synth(_Typer.comp, Context(), TypeEnv(tuple(program.assumptions)),
-                 program.body, env_error="assumption types must be ground and closed")
+                 program.body, env_error="assumption types must be ground and closed",
+                 trace=trace)
     if res.context.entries:
         raise InvariantViolation("program checking leaked context entries")
     return res

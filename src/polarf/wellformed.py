@@ -7,9 +7,12 @@ must have a binder, solutions and environment bindings must be ground.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import is_not
+
 from .syntax import (
-    Context, NegType, PosType, Solved, TypeEnv, UVar, Universal, free_uvars,
-    subst_uvars,
+    Context, NegType, PosType, Solved, TypeEnv, UVar, Universal, Unsolved,
+    free_uvars, subst_uvars,
 )
 
 _NONE = frozenset()
@@ -56,6 +59,74 @@ def wf_context(theta: Context) -> bool:
         elif isinstance(e, Solved) and not _wf(e.solution, universals, _NONE):
             return False
     return True
+
+
+def wf_extension(theta: Context, out: Context, weak: bool = False) -> bool:
+    """For a well-formed `theta`: is `out` well-formed, and does it extend
+    `theta` (or, if `weak`, weakly extend it)?  Equal to `wf_context(out)
+    and extends(theta, out)` (or `weak_extends`), read from what changed.
+
+    Lemma (context extension, after Dunfield and Krishnaswami, "Complete
+    and Easy Bidirectional Typechecking for Higher-Rank Polymorphism",
+    ICFP 2013).  Let `theta` be well-formed, and let `out` have `theta`'s
+    length (or, if `weak`, at least that length).  Then `out` is
+    well-formed and (weakly) extends `theta` iff
+    1. each of `out`'s first len(theta) entries is equal to `theta`'s entry
+       at that position, or is `Solved(x, p)` where `theta` has
+       `Unsolved(x)`, and each such new solution `p` is ground and
+       mentions only universals that come before it; and
+    2. (if `weak`) each entry past `theta`'s is an existential, named
+       neither in `theta` nor earlier past it, and its solution, if it has
+       one, is ground and mentions only universals of `theta`.
+    Proof: an entry of `theta` can become an entry of an extension only by
+    staying equal, or by an unsolved existential gaining a solution; that
+    is 1 without its scope condition, and 2 without its scope condition is
+    what weak extension asks of the entries past `theta`.  `out` then has
+    `theta`'s names in `theta`'s order, so its names are distinct iff the
+    names past `theta` are new and distinct, and every entry has the same
+    universals before it as in `theta`.  So a solution that `out` shares
+    with `theta` is well-formed in its prefix because it was in `theta`'s,
+    and what is left of `wf_context(out)` is the scope condition on the
+    solutions that are new, which 1 and 2 check.
+
+    So if `out is theta` there is nothing to check.  Otherwise this reads
+    the entries that are not the very objects `theta` has (a scan in C),
+    and the entries past `theta`: its cost is what changed.
+    """
+    if out is theta:
+        return True
+    old, new = theta.entries, out.entries
+    n = len(old)
+    if len(new) != n and not (weak and len(new) > n):
+        return False
+    positions = theta.positions
+    for i in compress(range(n), map(is_not, old, new)):
+        e, e2 = old[i], new[i]
+        if e == e2:
+            continue
+        if not (type(e) is Unsolved and type(e2) is Solved and e2.name == e.name
+                and _scoped(e2.solution, theta, i)):
+            return False
+    names = set()
+    uvars = theta.uvar_names  # all of them come before the pushed entries
+    for e in new[n:]:
+        name = e.name
+        if (type(e) is Universal or name in positions or name in names
+                or type(e) is Solved and not _wf(e.solution, uvars, _NONE)):
+            return False
+        names.add(name)
+    return True
+
+
+def _scoped(p, theta: Context, i: int) -> bool:
+    """Is `p` ground, and does it mention only universals that come before
+    position `i` of the well-formed context `theta`?"""
+    if not _wf(p, theta.uvar_names, _NONE):
+        return False
+    if not p.uvars:
+        return True
+    positions = theta.positions
+    return all(positions[a] < i for a in p.uvars)
 
 
 def wf_env(theta: Context, gamma: TypeEnv) -> bool:

@@ -1,0 +1,183 @@
+"""The delta postcondition against the full checks it replaces.
+
+Every typing and subtyping rule checks its output context with
+`wellformed.wf_extension`, which reads only the entries that changed and
+the entries pushed past the input.  Its reference is the full check, kept
+public: `wf_context(out)` and `extends(theta, out)` (`weak_extends` for the
+spine rules).  On every rule of generated programs and queries and of the
+corpus, both must give the same answer, on the rule's own contexts, on the
+pair reversed, and on planted bad outputs.  And every rule must still run
+a postcondition: a bad context planted under each kind of rule is caught.
+"""
+
+import random
+
+import pytest
+
+from polarf import (
+    Context, Data, InvariantViolation, Solved, TypeCheckError, UVar, Universal,
+    Unsolved, extends, parse_program, subtype_neg, subtype_pos, synth_computation,
+    weak_extends, wf_context,
+)
+from polarf.corpus import EXAMPLES, STRIPPED
+from polarf.subtype import _Engine
+from polarf.typecheck import _Typer, check_program
+from polarf.wellformed import wf_extension
+
+from gen import gen_program, gen_related_pair, holeify
+
+
+def reference(theta, out, weak):
+    return wf_context(out) and (weak_extends if weak else extends)(theta, out)
+
+
+def traced(run):
+    try:
+        return run().trace
+    except TypeCheckError as e:
+        return e.trace
+
+
+def rule_contexts(seed, programs, queries):
+    """(before, after, weak) of every rule of the corpus and of generated
+    programs and subtyping queries, accepted or not."""
+    rng = random.Random(seed)
+    traces = [traced(lambda: check_program(parse_program(ex.source, ex.name)))
+              for ex in EXAMPLES + STRIPPED]
+    for _ in range(programs):
+        gamma, body = gen_program(rng)
+        traces.append(traced(lambda: synth_computation(Context(), gamma, body)))
+    for _ in range(queries):
+        polarity = rng.choice("+-")
+        a, b = gen_related_pair(rng, polarity)
+        if polarity == "+":
+            holed, theta, _ = holeify(rng, b)
+            traces.append(traced(lambda: subtype_pos(theta, a, holed)))
+        else:
+            holed, theta, _ = holeify(rng, a)
+            traces.append(traced(lambda: subtype_neg(theta, holed, b)))
+    for trace in traces:
+        for step in trace:
+            yield step.before, step.after, step.rule.startswith("spine-")
+
+
+# planted bad outputs: each returns a context, or None where it does not apply
+
+def later_universal(theta, out):
+    """Solve an existential unsolved in theta with a universal bound after it."""
+    n = len(theta)
+    for i, e in enumerate(theta.entries):
+        later = [u for u in out.entries[i + 1:n] if type(u) is Universal]
+        if type(e) is Unsolved and later:
+            entries = list(out.entries)
+            entries[i] = Solved(e.name, UVar(later[0].name))
+            return Context(tuple(entries))
+    return None
+
+
+def dropped_entry(theta, out):
+    if not theta.entries:
+        return None
+    i = len(theta) // 2
+    return Context(out.entries[:i] + out.entries[i + 1:])
+
+
+def changed_solution(theta, out):
+    for i, e in enumerate(theta.entries):
+        if type(e) is Solved:
+            entries = list(out.entries)
+            entries[i] = Solved(e.name, Data("Pair", (e.solution, e.solution)))
+            return Context(tuple(entries))
+    return None
+
+
+def pushed_universal(theta, out):
+    return Context(out.entries + (Universal("planted"),))
+
+
+PLANTS = (later_universal, dropped_entry, changed_solution, pushed_universal)
+
+
+def test_delta_check_matches_full_check():
+    rules = spines = grown = 0
+    planted = dict.fromkeys([p.__name__ for p in PLANTS], 0)
+    for before, after, weak in rule_contexts(41, programs=600, queries=1000):
+        assert wf_extension(before, after, weak) and reference(before, after, weak)
+        assert wf_extension(after, before, weak) == reference(after, before, weak)
+        rules += 1
+        spines += weak
+        grown += len(after) > len(before)
+        for plant in PLANTS:
+            bad = plant(before, after)
+            if bad is None:
+                continue
+            assert not reference(before, bad, weak), plant.__name__
+            assert not wf_extension(before, bad, weak), plant.__name__
+            planted[plant.__name__] += 1
+    assert rules > 10_000 and spines > 300 and grown > 100
+    assert min(planted.values()) > 1000, planted
+
+
+def test_delta_check_on_contexts_of_every_kind():
+    """Hand-made pairs whose verdicts differ in one way each."""
+    a, x = Universal("a"), Unsolved("?x")
+    base = Context((x, a))
+    cases = [
+        (Context((Solved("?x", Data("Int")), a)), False, True),
+        (Context((Solved("?x", UVar("a")), a)), False, False),   # a comes after ?x
+        (Context((a, x)), False, False),                        # reordered
+        (Context((x, a, Unsolved("?y"))), True, True),
+        (Context((x, a, Solved("?y", UVar("a")))), True, True),
+        (Context((x, a, Unsolved("?x"))), True, False),          # name taken
+        (Context((x, a, Unsolved("?y"), Unsolved("?y"))), True, False),
+        (Context((x, a, Universal("b"))), True, False),
+        (Context((x, a, Solved("?y", UVar("b")))), True, False),  # b not in scope
+        (Context((x,)), True, False),
+    ]
+    for out, weak, verdict in cases:
+        assert reference(base, out, weak) == verdict, out
+        assert wf_extension(base, out, weak) == verdict, out
+    assert wf_extension(base, base) and wf_extension(base, base, weak=True)
+
+
+# -- every rule runs a postcondition ------------------------------------------------
+
+def plant_universal(context):
+    return Context(context.entries + (Universal(f"planted{len(context)}"),))
+
+
+def corrupt_inner(monkeypatch, cls, method, parent_index):
+    """Make every inner call of `cls.method` (one whose parent argument, at
+    `parent_index`, is set) return a context with a universal pushed on."""
+    original = getattr(cls, method)
+
+    def corrupted(self, *args):
+        result = original(self, *args)
+        if args[parent_index] is None:
+            return result
+        if isinstance(result, Context):
+            return plant_universal(result)
+        return result[0], plant_universal(result[1])
+
+    monkeypatch.setattr(cls, method, corrupted)
+
+
+ENGINE_SOURCE = ("val x : dn (up Int)\nval f : dn (dn (up Int) -> up Int)\n"
+                 "run let y = f(x); return y")
+SPINE_SOURCE = "val id : dn (forall a. a -> up a)\nrun let y = id(1); return y"
+
+
+@pytest.mark.parametrize("cls,method,parent_index,source,message", [
+    (_Engine, "pos", 3, ENGINE_SOURCE, "output context is ill-formed or does not extend"),
+    (_Engine, "neg", 3, ENGINE_SOURCE, "output context is ill-formed or does not extend"),
+    (_Typer, "value", 2, "run return 1", "synthesis output is ill-formed"),
+    (_Typer, "comp", 2, "run return {return 1}", "synthesis output is ill-formed"),
+    (_Typer, "spine", 3, SPINE_SOURCE, "spine output is ill-formed"),
+], ids=["engine-pos", "engine-neg", "synth-value", "synth-comp", "spine"])
+def test_planted_bad_context_is_caught(monkeypatch, cls, method, parent_index, source,
+                                       message):
+    program = parse_program(source)
+    check_program(program)
+    corrupt_inner(monkeypatch, cls, method, parent_index)
+    with pytest.raises(InvariantViolation, match=message):
+        check_program(program)

@@ -1,5 +1,7 @@
 """Algorithmic typing: values, computations, spines, and the let forms."""
 
+import json
+
 import pytest
 
 from polarf import (
@@ -8,8 +10,8 @@ from polarf import (
     apply_context, check_program, decl_synth, parse_program, parse_type,
     pretty, subtype_pos, synth_spine, synth_value, weak_extends,
 )
-from polarf import oracle, subtype, syntax, typecheck, wellformed
-from polarf.corpus import ENVIRONMENT, EXAMPLES, by_name
+from polarf import cli, oracle, subtype, syntax, typecheck, wellformed
+from polarf.corpus import ENVIRONMENT, EXAMPLES, STRIPPED, by_name
 
 T = parse_type
 ID_TYPE = T("dn (forall a. a -> up a)", "+")
@@ -256,3 +258,46 @@ class TestTypeFacts:
         t = T(ladder, "+")
         subtype_pos(Context(), t, t)
         assert type_walks == []
+
+
+class TestTraceOnDemand:
+    """A check builds trace steps only when a trace is asked for: the plain
+    `check --json` record builds none, and the library keeps its default
+    of the full trace."""
+
+    @pytest.fixture
+    def steps_built(self, monkeypatch):
+        built = []
+        step = subtype.TraceStep
+
+        def counted(*args):
+            built.append(args[0])
+            return step(*args)
+
+        monkeypatch.setattr(subtype, "TraceStep", counted)
+        return built
+
+    def test_plain_records_build_no_steps(self, steps_built):
+        for ex in EXAMPLES + STRIPPED:
+            plain = cli.check_source_json(ex.source, ex.name)
+            assert steps_built == [], ex.name
+            traced = json.loads(cli.check_source_json(ex.source, ex.name, with_trace=True))
+            assert steps_built
+            assert plain == json.dumps({**traced, "trace": None})
+            steps_built.clear()
+
+    def test_library_default_keeps_the_full_trace(self, steps_built):
+        for ex in EXAMPLES + STRIPPED:
+            traced = json.loads(cli.check_source_json(ex.source, ex.name, with_trace=True))
+            program = parse_program(ex.source, ex.name)
+            assert cli._trace_json(trace_of(program)) == traced["trace"], ex.name
+            assert trace_of(program, trace=False) == ()
+        assert steps_built
+
+
+def trace_of(program, **options):
+    """The trace of checking `program`, accepted or not."""
+    try:
+        return check_program(program, **options).trace
+    except TypeCheckError as e:
+        return e.trace
