@@ -9,7 +9,10 @@ from typing import Optional, Tuple
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Half-open byte range [start, end) within a named input."""
+    """Half-open range [start, end) within a named input, counted in
+    characters of its text: for a file, the text decoded from UTF-8 with
+    CRLF and CR read as LF.  The one span that counts bytes is that of the
+    parse error "invalid UTF-8", at the first byte that does not decode."""
 
     file: str
     start: int

@@ -27,7 +27,17 @@ Lexical grammar (files use the `.ipf` extension):
     integer      decimal digits (`\\d+`, the digits `int()` reads)
     punctuation  ( ) { } , ; : . * = -> \\ /\\
 
-Any other character is a parse error, as are a lone `-` or `/`.
+Any other character is a parse error, as are a lone `-` or `/`; so is an
+integer literal longer than `int()` reads (`sys.get_int_max_str_digits()`).
+
+`_lex` reads the whole input with one `findall` of one pattern, whose
+matches are (gap, token) pairs, the gap being whitespace and comments.  It
+returns three lists: the token kinds, the token texts and the offset just
+past each token, a running sum of the gap and token lengths; a token starts
+at its end minus its length.  Offsets count characters of the text, not
+bytes.  Kinds are decided once per distinct text, so lexing builds no
+object and makes no Python call per token.  The parser reads the three lists
+by index: `pos` is the next token.
 
 The parse error "nested too deeply" has two meanings.  A type taller than
 `MAX_TYPE_HEIGHT` (nodes on its longest path to a leaf, quantifiers
@@ -43,6 +53,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Optional
 
 from .errors import SourceSpan, TypeCheckError
@@ -94,107 +106,106 @@ class Program:
     body: Computation
 
 
-class Token:
-    """A lexeme and its half-open character range.  `kind` is the text itself
-    for keywords and punctuation, else ident | conid | int | arrow | lambda
-    | tyabs | eof."""
-
-    __slots__ = ("kind", "text", "start", "end")
-
-    def __init__(self, kind: str, text: str, start: int, end: int):
-        self.kind = kind
-        self.text = text
-        self.start = start
-        self.end = end
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r}, {self.text!r}, {self.start}, {self.end})"
-
-
 # One match per token: the gap before it (whitespace and comments), then the
-# token.  The group that matched names its kind.  `word` starts outside
-# ASCII and is an identifier only if its first character is a letter: the
-# class also admits non-decimal digits such as `²`.  `bad` is a character
-# no token starts with.
+# token.  A word that starts outside ASCII is an identifier only if its first
+# character is a letter: `[^\W\d_]` also admits non-decimal digits such as
+# `²`.  The empty token at the end is `eof`; `.` is a character no token
+# starts with.
 _TOKEN = re.compile(r"""
-    (?:[ \t\r\n]+|--[^\n]*)*
-    (?: (?P<ident>[a-z][\w']*)
-      | (?P<conid>[A-Z][\w']*)
-      | (?P<punct>[(){},;:.*=])
-      | (?P<arrow>->)
-      | (?P<int>\d+)
-      | (?P<lambda>\\)
-      | (?P<tyabs>/\\)
-      | (?P<word>[^\W\d_][\w']*)
-      | (?P<eof>\Z)
-      | (?P<bad>.)
-    )""", re.VERBOSE | re.DOTALL)
+    ([ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*)
+    (->|/\\|[^\W\d_][\w']*|\d+|\Z|.)""", re.VERBOSE | re.DOTALL)
+
+# the kinds of the tokens whose kind is not decided by their first character
+_FIXED_KINDS = {**{k: k for k in KEYWORDS}, **{p: p for p in "(){},;:.*="},
+                "->": "arrow", "\\": "lambda", "/\\": "tyabs", "": "eof"}
 
 _STRAY = {"-": "unexpected '-' (did you mean '->' or a '--' comment?)",
           "/": "unexpected '/' (did you mean '/\\'?)"}
 
 
-def _lex(src: str, filename: str) -> list:
-    toks = []
-    append = toks.append
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        text = src[start:end]
-        if kind == "ident":
-            if text in KEYWORDS:
-                kind = text
-        elif kind == "punct":
-            kind = text
-        elif kind == "eof":
-            break
-        elif kind == "word" or kind == "bad":
-            c = text[0]
-            if c.isalpha():
-                kind = "conid" if c.isupper() else "ident"
-            else:
-                msg = _STRAY.get(c) or f"unexpected character {c!r}"
-                raise TypeCheckError("parse", msg,
-                                     SourceSpan(filename, start, start + 1))
-        append(Token(kind, text, start, end))
-    append(Token("eof", "", len(src), len(src)))
-    return toks
+def _kind(text: str) -> str:
+    """The kind of a token with this text: keywords and punctuation are
+    their own kind; `bad` is a character no token starts with."""
+    kind = _FIXED_KINDS.get(text)
+    if kind is None:
+        c = text[0]
+        if c.isdecimal():
+            kind = "int"
+        elif c.isalpha():
+            kind = "conid" if c.isupper() else "ident"
+        else:
+            kind = "bad"
+    return kind
+
+
+def _lex(src: str, filename: str):
+    """The tokens of `src` as three lists: `kinds`, `texts` and `ends` (the
+    offset just past each token; a token starts at its end minus its
+    length).  The last token is `eof`.  Raises the parse error of the first
+    character no token starts with."""
+    pairs = _TOKEN.findall(src)
+    # after a gap that ends the input, the pattern matches once more, empty
+    if len(pairs) > 1 and not pairs[-2][1]:
+        del pairs[-1]
+    texts = list(map(itemgetter(1), pairs))
+    kind_of = {text: _kind(text) for text in set(texts)}
+    kinds = list(map(kind_of.__getitem__, texts))
+    ends = list(accumulate(map(len, chain.from_iterable(pairs))))[1::2]
+    if "bad" in kind_of.values():
+        i = kinds.index("bad")
+        c = texts[i][0]
+        start = ends[i] - len(texts[i])
+        msg = _STRAY.get(c) or f"unexpected character {c!r}"
+        raise TypeCheckError("parse", msg, SourceSpan(filename, start, start + 1))
+    return kinds, texts, ends
 
 
 class _Parser:
     def __init__(self, src: str, filename: str):
         self.filename = filename
-        self.toks = _lex(src, filename)
+        self.kinds, self.texts, self.ends = _lex(src, filename)
         self.pos = 0
         self.sigs = {d.name: d for d in BUILTIN_DATATYPES}
         self.scope = []    # the type variables bound by enclosing foralls
         self.free = set()  # type variables read outside their scope
 
     # -- token plumbing ------------------------------------------------
-    # `eof` is consumed only by a rule's last `expect("eof")`, so `pos` stays
-    # in range for every lookahead; only an error can come after it.
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+    # Tokens are read by index.  `eof` is consumed only by a rule's last
+    # `expect("eof")`, so `pos` stays in range for every lookahead; only an
+    # error can come after it.
 
     def at(self, kind: str) -> bool:
-        return self.toks[self.pos].kind == kind
+        return self.kinds[self.pos] == kind
 
-    def err(self, msg: str, tok: Optional[Token] = None):
-        tok = tok or self.toks[min(self.pos, len(self.toks) - 1)]
-        raise TypeCheckError("parse", msg, SourceSpan(self.filename, tok.start, tok.end))
+    def start(self, i: int) -> int:
+        """The offset of token `i`'s first character."""
+        return self.ends[i] - len(self.texts[i])
 
-    def expect(self, kind: str) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != kind:
-            self.err(f"expected {kind!r}, found {t.text or 'end of input'!r}")
-        self.pos += 1
-        return t
+    def err(self, msg: str, i: Optional[int] = None):
+        """The parse error `msg`, spanning token `i` (by default the next)."""
+        if i is None:
+            i = min(self.pos, len(self.kinds) - 1)
+        raise TypeCheckError("parse", msg,
+                             SourceSpan(self.filename, self.start(i), self.ends[i]))
+
+    def expect(self, kind: str) -> str:
+        """Consume a token of `kind`; returns its text."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            self.err(f"expected {kind!r}, found {self.texts[i] or 'end of input'!r}")
+        self.pos = i + 1
+        return self.texts[i]
+
+    def integer(self) -> int:
+        """Consume an `int` token; returns its value.  A literal longer than
+        `int()` reads (`sys.get_int_max_str_digits()`, 4,300 digits by
+        default) is a parse error."""
+        i = self.pos
+        text = self.expect("int")
+        try:
+            return int(text)
+        except ValueError:
+            self.err("integer literal too long", i)
 
     def sig(self, name: str) -> DataDecl:
         decl = self.sigs.get(name)
@@ -203,7 +214,7 @@ class _Parser:
         return decl
 
     def span_from(self, start: int) -> SourceSpan:
-        end = self.toks[self.pos - 1].end if self.pos > 0 else start
+        end = self.ends[self.pos - 1] if self.pos > 0 else start
         return SourceSpan(self.filename, start, end)
 
     def parse(self, rule):
@@ -221,12 +232,12 @@ class _Parser:
 
     def type_any(self):
         """A quantifier, or a head, its `*` factors and then `-> N`."""
-        first = self.peek()
-        if first.kind == "forall":
-            self.next()
-            binders = [self.expect("ident").text]
+        first = self.pos
+        if self.kinds[first] == "forall":
+            self.pos += 1
+            binders = [self.expect("ident")]
             while self.at("ident"):
-                binders.append(self.next().text)
+                binders.append(self.expect("ident"))
             self.expect(".")
             self.scope += binders
             t = self.want(self.type_any(), NegType, "expected a computation type here")
@@ -241,14 +252,14 @@ class _Parser:
                     factors = []
                     while self.at("*"):
                         factors.append(self.want(t, PosType, _PRODUCT))
-                        self.next()
+                        self.pos += 1
                         t = self.want(self.atom(True), PosType, _PRODUCT)
                     for f in reversed(factors):
                         t = Data("Pair", (f, t))
             if self.at("arrow"):
                 self.want(t, PosType,
                           "arrow domain must be positive (wrap it in 'dn (...)')")
-                self.next()
+                self.pos += 1
                 t = Arrow(t, self.want(self.type_any(), NegType,
                                        "expected a computation type here"))
         if t.height > MAX_TYPE_HEIGHT:
@@ -258,31 +269,32 @@ class _Parser:
     def atom(self, apply: bool):
         """A variable, `dn N`, a parenthesized type, or a value constructor,
         which takes its arguments only when `apply`."""
-        tok = self.peek()
-        kind = tok.kind
+        i = self.pos
+        kind = self.kinds[i]
+        text = self.texts[i]
         if kind == "ident":
-            self.pos += 1
-            if tok.text in self.scope:  # counted in binders outward
-                return BVar(self.scope[::-1].index(tok.text))
-            self.free.add(tok.text)
-            return UVar(tok.text)
+            self.pos = i + 1
+            if text in self.scope:  # counted in binders outward
+                return BVar(self.scope[::-1].index(text))
+            self.free.add(text)
+            return UVar(text)
         if kind == "conid":
-            decl = self.sig(tok.text)
+            decl = self.sig(text)
             if decl.polarity == "-":
-                self.err(f"{tok.text} is a computation type constructor")
+                self.err(f"{text} is a computation type constructor")
             if decl.arity and not apply:
-                self.err(f"{tok.text} needs {decl.arity} argument(s); "
+                self.err(f"{text} needs {decl.arity} argument(s); "
                          "parenthesize the application")
-            self.pos += 1
-            return Data(tok.text, self.args(decl) if decl.arity else ())
+            self.pos = i + 1
+            return Data(text, self.args(decl) if decl.arity else ())
         if kind == "(":
-            self.pos += 1
+            self.pos = i + 1
             t = self.type_any()
             self.expect(")")
             return t
         if kind != "dn":
-            self.err(f"expected a type, found {tok.text!r}")
-        self.pos += 1
+            self.err(f"expected a type, found {text!r}")
+        self.pos = i + 1
         if not self.at("("):  # `dn` before a computation head
             return Down(self.neg_head()
                         or self.err("dn expects a computation type (usually 'dn (...)')"))
@@ -294,15 +306,16 @@ class _Parser:
     def neg_head(self):
         """`up P` or a computation constructor and its arguments; None at
         any other token."""
-        tok = self.peek()
-        if tok.kind == "up":
-            self.next()
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "up":
+            self.pos = i + 1
             return Up(self.want(self.atom(False), PosType, "up expects a value type"))
-        if tok.kind == "conid":
-            decl = self.sig(tok.text)
+        if kind == "conid":
+            decl = self.sig(self.texts[i])
             if decl.polarity == "-":
-                self.next()
-                return NegData(tok.text, self.args(decl))
+                self.pos = i + 1
+                return NegData(decl.name, self.args(decl))
         return None
 
     def args(self, decl: DataDecl) -> tuple:
@@ -326,11 +339,12 @@ class _Parser:
         afterwards, so a chain of them costs no stack."""
         lets = []
         while self.at("let"):
-            start = self.next().start
-            name = self.expect("ident").text
+            start = self.start(self.pos)
+            self.pos += 1
+            name = self.expect("ident")
             anno = None
             if self.at(":"):
-                self.next()
+                self.pos += 1
                 anno = self.want(self.type_any(), PosType,
                                  "let annotations must be value types")
             self.expect("=")
@@ -340,31 +354,33 @@ class _Parser:
             if not self.at(")"):
                 args.append(self.value())
                 while self.at(","):
-                    self.next()
+                    self.pos += 1
                     args.append(self.value())
             self.expect(")")
             self.expect(";")
             lets.append((start, name, anno, head, tuple(args)))
-        t = self.peek()
-        start = t.start
-        if t.kind == "lambda":
-            self.next()
-            param = self.expect("ident").text
+        i = self.pos
+        kind = self.kinds[i]
+        start = self.start(i)
+        if kind == "lambda":
+            self.pos = i + 1
+            param = self.expect("ident")
             self.expect(":")
             anno = self.want(self.type_any(), PosType,
                              "lambda annotations must be value types")
             self.expect(".")
             body = Lambda(param, anno, self.computation(), self.span_from(start))
-        elif t.kind == "tyabs":
-            self.next()
-            binder = self.expect("ident").text
+        elif kind == "tyabs":
+            self.pos = i + 1
+            binder = self.expect("ident")
             self.expect(".")
             body = TypeAbs(binder, self.computation(), self.span_from(start))
-        elif t.kind == "return":
-            self.next()
+        elif kind == "return":
+            self.pos = i + 1
             body = Return(self.value(), self.span_from(start))
         else:
-            self.err(f"expected a computation, found {t.text or 'end of input'!r}")
+            self.err(f"expected a computation, found "
+                     f"{self.texts[i] or 'end of input'!r}")
         # every let in the chain ends where its innermost continuation ends
         for start, name, anno, head, args in reversed(lets):
             span = self.span_from(start)
@@ -375,67 +391,68 @@ class _Parser:
         return body
 
     def value(self) -> Value:
-        t = self.peek()
-        start = t.start
-        if t.kind == "ident":
-            self.next()
-            return Var(t.text, self.span_from(start))
-        if t.kind == "int":
-            self.next()
-            return IntLit(int(t.text), self.span_from(start))
-        if t.kind == "true" or t.kind == "false":
-            self.next()
-            return BoolLit(t.kind == "true", self.span_from(start))
-        if t.kind == "{":
-            self.next()
+        i = self.pos
+        kind = self.kinds[i]
+        start = self.start(i)
+        if kind == "ident":
+            self.pos = i + 1
+            return Var(self.texts[i], self.span_from(start))
+        if kind == "int":
+            return IntLit(self.integer(), self.span_from(start))
+        if kind == "true" or kind == "false":
+            self.pos = i + 1
+            return BoolLit(kind == "true", self.span_from(start))
+        if kind == "{":
+            self.pos = i + 1
             body = self.computation()
             self.expect("}")
             return Thunk(body, self.span_from(start))
-        if t.kind == "(":
-            self.next()
+        if kind == "(":
+            self.pos = i + 1
             first = self.value()
             if self.at(","):
-                self.next()
+                self.pos += 1
                 second = self.value()
                 self.expect(")")
                 return PairVal(first, second, self.span_from(start))
             self.expect(")")
             return first
-        self.err(f"expected a value, found {t.text or 'end of input'!r}")
+        self.err(f"expected a value, found {self.texts[i] or 'end of input'!r}")
 
     # -- programs ----------------------------------------------------------
 
     def program(self) -> Program:
         decls = []
         while self.at("data"):
-            self.next()
-            name_tok = self.expect("conid")
-            if name_tok.text in self.sigs:
-                self.err(f"datatype {name_tok.text} is already declared", name_tok)
-            pol_tok = self.expect("ident")
-            if pol_tok.text not in ("pos", "neg"):
-                self.err("datatype polarity must be 'pos' or 'neg'", pol_tok)
-            arity_tok = self.expect("int")
-            decl = DataDecl(name_tok.text, "+" if pol_tok.text == "pos" else "-",
-                            int(arity_tok.text))
+            self.pos += 1
+            name_at = self.pos
+            name = self.expect("conid")
+            if name in self.sigs:
+                self.err(f"datatype {name} is already declared", name_at)
+            pol_at = self.pos
+            polarity = self.expect("ident")
+            if polarity not in ("pos", "neg"):
+                self.err("datatype polarity must be 'pos' or 'neg'", pol_at)
+            decl = DataDecl(name, "+" if polarity == "pos" else "-", self.integer())
             self.sigs[decl.name] = decl
             decls.append(decl)
         assumptions = []
         seen = set()
         while self.at("val"):
-            self.next()
-            name_tok = self.expect("ident")
-            if name_tok.text in seen:
-                self.err(f"duplicate assumption {name_tok.text}", name_tok)
-            seen.add(name_tok.text)
+            self.pos += 1
+            name_at = self.pos
+            name = self.expect("ident")
+            if name in seen:
+                self.err(f"duplicate assumption {name}", name_at)
+            seen.add(name)
             self.expect(":")
-            tok0 = self.peek()
+            type_at = self.pos
             self.free.clear()
             ty = self.want(self.type_any(), PosType, "assumptions must have value types")
             if self.free:
                 loose = ", ".join(sorted(self.free))
-                self.err(f"assumption type must be closed (unbound: {loose})", tok0)
-            assumptions.append((name_tok.text, ty))
+                self.err(f"assumption type must be closed (unbound: {loose})", type_at)
+            assumptions.append((name, ty))
         self.expect("run")
         body = self.computation()
         self.expect("eof")

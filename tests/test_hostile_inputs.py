@@ -2,16 +2,21 @@
 
 No input may escape `polarf.cli.main` as a Python exception, and exit code
 1 (a type error) must come with a `type-error` record; everything the front
-end cannot read is a `parse` error with exit code 2.
+end cannot read is a `parse` error with exit code 2.  Besides the
+hand-written inputs, a seeded fuzz runs random bytes and mutations of the
+corpus programs through `check --json`.
 """
 
 import json
+import random
+import sys
 
 import pytest
 
 from polarf import Let, parse_program
 from polarf.cli import main
-from polarf.parser import MAX_TYPE_HEIGHT
+from polarf.corpus import EXAMPLES, STRIPPED
+from polarf.parser import MAX_TYPE_HEIGHT, _lex
 
 DEEP = 3000
 
@@ -195,6 +200,15 @@ def test_newlines_read_as_in_text_mode(source_file, capsys):
     assert (code, record["type"]) == (0, "up Int")
 
 
+def test_spans_count_characters(source_file, capsys):
+    # `é` is two bytes and CRLF one character: the `$` at byte 21 is at 19
+    data = "-- café\r\nrun return $".encode("utf-8")
+    assert data.index(b"$") == 21
+    code, record = check_json(source_file(data), capsys)
+    assert code == 2
+    assert (record["error"]["span"]["start"], record["error"]["span"]["end"]) == (19, 20)
+
+
 def test_long_let_chain_parses():
     src = let_chain(1600)
     body = parse_program(src).body
@@ -211,3 +225,80 @@ def test_long_let_chain_parses():
 def test_long_let_chain_through_check(source_file, capsys):
     code, record = check_json(source_file(let_chain(1600)), capsys)
     assert code == 0 and record["type"] == "up Int"
+
+
+# -- integer literals ---------------------------------------------------------
+
+# the most digits `int()` reads; 4,300 unless the interpreter was told otherwise
+INT_DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("template, start", [("run return {}", 11),
+                                             ("data T pos {}\nrun return 1", 11)],
+                         ids=["value", "arity"])
+def test_integer_literal_too_long(source_file, capsys, template, start):
+    digits = "9" * (INT_DIGITS + 700)
+    code, record = check_json(source_file(template.format(digits)), capsys)
+    assert code == 2
+    assert record["error"]["message"] == "integer literal too long"
+    assert record["error"]["span"]["start"] == start
+    assert record["error"]["span"]["end"] == start + len(digits)
+
+
+def test_longest_integer_literal_reads(source_file, capsys):
+    code, record = check_json(source_file("run return " + "9" * INT_DIGITS), capsys)
+    assert (code, record["type"]) == (0, "up Int")
+
+
+# -- seeded fuzz ----------------------------------------------------------------
+
+def random_bytes(rng):
+    """Any bytes, or bytes from a small alphabet of ASCII token characters
+    and whitespace."""
+    size = rng.randint(0, 120)
+    if rng.random() < 0.5:
+        return bytes(rng.getrandbits(8) for _ in range(size))
+    alphabet = b"()[]{},;:.*=->\\/ \t\r\naxZ09_'"
+    return bytes(rng.choice(alphabet) for _ in range(size))
+
+
+def mutate(rng, source):
+    """One edit to the tokens of a corpus program: a token deleted or
+    duplicated, a word after `run` turned into a digit run longer than
+    `int()` reads, a token nested in parentheses past the recursion limit,
+    or a `let` repeated into a long chain."""
+    toks = _lex(source, "<corpus>")[1][:-1]
+    body = toks.index("run") + 1
+    i = rng.randrange(len(toks))
+    edit = rng.choice(("delete", "duplicate", "digits", "nest", "lets"))
+    if edit == "delete":
+        del toks[i]
+    elif edit == "duplicate":
+        toks.insert(i, toks[i])
+    elif edit == "digits":
+        values = [j for j in range(body, len(toks))
+                  if toks[j].isidentifier() or toks[j].isdecimal()]
+        toks[rng.choice(values)] = "7" * rng.randint(INT_DIGITS + 1, INT_DIGITS + 2000)
+    elif edit == "nest":
+        depth = rng.randint(100, 3000)
+        toks[i] = "(" * depth + toks[i] + ")" * depth
+    else:
+        lets = [j for j in range(body, len(toks)) if toks[j] == "let"]
+        if lets:
+            j = rng.choice(lets)
+            k = toks.index(";", j) + 1
+            toks[j:k] = toks[j:k] * rng.randint(2, 200)
+    return " ".join(toks)
+
+
+def test_fuzz_check_json(source_file, capsys):
+    """Every input ends with exit code 0, 1 or 2 and one record whose
+    status matches it (`check_json`); an escaping exception fails."""
+    rng = random.Random(51)
+    sources = [ex.source for ex in EXAMPLES + STRIPPED]
+    codes = []
+    for n in range(160):
+        data = random_bytes(rng) if n % 4 == 0 else mutate(rng, rng.choice(sources))
+        code, _ = check_json(source_file(data), capsys)
+        codes.append(code)
+    assert {0, 1, 2} <= set(codes)

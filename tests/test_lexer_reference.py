@@ -1,6 +1,7 @@
 """The regex lexer against the character loop it replaced.
 
-`parser._lex` reads one token per match of a single compiled pattern.  The
+`parser._lex` reads every token with one `findall` of a single compiled
+pattern and returns the kinds, texts and end offsets as three lists.  The
 reference kept here is the direct character-by-character loop, changed in
 one place: an integer literal is a run of decimal digits (`str.isdecimal`,
 what `int()` reads), where the loop once took any `str.isdigit` character,
@@ -92,14 +93,14 @@ def ref_lex(src, filename, digit=str.isdecimal):
     return toks
 
 
-def old_kind(tok):
-    """The token's kind in the reference's terms: keywords and punctuation
+def old_kind(kind):
+    """A token's kind in the reference's terms: keywords and punctuation
     carry their text as their kind in `_lex`."""
-    if tok.kind in KEYWORDS:
+    if kind in KEYWORDS:
         return "kw"
-    if tok.kind in PUNCT:
+    if kind in PUNCT:
         return "punct"
-    return tok.kind
+    return kind
 
 
 def outcome(lex, src):
@@ -110,7 +111,9 @@ def outcome(lex, src):
 
 
 def new_lex(src):
-    return [(old_kind(t), t.text, t.start, t.end) for t in _lex(src, "f")]
+    kinds, texts, ends = _lex(src, "f")
+    return [(old_kind(kind), text, end - len(text), end)
+            for kind, text, end in zip(kinds, texts, ends)]
 
 
 def assert_same(src):

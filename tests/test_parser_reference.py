@@ -32,17 +32,17 @@ class RefParser(_Parser):
 
     def type_any(self):
         """Parse a type of either polarity; polarity is checked at use sites."""
-        t = self.peek()
-        if t.kind == "forall":
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        if kind == "forall":
             return self.forall_type()
-        if t.kind == "up":
-            self.next()
+        if kind == "up":
+            self.pos += 1
             body = self.pos_atom_checked("up expects a value type")
             res = Up(body)
             if self.at("arrow"):
                 self.err("arrow domain must be positive (wrap it in 'dn (...)')")
             return res
-        if t.kind == "conid" and self.sig(t.text).polarity == "-":
+        if kind == "conid" and self.sig(text).polarity == "-":
             res = self.negdata_type()
             if self.at("arrow"):
                 self.err("arrow domain must be positive (wrap it in 'dn (...)')")
@@ -51,15 +51,15 @@ class RefParser(_Parser):
         if self.at("arrow"):
             if not isinstance(left, PosType):
                 self.err("arrow domain must be positive (wrap it in 'dn (...)')")
-            self.next()
+            self.pos += 1
             return Arrow(left, self.neg_type())
         return left
 
     def forall_type(self):
         self.expect("forall")
-        binders = [self.expect("ident").text]
+        binders = [self.expect("ident")]
         while self.at("ident"):
-            binders.append(self.next().text)
+            binders.append(self.expect("ident"))
         self.expect(".")
         self.scope += binders
         body = self.neg_type()
@@ -69,8 +69,9 @@ class RefParser(_Parser):
         return body
 
     def negdata_type(self):
-        tok = self.next()
-        return NegData(tok.text, self.constructor_args(tok.text))
+        name = self.texts[self.pos]
+        self.pos += 1
+        return NegData(name, self.constructor_args(name))
 
     def constructor_args(self, name):
         args = []
@@ -99,7 +100,7 @@ class RefParser(_Parser):
         if self.at("*"):
             if not isinstance(left, PosType):
                 self.err("product components must be positive types")
-            self.next()
+            self.pos += 1
             right = self.pos_type()
             if not isinstance(right, PosType):
                 self.err("product components must be positive types")
@@ -107,54 +108,54 @@ class RefParser(_Parser):
         return left
 
     def pos_app(self):
-        t = self.peek()
-        if t.kind == "conid":
-            decl = self.sig(t.text)
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        if kind == "conid":
+            decl = self.sig(text)
             if decl.polarity == "-":
-                self.err(f"{t.text} is a computation type constructor")
+                self.err(f"{text} is a computation type constructor")
             if decl.arity > 0:
-                self.next()
-                return Data(t.text, self.constructor_args(t.text))
+                self.pos += 1
+                return Data(text, self.constructor_args(text))
         return self.pos_atom()
 
     def pos_atom(self):
-        t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            if t.text in self.scope:
-                return BVar(self.scope[::-1].index(t.text))
-            self.free.add(t.text)
-            return UVar(t.text)
-        if t.kind == "conid":
-            decl = self.sig(t.text)
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        if kind == "ident":
+            self.pos += 1
+            if text in self.scope:
+                return BVar(self.scope[::-1].index(text))
+            self.free.add(text)
+            return UVar(text)
+        if kind == "conid":
+            decl = self.sig(text)
             if decl.polarity == "-":
-                self.err(f"{t.text} is a computation type constructor")
+                self.err(f"{text} is a computation type constructor")
             if decl.arity > 0:
-                self.err(f"{t.text} needs {decl.arity} argument(s); "
+                self.err(f"{text} needs {decl.arity} argument(s); "
                          "parenthesize the application")
-            self.next()
-            return Data(t.text, ())
-        if t.kind == "dn":
-            self.next()
+            self.pos += 1
+            return Data(text, ())
+        if kind == "dn":
+            self.pos += 1
             return Down(self.neg_atom())
-        if t.kind == "(":
-            self.next()
+        if kind == "(":
+            self.pos += 1
             inner = self.type_any()
             self.expect(")")
             return inner
-        self.err(f"expected a type, found {t.text!r}")
+        self.err(f"expected a type, found {text!r}")
 
     def neg_atom(self):
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        if kind == "(":
+            self.pos += 1
             inner = self.neg_type()
             self.expect(")")
             return inner
-        if t.kind == "up":
-            self.next()
+        if kind == "up":
+            self.pos += 1
             return Up(self.pos_atom_checked("up expects a value type"))
-        if t.kind == "conid" and self.sig(t.text).polarity == "-":
+        if kind == "conid" and self.sig(text).polarity == "-":
             return self.negdata_type()
         self.err("dn expects a computation type (usually 'dn (...)')")
 
@@ -216,11 +217,11 @@ def corpus_types():
     texts = set()
     for src in [ENVIRONMENT] + CORPUS:
         p = _Parser(src, "<input>")
-        for i, tok in enumerate(p.toks):
-            if tok.kind == ":":
+        for i, kind in enumerate(p.kinds):
+            if kind == ":":
                 p.pos = i + 1
                 p.type_any()
-                texts.add(src[p.toks[i + 1].start:p.toks[p.pos - 1].end])
+                texts.add(src[p.start(i + 1):p.ends[p.pos - 1]])
     return sorted(texts)
 
 
@@ -250,7 +251,7 @@ def mutants(rng, count):
     """One-token deletions, duplications and insertions in printed types."""
     for _ in range(count):
         text = pretty(gen_type(rng, rng.choice("+-"), depth=3))
-        toks = [t.text for t in _lex(text, "<type>")[:-1]]
+        toks = _lex(text, "<type>")[1][:-1]
         i = rng.randrange(len(toks) + 1)
         edit = rng.choice(("delete", "duplicate", "insert"))
         if edit == "insert":
