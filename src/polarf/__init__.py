@@ -17,13 +17,12 @@ from .syntax import (
     ArgList, Arrow, BVar, BoolLit, Computation, Context, Data, Down, EVar,
     Forall, IntLit, Lambda, Let, LetAnn, NegData, NegType, PairVal, PosType,
     Return, Solved, Thunk, TypeAbs, TypeEnv, UVar, Universal, Unsolved, Up,
-    Value, Var, alpha_equal, apply_context, erase_context, extends,
-    free_evars, free_uvars, is_ground, num_prenex, restrict_context,
-    subst_type, termsize, weak_extends,
+    Value, Var, apply_context, extends, free_uvars, is_ground, num_prenex,
+    subst_type,
 )
 from .typecheck import (
     SynthResult, check_program, synth_computation, synth_spine, synth_value,
 )
-from .wellformed import wf_context, wf_env, wf_type
+from .wellformed import restrict_context, wf_context, wf_env, wf_type
 
 __version__ = "0.1.0"

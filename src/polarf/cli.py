@@ -103,8 +103,10 @@ def _cmd_check(args) -> int:
     try:
         text = _read_source(args.file)
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        if not args.json:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        record, code = _error_record(TypeCheckError("parse", str(e)), args.trace)
     except TypeCheckError as e:
         record, code = _error_record(e, args.trace)
     else:

@@ -21,7 +21,7 @@ from .syntax import (
     Arrow, BoolLit, Computation, Context, Data, Down, Forall, IntLit,
     Lambda, Let, LetAnn, NegData, PairVal, PosType, Return, Thunk,
     TypeAbs, TypeEnv, UVar, Universal, Up, Value, Var, bind_tyvar,
-    fresh_name, is_ground, nodes, term_nodes,
+    fresh_name, is_ground,
 )
 from .wellformed import wf_annotation, wf_type
 
@@ -30,6 +30,41 @@ from .wellformed import wf_annotation, wf_type
 UNIVERSE_CAP = 64
 INSTANTIATIONS = 10  # quantifier eliminations along one branch
 RESULTS_CAP = 256
+
+
+def nodes(t):
+    """Every node of a type, in pre-order, entering a `Forall` through its
+    named view, where nodes are closed."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        yield t
+        if cls is Arrow:
+            stack += (t.codomain, t.domain)
+        elif cls is Down or cls is Up or cls is Forall:
+            stack.append(t.body)
+        elif cls is Data or cls is NegData:
+            stack += reversed(t.args)
+
+
+def term_nodes(t):
+    """Every node of a term, in pre-order."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        yield t
+        if cls is Thunk or cls is Lambda or cls is TypeAbs:
+            stack.append(t.body)
+        elif cls is PairVal:
+            stack += (t.second, t.first)
+        elif cls is Return:
+            stack.append(t.value)
+        elif cls is Let or cls is LetAnn:
+            stack += (t.cont, *reversed(t.args), t.head)
+        elif cls is not Var and cls is not IntLit and cls is not BoolLit:
+            raise TypeError(f"not a term: {t!r}")
 
 
 def positive_subterms(t):
@@ -258,6 +293,17 @@ class _Search:
         return vals
 
 
+def _subtype_search(theta: tuple, a, b, universe) -> _Search:
+    """The search for a judgment between `a` and `b`, after its gate: both
+    ground and well-formed under `theta`."""
+    ctx = _decl_ctx(theta)
+    require(is_ground(a) and is_ground(b), "declarative types must be ground")
+    require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
+    if universe is None:
+        universe = candidate_universe([a, b], theta)
+    return _Search(universe)
+
+
 def decl_subtype(theta, a, b, universe=None) -> bool:
     """Is `a` a declarative subtype of `b` under the universal context `theta`?
 
@@ -265,24 +311,13 @@ def decl_subtype(theta, a, b, universe=None) -> bool:
     are drawn from `universe` (default: positive subterms of a and b).
     """
     theta = tuple(theta)
-    ctx = _decl_ctx(theta)
-    require(is_ground(a) and is_ground(b), "declarative types must be ground")
-    require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
-    if universe is None:
-        universe = candidate_universe([a, b], theta)
-    search = _Search(universe)
-    return search.sub(theta, a, b)
+    return _subtype_search(theta, a, b, universe).sub(theta, a, b)
 
 
 def decl_iso(theta, a, b, universe=None) -> bool:
     """Mutual declarative subtyping."""
     theta = tuple(theta)
-    ctx = _decl_ctx(theta)
-    require(is_ground(a) and is_ground(b), "declarative types must be ground")
-    require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
-    if universe is None:
-        universe = candidate_universe([a, b], theta)
-    search = _Search(universe)
+    search = _subtype_search(theta, a, b, universe)
     return search.sub(theta, a, b) and search.sub(theta, b, a)
 
 

@@ -67,9 +67,9 @@ from .parser import pretty
 from .syntax import (
     Arrow, Context, Data, Down, EVar, Forall, NegData, NegType, PosType,
     UVar, Universal, Unsolved, Up, apply_context, fresh_name, is_ground,
-    num_prenex, termsize,
+    num_prenex,
 )
-from .wellformed import wf_context, wf_extension, wf_type
+from .wellformed import scoped, wf_context, wf_extension, wf_type
 
 
 def show(parts) -> str:
@@ -109,18 +109,18 @@ def _check_post(theta: Context, out: Context, ground_size: int, nonground, goal)
     completed = apply_context(out, nonground)
     if not is_ground(completed):
         raise InvariantViolation(f"completed non-ground side not ground in {show(goal)}")
-    if termsize(completed) > ground_size:
+    if completed.size > ground_size:
         raise InvariantViolation(f"completed size exceeds ground size in {show(goal)}")
 
 
 # the first component of either metric is the size of the ground side
 
 def _metric_pos(p, q):
-    return (termsize(p), num_prenex(p) + num_prenex(q))
+    return (p.size, num_prenex(p) + num_prenex(q))
 
 
 def _metric_neg(n, m):
-    return (termsize(m), num_prenex(m) + num_prenex(n))
+    return (m.size, num_prenex(m) + num_prenex(n))
 
 
 def _check_metric(parent, child, goal):
@@ -218,9 +218,10 @@ class _Engine:
             return theta
 
         if isinstance(q, EVar):
-            if theta.lookup_evar(q.name) is None:
+            i = theta.positions.get(q.name)
+            if i is None or type(theta.entries[i]) is Universal:
                 self._mismatch(goal, f"existential {q.name} is not in scope")
-            if not wf_type(theta.prefix_before(q.name), p):
+            if not scoped(p, theta, i):
                 self._mismatch(goal, "solution ", p, " mentions variables bound "
                                      f"after {q.name} was introduced")
             out = theta.solve(q.name, p)  # raises if q is already solved

@@ -16,7 +16,8 @@ children's facts in O(arity) (the per-node half of Filliâtre and Conchon,
 
 - `evars` and `uvars`: the names of its free existentials and universals,
   as frozensets, shared with a child whose set already holds them all;
-- `size`: its `termsize`;
+- `size`: its size ignoring quantification (quantifiers are free; constructor
+  arguments count as strict subterms, keeping the decidability metric decreasing);
 - `height`: the number of nodes on its longest path down to a leaf, a
   quantifier included (a variable or a constant is 1);
 - `dangling`: the largest index of a `BVar` below it that no `Forall` below
@@ -26,9 +27,9 @@ children's facts in O(arity) (the per-node half of Filliâtre and Conchon,
 
 The invariant is that a node's facts are those of the subtree below it.
 A node is never changed after it is built, so they stay true, and the
-operations that walked a type read them instead: `free_evars`,
-`free_uvars`, `is_ground` and `termsize` are attribute reads, and
-well-formedness is two set inclusions and an int test.
+operations that walked a type read them instead: free variables,
+groundness and size are attribute reads, and well-formedness is two set
+inclusions and an int test.
 
 One structural map (`_map`) serves every substitution, and it returns a
 subtree as it is when the subtree's facts show that the substitution
@@ -282,31 +283,6 @@ class NegData(NegType):
         _combine(self, self.args)
 
 
-def alpha_equal(a: Type, b: Type) -> bool:
-    """Equality up to renaming of bound variables, which is plain `==`."""
-    return a == b
-
-
-def nodes(t: Type, out: list = None) -> list:
-    """Every node of `t` in pre-order (`out` carries the recursion),
-    entering a `Forall` through its named view, where nodes are closed."""
-    if out is None:
-        out = []
-    out.append(t)
-    cls = type(t)
-    if cls is Arrow:
-        nodes(t.domain, out)
-        nodes(t.codomain, out)
-    elif cls is Down or cls is Up:
-        nodes(t.body, out)
-    elif cls is Data or cls is NegData:
-        for a in t.args:
-            nodes(a, out)
-    elif cls is Forall:
-        nodes(t.body, out)
-    return out
-
-
 def _map(t: Type, leaf, skip, k: int = 0) -> Type:
     """Rebuild `t` with each variable `v` replaced by `leaf(v, k)`, where `k`
     counts the binders above `v`.  A subtree `u` for which `skip(u, k)`
@@ -464,25 +440,6 @@ class Let(Computation):
     __post_init__ = _let_size
 
 
-def term_nodes(t):
-    """Every node of a term, in pre-order."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        cls = type(t)
-        yield t
-        if cls is Thunk or cls is Lambda or cls is TypeAbs:
-            stack.append(t.body)
-        elif cls is PairVal:
-            stack += (t.second, t.first)
-        elif cls is Return:
-            stack.append(t.value)
-        elif cls is Let or cls is LetAnn:
-            stack += (t.cont, *reversed(t.args), t.head)
-        elif cls is not Var and cls is not IntLit and cls is not BoolLit:
-            raise TypeError(f"not a term: {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # Contexts and environments
 
@@ -577,16 +534,6 @@ class Context:
                             erased=self.erased, _below=below)
         return new
 
-    def lookup_evar(self, name: str):
-        i = self.positions.get(name)
-        if i is None or isinstance(self.entries[i], Universal):
-            return None
-        return self.entries[i]
-
-    def prefix_before(self, name: str) -> "Context":
-        """Entries strictly before the named entry."""
-        return Context(self.entries[:self.positions[name]])
-
     def push(self, entry: ContextEntry) -> "Context":
         positions = self.positions
         name = entry.name
@@ -665,16 +612,6 @@ class TypeEnv:
 # ---------------------------------------------------------------------------
 # Free variables
 
-def free_evars(t):
-    """Existential names occurring in a type, or tracked by a context."""
-    if isinstance(t, Context):
-        acc = set(t.evar_names)
-        for p in t.solutions.values():
-            acc |= p.evars
-        return acc
-    return t.evars
-
-
 def free_uvars(t: Type) -> frozenset:
     """Universal variables of a type; they are all free, as binders bind `BVar`s."""
     return t.uvars
@@ -718,11 +655,6 @@ def subst_type(p: PosType, alpha: str, target: Type) -> Type:
     return subst_uvars({alpha: p}, target)
 
 
-def subst_evar(p: PosType, name: str, target: Type) -> Type:
-    """Substitution of the closed type `p` for the existential `name`."""
-    return _map(target, lambda v, k: p, lambda u, k: name not in u.evars)
-
-
 # ---------------------------------------------------------------------------
 # Context operations
 
@@ -741,68 +673,18 @@ def apply_context(theta: Context, t: Type) -> Type:
                 lambda u, k: solved.isdisjoint(u.evars))
 
 
-def restrict_context(theta_prime: Context, theta: Context) -> Context:
-    """theta_prime without the existentials pushed after theta's entries:
-    its first len(theta) entries, which keep their (possibly newer)
-    solutions.  Raises InvariantViolation unless theta_prime weakly extends
-    theta."""
-    if theta_prime is theta:
-        return theta
-    if not weak_extends(theta, theta_prime):
-        raise InvariantViolation("restriction input does not weakly extend its target")
-    entries = theta_prime.entries[:len(theta.entries)]
-    if entries == theta.entries:
-        return theta
-    # the same names as theta's, in the same order and of the same kinds
-    positions = theta.positions
-    solutions = {x: p for x, p in theta_prime.solutions.items() if x in positions}
-    return theta._derive(entries, positions, solutions)
-
-
-def erase_context(theta: Context) -> tuple:
-    """The declarative context: universal names only, in order."""
-    return theta.erased
-
-
-def _entry_compatible(e, e2) -> bool:
-    """Can entry `e` become `e2` by gaining information?"""
-    if e is e2:
-        return True
-    if isinstance(e, Universal):
-        return isinstance(e2, Universal) and e2.name == e.name
-    if isinstance(e, Unsolved):
-        return isinstance(e2, (Unsolved, Solved)) and e2.name == e.name
-    # a solved entry keeps its solution (up to alpha-equivalence)
-    return isinstance(e2, Solved) and e2.name == e.name and e2.solution == e.solution
-
-
 def extends(theta: Context, theta_prime: Context) -> bool:
-    """Information gain: same entries in order, with solutions only added."""
-    return (len(theta.entries) == len(theta_prime.entries)
-            and all(map(_entry_compatible, theta.entries, theta_prime.entries)))
-
-
-def weak_extends(theta: Context, theta_prime: Context) -> bool:
-    """Like `extends`, but theta_prime may have new existentials pushed on
-    the end: its first len(theta) entries extend theta, and every later
-    entry is an existential whose name theta lacks."""
-    n = len(theta.entries)
-    return (len(theta_prime.entries) >= n
-            and all(map(_entry_compatible, theta.entries, theta_prime.entries))
-            and not any(isinstance(e, Universal) or e.name in theta.positions
-                        for e in theta_prime.entries[n:]))
+    """Information gain, by its definition: the same number of entries, and
+    each is equal or has gone from `Unsolved(x)` to `Solved(x, p)`.  The
+    checker decides this with `wellformed.wf_extension`; this is the
+    reference it is checked against."""
+    return len(theta.entries) == len(theta_prime.entries) and all(
+        e == e2 or type(e) is Unsolved and type(e2) is Solved and e2.name == e.name
+        for e, e2 in zip(theta.entries, theta_prime.entries))
 
 
 # ---------------------------------------------------------------------------
 # Decidability metrics
-
-def termsize(t: Type) -> int:
-    """Size of a type ignoring quantification (quantifiers are free).
-
-    Constructor arguments count as strict subterms, keeping the metric
-    decreasing."""
-    return t.size
-
 
 def num_prenex(t: Type) -> int:
     """Length of the leading quantifier spine; zero for every other head."""

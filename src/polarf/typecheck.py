@@ -32,10 +32,12 @@ from .subtype import _Engine
 from .syntax import (
     Arrow, BoolLit, Computation, Context, Data, Down, EVar, Forall, IntLit,
     Lambda, Let, LetAnn, NegType, PairVal, Return, Thunk, TypeAbs, TypeEnv,
-    Universal, Unsolved, Up, Value, Var, apply_context, bind_tyvar,
-    free_evars, is_ground, num_prenex, restrict_context,
+    Universal, Unsolved, Up, Value, Var, apply_context, bind_tyvar, is_ground,
+    num_prenex,
 )
-from .wellformed import wf_annotation, wf_context, wf_env, wf_extension, wf_type
+from .wellformed import (
+    restrict_context, wf_annotation, wf_context, wf_env, wf_extension, wf_type,
+)
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,8 @@ class _Typer(_Engine):
                 _, out = self._let_application(theta, t, size, q)
             else:
                 q, out = self._let_application(theta, t, size, None)
-                if free_evars(q):
-                    loose = ", ".join(sorted(free_evars(q)))
+                if q.evars:
+                    loose = ", ".join(sorted(q.evars))
                     self.fail("ambiguous-let",
                               (f"the type of {t.name} is ambiguous: ", q, " still "
                                f"mentions {loose}; annotate the binding "

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import is_not
 
+from .errors import InvariantViolation
 from .syntax import (
     Context, NegType, PosType, Solved, TypeEnv, UVar, Universal, Unsolved,
     free_uvars, subst_uvars,
@@ -64,7 +65,7 @@ def wf_context(theta: Context) -> bool:
 def wf_extension(theta: Context, out: Context, weak: bool = False) -> bool:
     """For a well-formed `theta`: is `out` well-formed, and does it extend
     `theta` (or, if `weak`, weakly extend it)?  Equal to `wf_context(out)
-    and extends(theta, out)` (or `weak_extends`), read from what changed.
+    and extends(theta, out)`, read from what changed.
 
     Lemma (context extension, after Dunfield and Krishnaswami, "Complete
     and Easy Bidirectional Typechecking for Higher-Rank Polymorphism",
@@ -105,7 +106,7 @@ def wf_extension(theta: Context, out: Context, weak: bool = False) -> bool:
         if e == e2:
             continue
         if not (type(e) is Unsolved and type(e2) is Solved and e2.name == e.name
-                and _scoped(e2.solution, theta, i)):
+                and scoped(e2.solution, theta, i)):
             return False
     names = set()
     uvars = theta.uvar_names  # all of them come before the pushed entries
@@ -118,15 +119,28 @@ def wf_extension(theta: Context, out: Context, weak: bool = False) -> bool:
     return True
 
 
-def _scoped(p, theta: Context, i: int) -> bool:
+def scoped(p, theta: Context, i: int) -> bool:
     """Is `p` ground, and does it mention only universals that come before
     position `i` of the well-formed context `theta`?"""
-    if not _wf(p, theta.uvar_names, _NONE):
-        return False
-    if not p.uvars:
-        return True
     positions = theta.positions
-    return all(positions[a] < i for a in p.uvars)
+    return _wf(p, theta.uvar_names, _NONE) and all(positions[a] < i for a in p.uvars)
+
+
+def restrict_context(theta_prime: Context, theta: Context) -> Context:
+    """theta_prime without the existentials pushed after theta's entries:
+    its first len(theta) entries, which keep their (possibly newer)
+    solutions.  `theta` must be well-formed; raises InvariantViolation
+    unless theta_prime is well-formed and weakly extends it."""
+    if not wf_extension(theta, theta_prime, weak=True):
+        raise InvariantViolation(
+            "restriction input is ill-formed or does not weakly extend its target")
+    entries = theta_prime.entries[:len(theta.entries)]
+    if entries == theta.entries:
+        return theta
+    # the same names as theta's, in the same order and of the same kinds
+    positions = theta.positions
+    solutions = {x: p for x, p in theta_prime.solutions.items() if x in positions}
+    return theta._derive(entries, positions, solutions)
 
 
 def wf_env(theta: Context, gamma: TypeEnv) -> bool:

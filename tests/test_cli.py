@@ -36,6 +36,20 @@ class TestCheck:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["check", "/nonexistent/x.ipf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: [Errno 2]")
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_file_json_record(self, tmp_path, capsys, where):
+        path = str(tmp_path / "x.ipf" if where == "missing" else tmp_path)
+        with pytest.raises(OSError) as raised:
+            open(path, "rb")
+        assert main(["check", path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
+            "status": "parse-error", "type": None, "trace": None,
+            "error": {"kind": "parse", "message": str(raised.value), "span": None}}
 
     def test_json_record_ok(self, ipf, capsys):
         path = ipf("run return true")

@@ -2,12 +2,14 @@
 
 Every typing and subtyping rule checks its output context with
 `wellformed.wf_extension`, which reads only the entries that changed and
-the entries pushed past the input.  Its reference is the full check, kept
-public: `wf_context(out)` and `extends(theta, out)` (`weak_extends` for the
-spine rules).  On every rule of generated programs and queries and of the
-corpus, both must give the same answer, on the rule's own contexts, on the
-pair reversed, and on planted bad outputs.  And every rule must still run
-a postcondition: a bad context planted under each kind of rule is caught.
+the entries pushed past the input.  Its reference is the full check:
+`wf_context(out)` and `extends(theta, out)` (`references.ref_weak_extends`
+for the spine rules).  On every rule of generated programs and queries and
+of the corpus, both must give the same answer, on the rule's own contexts,
+on the pair reversed, and on planted bad outputs.  The let rules restrict
+a spine's output with the same weak check, so `restrict_context` rejects
+every planted bad spine output.  And every rule must still run a
+postcondition: a bad context planted under each kind of rule is caught.
 """
 
 import random
@@ -16,8 +18,8 @@ import pytest
 
 from polarf import (
     Context, Data, InvariantViolation, Solved, TypeCheckError, UVar, Universal,
-    Unsolved, extends, parse_program, subtype_neg, subtype_pos, synth_computation,
-    weak_extends, wf_context,
+    Unsolved, extends, parse_program, restrict_context, subtype_neg, subtype_pos,
+    synth_computation, wf_context,
 )
 from polarf.corpus import EXAMPLES, STRIPPED
 from polarf.subtype import _Engine
@@ -25,10 +27,11 @@ from polarf.typecheck import _Typer, check_program
 from polarf.wellformed import wf_extension
 
 from gen import gen_program, gen_related_pair, holeify
+from references import ref_weak_extends
 
 
 def reference(theta, out, weak):
-    return wf_context(out) and (weak_extends if weak else extends)(theta, out)
+    return wf_context(out) and (ref_weak_extends if weak else extends)(theta, out)
 
 
 def traced(run):
@@ -95,11 +98,17 @@ def pushed_universal(theta, out):
     return Context(out.entries + (Universal("planted"),))
 
 
-PLANTS = (later_universal, dropped_entry, changed_solution, pushed_universal)
+def pushed_out_of_scope(theta, out):
+    """Push an existential solved with a universal no entry binds."""
+    return Context(out.entries + (Solved("?planted", UVar("planted")),))
+
+
+PLANTS = (later_universal, dropped_entry, changed_solution, pushed_universal,
+          pushed_out_of_scope)
 
 
 def test_delta_check_matches_full_check():
-    rules = spines = grown = 0
+    rules = spines = grown = restricted = 0
     planted = dict.fromkeys([p.__name__ for p in PLANTS], 0)
     for before, after, weak in rule_contexts(41, programs=600, queries=1000):
         assert wf_extension(before, after, weak) and reference(before, after, weak)
@@ -114,8 +123,13 @@ def test_delta_check_matches_full_check():
             assert not reference(before, bad, weak), plant.__name__
             assert not wf_extension(before, bad, weak), plant.__name__
             planted[plant.__name__] += 1
+            if weak:
+                with pytest.raises(InvariantViolation):
+                    restrict_context(bad, before)
+                restricted += 1
     assert rules > 10_000 and spines > 300 and grown > 100
     assert min(planted.values()) > 1000, planted
+    assert restricted > 1000
 
 
 def test_delta_check_on_contexts_of_every_kind():

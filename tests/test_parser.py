@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polarf import (
     Arrow, Data, Down, Forall, Let, LetAnn, TypeCheckError, UVar, Up,
-    alpha_equal, parse_program, parse_type, pretty,
+    parse_program, parse_type, pretty,
 )
 from polarf.corpus import EXAMPLES, STRIPPED
 
@@ -151,7 +151,7 @@ class TestPretty:
             t = gen_type(rng, rng.choice("+-"))
             polarity = "+" if rng.random() < 0 else None
             back = parse_type(pretty(t))
-            assert alpha_equal(back, t), pretty(t)
+            assert back == t, pretty(t)
 
     def test_term_round_trip_random(self):
         rng = random.Random(14)
@@ -188,4 +188,4 @@ class TestPrettyHypothesis:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(_pos_strategy, _neg_strategy))
     def test_round_trip(self, t):
-        assert alpha_equal(parse_type(pretty(t)), t)
+        assert parse_type(pretty(t)) == t

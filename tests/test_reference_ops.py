@@ -13,9 +13,10 @@ The references for those are the walks over every node that the facts
 replace.
 
 Contexts are stacks, so weak extension is a prefix check and restriction a
-slice.  The references are the name-aligned walks they replace, which also
-accept new existentials between old entries; on the contexts the checker
-builds, the two must agree.
+slice.  The references are the name-aligned walks they replace
+(`references.ref_weak_extends` and `ref_restrict`), which also accept new
+existentials between old entries; on the contexts the checker builds, the
+two must agree.
 """
 
 import copy
@@ -27,16 +28,17 @@ import pytest
 from polarf import (
     Arrow, BVar, Context, Data, Down, EVar, Forall, InvariantViolation, NegData,
     NegType, PosType, Solved, TypeCheckError, UVar, Universal, Unsolved, Up,
-    apply_context, extends, free_evars, free_uvars, is_ground, restrict_context,
-    subst_type, synth_computation, termsize, weak_extends, wf_context,
+    apply_context, free_uvars, is_ground, restrict_context, subst_type,
+    synth_computation, wf_context,
 )
 from polarf.syntax import (
     BoolLit, IntLit, Lambda, Let, LetAnn, PairVal, Return, Thunk, TypeAbs, Var,
-    fresh_name, subst_evar, subst_uvars,
+    fresh_name, subst_uvars,
 )
-from polarf.wellformed import _wf
+from polarf.wellformed import _wf, wf_extension
 
 from gen import gen_program, gen_type, holeify
+from references import ref_weak_extends
 
 UNIVERSALS = ("a", "b", "c")
 
@@ -118,7 +120,7 @@ def ref_wf_context(theta):
             return False
         seen.add(e.name)
         if isinstance(e, Solved):
-            if free_evars(e.solution):
+            if ref_free_evars(e.solution):
                 return False
             if not ref_wf_type(Context(theta.entries[:i]), e.solution):
                 return False
@@ -202,20 +204,6 @@ def ref_term_size(t):
     return sum(1 for _ in ref_term_nodes(t))
 
 
-def ref_weak_extends(theta, theta_prime):
-    """Walk both contexts from the end, matching theta's entries by name and
-    skipping the existentials theta lacks, wherever they are."""
-    i = len(theta.entries) - 1
-    for e2 in reversed(theta_prime.entries):
-        if not isinstance(e2, Universal) and e2.name not in theta.evar_names \
-                and e2.name not in theta.uvar_names:
-            continue
-        if i < 0 or not extends(Context((theta.entries[i],)), Context((e2,))):
-            return False
-        i -= 1
-    return i < 0
-
-
 def ref_restrict(theta_prime, theta):
     """Drop from theta_prime, walking from the end, the existentials theta
     lacks; the entries theta has must line up by name."""
@@ -287,7 +275,7 @@ def test_apply_context_matches_right_fold():
         assert got == ref_apply(theta, holed)
         assert free_uvars(got) == free_uvars(ref_apply(theta, holed))
         assert wf_context(theta)
-        captured += any(isinstance(e, Solved) and e.name in free_evars(holed)
+        captured += any(isinstance(e, Solved) and e.name in holed.evars
                         and free_uvars(e.solution) for e in theta.entries)
     assert captured > 50  # many instances substitute open solutions
 
@@ -311,7 +299,8 @@ def test_single_substitutions_match_reference():
             assert Forall("a", target).open(p) == ref_subst(target, "a", p, UVar)
         holed, theta, _ = holeify(rng, target)
         for e in theta.entries:
-            assert subst_evar(p, e.name, holed) == ref_subst(holed, e.name, p, EVar)
+            one = Context((Solved(e.name, p),))
+            assert apply_context(one, holed) == ref_subst(holed, e.name, p, EVar)
 
 
 # -- wf_context ----------------------------------------------------------------
@@ -355,10 +344,10 @@ def test_wf_context_scopes_solutions_to_their_prefix():
 # -- facts carried by types and terms -------------------------------------------
 
 def assert_facts(t):
-    assert free_evars(t) == ref_free_evars(t)
+    assert t.evars == ref_free_evars(t)
     assert free_uvars(t) == ref_free_uvars(t)
     assert is_ground(t) == (not ref_free_evars(t))
-    assert termsize(t) == ref_termsize(t)
+    assert t.size == ref_termsize(t)
     assert t.height == ref_height(t)
     assert t.dangling == ref_dangling(t)
     for uvars in (frozenset(), frozenset(UNIVERSALS), ref_free_uvars(t)):
@@ -378,7 +367,7 @@ def built_types(rng):
     yield subst_type(solution(rng), rng.choice(UNIVERSALS), t)
     yield subst_uvars({a: solution(rng) for a in UNIVERSALS[:2]}, t)
     for e in theta.entries:
-        yield subst_evar(solution(rng), e.name, holed)
+        yield apply_context(Context((Solved(e.name, solution(rng)),)), holed)
     for body in (t, holed):
         if isinstance(body, NegType):
             closed = Forall(rng.choice(UNIVERSALS), body)
@@ -460,7 +449,7 @@ def test_stack_extension_matches_name_aligned_walk():
     for before, after in spine_contexts(rng, 1000):
         for theta, out in ((before, after), (after, before)):
             verdict = ref_weak_extends(theta, out)
-            assert weak_extends(theta, out) == verdict
+            assert wf_extension(theta, out, weak=True) == verdict
             if verdict:
                 assert restrict_context(out, theta) == ref_restrict(out, theta)
             else:

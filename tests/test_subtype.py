@@ -7,7 +7,7 @@ import pytest
 from polarf import (
     Context, Data, EVar, Solved, TypeCheckError, UVar, Universal,
     Unsolved, Up, apply_context, decl_subtype, extends, is_ground,
-    isomorphic, parse_type, subtype_neg, subtype_pos, termsize, wf_context,
+    isomorphic, parse_type, subtype_neg, subtype_pos, wf_context,
 )
 
 from gen import gen_related_pair, gen_type, holeify
@@ -156,11 +156,11 @@ class TestResultShape:
                 if polarity == "+":
                     res = subtype_pos(theta, t, holed)
                     completed = apply_context(res.context, holed)
-                    assert termsize(completed) <= termsize(t)
+                    assert completed.size <= t.size
                 else:
                     res = subtype_neg(theta, holed, t)
                     completed = apply_context(res.context, holed)
-                    assert termsize(completed) <= termsize(t)
+                    assert completed.size <= t.size
             except TypeCheckError:
                 failed += 1
                 continue

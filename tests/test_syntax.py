@@ -7,11 +7,11 @@ import pytest
 
 from polarf import (
     Arrow, BVar, Context, Data, Down, EVar, Forall, Solved, UVar, Universal,
-    Unsolved, Up, alpha_equal, apply_context, erase_context,
-    extends, free_evars, free_uvars, num_prenex, parse_type, pretty,
-    restrict_context, subst_type, termsize, weak_extends,
+    Unsolved, Up, apply_context, extends, free_uvars, num_prenex, parse_type,
+    pretty, restrict_context, subst_type,
 )
 from polarf.errors import InvariantViolation
+from polarf.wellformed import wf_extension
 
 from gen import gen_related_pair, gen_type, holeify
 
@@ -57,28 +57,28 @@ def walk_uvars(t, bound=frozenset()):
 
 class TestFreeVars:
     def test_ground_type_has_no_evars(self):
-        assert free_evars(ID_TYPE) == set()
+        assert ID_TYPE.evars == set()
 
     def test_evars_by_definition(self):
         t = Arrow(EVar("?a"), Up(EVar("?b")))
-        assert free_evars(t) == {"?a", "?b"}
+        assert t.evars == {"?a", "?b"}
 
     def test_evars_under_constructor(self):
         t = Data("List", (EVar("?a"),))
-        assert free_evars(t) == {"?a"}
-        assert free_evars(t) == walk_evars(t)
+        assert t.evars == {"?a"}
+        assert t.evars == walk_evars(t)
 
     def test_evars_match_structural_oracle(self):
         rng = random.Random(7)
         for _ in range(200):
             t = gen_type(rng, rng.choice("+-"))
             holed, _, _ = holeify(rng, t)
-            assert free_evars(holed) == walk_evars(holed)
+            assert holed.evars == walk_evars(holed)
 
     def test_context_evars(self):
         theta = Context((Universal("a"), Unsolved("?x"),
                          Solved("?y", Data("Int", ()))))
-        assert free_evars(theta) == {"?x", "?y"}
+        assert theta.evar_names == {"?x", "?y"}
 
     def test_closed_forall(self):
         assert free_uvars(T("forall a. a -> up a", "-")) == set()
@@ -132,8 +132,7 @@ class TestSubstitution:
 
     def test_alpha_equivalence_of_renamed_binders(self):
         assert T("forall a. a -> up a", "-") == T("forall b. b -> up b", "-")
-        assert alpha_equal(T("forall a b. a -> up b", "-"),
-                           T("forall b a. b -> up a", "-"))
+        assert T("forall a b. a -> up b", "-") == T("forall b a. b -> up a", "-")
         assert T("forall a b. a -> up b", "-") != T("forall a b. b -> up a", "-")
 
 
@@ -158,8 +157,8 @@ class TestApplyContext:
             holed, theta, solutions = holeify(rng, t)
             solved = Context(tuple(Solved(n, solutions[n]) for n in sorted(solutions)))
             once = apply_context(solved, holed)
-            assert alpha_equal(apply_context(solved, once), once)
-            assert alpha_equal(once, t)
+            assert apply_context(solved, once) == once
+            assert once == t
 
 
 class TestRestrictErase:
@@ -209,14 +208,15 @@ class TestRestrictErase:
             for name, sol in solutions.items():
                 grown = grown.solve(name, sol)
             got = restrict_context(grown, theta)
-            assert free_evars(got) <= theta.evar_names
+            assert got.evar_names.union(*(p.evars for p in got.solutions.values())) \
+                <= theta.evar_names
 
     def test_erase(self):
         theta = Context((Universal("a"), Solved("?x", Data("Int", ())),
                          Universal("b")))
-        assert erase_context(theta) == ("a", "b")
-        assert erase_context(Context()) == ()
-        assert erase_context(Context((Unsolved("?a"), Unsolved("?b")))) == ()
+        assert theta.erased == ("a", "b")
+        assert Context().erased == ()
+        assert Context((Unsolved("?a"), Unsolved("?b"))).erased == ()
 
 
 class TestExtension:
@@ -232,33 +232,33 @@ class TestExtension:
         theta = Context((Universal("a"), Unsolved("?x"),
                          Solved("?y", Data("Int", ()))))
         assert extends(theta, theta)
-        assert weak_extends(theta, theta)
+        assert wf_extension(theta, theta, weak=True)
 
     def test_weak_allows_new_evars(self):
         base = Context((Universal("a"),))
-        assert weak_extends(base, Context((Universal("a"), Unsolved("?b"))))
-        assert weak_extends(base, Context((Universal("a"),
-                                           Solved("?b", Data("Int", ())))))
+        assert wf_extension(base, Context((Universal("a"), Unsolved("?b"))), weak=True)
+        assert wf_extension(base, Context((Universal("a"),
+                                           Solved("?b", Data("Int", ())))), weak=True)
         assert not extends(base, Context((Universal("a"), Unsolved("?b"))))
 
     def test_weak_rejects_new_existential_between_old_entries(self):
         base = Context((Universal("a"), Unsolved("?x")))
-        assert weak_extends(base, Context((Universal("a"), Unsolved("?x"),
-                                           Unsolved("?new"))))
-        assert not weak_extends(base, Context((Universal("a"), Unsolved("?new"),
-                                               Unsolved("?x"))))
-        assert not weak_extends(base, Context((Unsolved("?new"), Universal("a"),
-                                               Unsolved("?x"))))
+        assert wf_extension(base, Context((Universal("a"), Unsolved("?x"),
+                                           Unsolved("?new"))), weak=True)
+        assert not wf_extension(base, Context((Universal("a"), Unsolved("?new"),
+                                               Unsolved("?x"))), weak=True)
+        assert not wf_extension(base, Context((Unsolved("?new"), Universal("a"),
+                                               Unsolved("?x"))), weak=True)
         # what is pushed on the end must be an existential with a new name
-        assert not weak_extends(base, Context((Universal("a"), Unsolved("?x"),
-                                               Universal("b"))))
-        assert not weak_extends(base, Context((Universal("a"), Unsolved("?x"),
-                                               Unsolved("a"))))
+        assert not wf_extension(base, Context((Universal("a"), Unsolved("?x"),
+                                               Universal("b"))), weak=True)
+        assert not wf_extension(base, Context((Universal("a"), Unsolved("?x"),
+                                               Unsolved("a"))), weak=True)
 
     def test_order_is_significant(self):
         ab = Context((Universal("a"), Universal("b")))
         ba = Context((Universal("b"), Universal("a")))
-        assert not weak_extends(ab, ba)
+        assert not wf_extension(ab, ba, weak=True)
 
     def test_strong_implies_weak_and_transitivity(self):
         rng = random.Random(11)
@@ -274,11 +274,11 @@ class TestExtension:
                 full = full.solve(name, solutions[name])
             assert extends(theta, mid) and extends(mid, full)
             assert extends(theta, full)  # transitivity
-            assert weak_extends(theta, mid)  # strong rules are a subset
+            assert wf_extension(theta, mid, weak=True)  # strong rules are a subset
             grown = Context(full.entries + (Unsolved("?extra"),))
-            assert weak_extends(theta, grown)
-            assert weak_extends(mid, grown)  # weak transitivity
-            assert erase_context(theta) == erase_context(full)
+            assert wf_extension(theta, grown, weak=True)
+            assert wf_extension(mid, grown, weak=True)  # weak transitivity
+            assert theta.erased == full.erased
 
 
 class TestMetrics:
@@ -290,7 +290,7 @@ class TestMetrics:
         ("List (dn (forall a. a -> up a))", "+", 6),
     ])
     def test_termsize(self, src, polarity, size):
-        assert termsize(T(src, polarity)) == size
+        assert T(src, polarity).size == size
 
     @pytest.mark.parametrize("src,polarity,count", [
         ("forall a b. a -> up b", "-", 2),
@@ -305,10 +305,10 @@ class TestMetrics:
         rng = random.Random(12)
         for _ in range(200):
             a, b = gen_related_pair(rng, "-")
-            if alpha_equal(a, b):
-                assert termsize(a) == termsize(b)
+            if a == b:
+                assert a.size == b.size
                 assert num_prenex(a) == num_prenex(b)
         one = T("forall a. a -> up a", "-")
         two = T("forall z. z -> up z", "-")
-        assert termsize(one) == termsize(two)
+        assert one.size == two.size
         assert num_prenex(one) == num_prenex(two)
