@@ -23,7 +23,10 @@ children's facts in O(arity) (the per-node half of Filliâtre and Conchon,
 - `dangling`: the largest index of a `BVar` below it that no `Forall` below
   it binds, counted from the node itself, or -1 if there is none (so a type
   is closed iff this is -1);
-- `typed`: whether every node below it is a type.
+- `typed`: whether every node below it is a type;
+- `prenex`: the number of quantifiers in its leading block (`Forall`s
+  directly inside one another, from the node down); 0 unless it is a
+  `Forall`.
 
 The invariant is that a node's facts are those of the subtree below it.
 A node is never changed after it is built, so they stay true, and the
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import InvariantViolation, SourceSpan
 
@@ -76,6 +79,8 @@ class _Type:
 
     __slots__ = ("evars", "uvars", "size", "height", "dangling", "typed")
 
+    prenex = 0  # a `Forall` keeps its own
+
     def __reduce__(self):
         # `copy` and `pickle` rebuild a node from its fields, so that the
         # copy computes its own facts
@@ -94,7 +99,7 @@ class NegType(_Type):
     __slots__ = ()
 
 
-Type = Union[PosType, NegType]
+Type = PosType | NegType
 
 _NONE = frozenset()
 
@@ -226,7 +231,8 @@ class Forall(NegType):
     and `hash` are alpha-equivalence; `hint` is the name it prints as
     unless that would capture.  `Forall(binder, body)`, `.binder` and
     `.body` are a named view (opened once, then cached) for callers outside
-    the parser, the printer and the checker, which work on `scope`.
+    the parser, the printer and the checker, which work on `scope`.  A
+    quantifier's `prenex` fact is one more than its scope's.
     """
 
     scope: NegType
@@ -234,14 +240,16 @@ class Forall(NegType):
 
     def __init__(self, binder: str, body: NegType):
         scope = _map(body, lambda v, k: BVar(k), lambda u, k: binder not in u.uvars)
-        self.__dict__.update(scope=scope, hint=binder, _named=(binder, body))
+        self.__dict__.update(scope=scope, hint=binder, _named=(binder, body),
+                             prenex=1 + getattr(scope, "prenex", 0))
         _combine(self, (scope,), 0, 1)
 
     @classmethod
     def bind(cls, hint: str, scope: NegType) -> "Forall":
         """The quantifier whose scope is `scope` (its variable is `BVar(0)`)."""
         self = object.__new__(cls)
-        self.__dict__.update(scope=scope, hint=hint)
+        self.__dict__.update(scope=scope, hint=hint,
+                             prenex=1 + getattr(scope, "prenex", 0))
         _combine(self, (scope,), 0, 1)
         return self
 
@@ -250,8 +258,7 @@ class Forall(NegType):
 
     def open(self, p: PosType) -> NegType:
         """The scope with the bound variable replaced by the closed type `p`."""
-        return _map(self.scope, lambda v, k: p if v.index == k else v,
-                    lambda u, k: u.dangling < k)
+        return open_block(self, (p,))
 
     @_cached
     def _named(self) -> tuple:
@@ -309,6 +316,41 @@ def _map(t: Type, leaf, skip, k: int = 0) -> Type:
     return leaf(t, k)
 
 
+def open_block(t: NegType, ps) -> NegType:
+    """The scope of `t`'s first len(ps) quantifiers, with the variable of
+    the i-th (the outermost is the 0th) replaced by the closed type `ps[i]`.
+
+    One simultaneous map, however many quantifiers it opens (multi-binder
+    opening; Charguéraud, JAR 2012).  Opening them one at a time rebuilds
+    every inner quantifier once per quantifier above it, since each inner
+    scope mentions the outer variables: quadratic in the block's width.  A
+    `ps[i]` whose variable the scope does not mention is never read.
+    """
+    k = len(ps)
+    for _ in range(k):
+        t = t.scope
+    # below d binders of the scope, BVar(d + i) is the variable of quantifier k-1-i
+    return _map(t, lambda v, d: v if v.index < d else ps[k - 1 - v.index + d],
+                lambda u, d: u.dangling < d)
+
+
+def used_binders(t: NegType, k: int) -> set:
+    """The positions (the outermost is 0) of those of `t`'s first k
+    quantifiers whose variable their scope mentions.  A map that replaces
+    nothing finds them, so it builds no node."""
+    for _ in range(k):
+        t = t.scope
+    used = set()
+
+    def leaf(v, d):
+        if v.index >= d:
+            used.add(k - 1 - v.index + d)
+        return v
+
+    _map(t, leaf, lambda u, d: u.dangling < d)
+    return used
+
+
 # ---------------------------------------------------------------------------
 # Terms
 #
@@ -328,7 +370,7 @@ class Computation:
     __slots__ = ()
 
 
-Term = Union[Value, Computation]
+Term = Value | Computation
 
 # argument lists are plain tuples of values, applied all at once
 ArgList = tuple
@@ -465,7 +507,7 @@ class Solved:
     solution: PosType
 
 
-ContextEntry = Union[Universal, Unsolved, Solved]
+ContextEntry = Universal | Unsolved | Solved
 
 
 @dataclass(frozen=True)
@@ -473,14 +515,14 @@ class Context:
     """Ordered checker context; entry names are pairwise distinct.
 
     A context is a stack.  The checker changes one in only three ways: it
-    pushes an entry on the end, pops the last entry off again (`pop` checks
-    that it is the one pushed), or solves an existential in place.  A rule
-    that opens a quantifier pops its entry before it returns, and the spine
-    rules leave their existentials pushed on the end, where the let rules
-    cut them off (`restrict_context`).  So an output context is its input
-    with solutions added and, after a spine, new existentials at the end,
-    and the extension checks compare a prefix instead of matching entries
-    up by name.
+    pushes entries on the end, pops the last entries off again (`pop` checks
+    that they are the ones pushed), or solves an existential in place.  A
+    rule that opens quantifiers pops their entries before it returns, and
+    the spine rules leave their existentials pushed on the end, where the
+    let rules cut them off (`restrict_context`).  So an output context is
+    its input with solutions added and, after a spine, new existentials at
+    the end, and the extension checks compare a prefix instead of matching
+    entries up by name.
 
     A context carries its facts the way a type node does: `positions`,
     `uvar_names`, `evar_names`, `solutions` and `erased`.  A context built
@@ -488,9 +530,10 @@ class Context:
     `pop` and `solve` hand the new context its facts, made from those of
     the context they change by one set or dict operation on the entry that
     changed (a copy in C, not a walk over the entries).  A pushed context
-    also keeps the context it was pushed on, which `pop` returns as it is
-    (`_below`).  Facts are shared between contexts, so they are never
-    mutated.
+    also keeps the context it was pushed on (`_below`), and so does a
+    context solved at an entry that was pushed: `pop` returns it as it is
+    when it takes off all the entries pushed on it.  Facts are shared
+    between contexts, so they are never mutated.
     """
 
     entries: tuple = ()
@@ -534,46 +577,60 @@ class Context:
                             erased=self.erased, _below=below)
         return new
 
-    def push(self, entry: ContextEntry) -> "Context":
-        positions = self.positions
-        name = entry.name
-        if name in positions:
-            raise InvariantViolation(f"duplicate context entry {name}")
+    def push(self, *entries: ContextEntry) -> "Context":
+        """The context with `entries` pushed on the end, in order."""
+        if not entries:
+            return self
+        positions = {**self.positions}
+        for e in entries:
+            if e.name in positions:
+                raise InvariantViolation(f"duplicate context entry {e.name}")
+            positions[e.name] = len(positions)
         solutions = self.solutions
-        if type(entry) is Solved:
-            solutions = {**solutions, name: entry.solution}
-        new = self._derive(self.entries + (entry,), {**positions, name: len(positions)},
-                           solutions, self)
-        one = _names(name)
-        if type(entry) is Universal:
-            new.__dict__.update(uvar_names=self.uvar_names | one,
-                                erased=self.erased + (name,))
-        else:
-            new.__dict__["evar_names"] = self.evar_names | one
+        if any(type(e) is Solved for e in entries):
+            solutions = {**solutions, **{e.name: e.solution for e in entries
+                                         if type(e) is Solved}}
+        new = self._derive(self.entries + entries, positions, solutions, self)
+        universals = tuple(e.name for e in entries if type(e) is Universal)
+        if universals:
+            new.__dict__.update(uvar_names=self.uvar_names.union(universals),
+                                erased=self.erased + universals)
+        if len(universals) < len(entries):
+            new.__dict__["evar_names"] = self.evar_names.union(
+                e.name for e in entries if type(e) is not Universal)
         return new
 
     def pop(self, name: str, universal: bool) -> "Context":
         """The context without its last entry, which must be the universal
         `name` (or, unless `universal`, the existential `name`)."""
+        return self.pop_all((name,), universal)
+
+    def pop_all(self, names: tuple, universal: bool = False) -> "Context":
+        """The context without its last len(names) entries, which must be
+        the existentials `names` in order (or, if `universal`, the
+        universals)."""
         kind = "universal" if universal else "existential"
-        last = self.entries[-1] if self.entries else None
-        if last is None or last.name != name or isinstance(last, Universal) != universal:
-            raise InvariantViolation(f"{kind} {name} is not the last context entry")
+        n = len(self.entries) - len(names)
+        popped = self.entries[n:] if n >= 0 else ()
+        if len(popped) != len(names) or any(
+                e.name != x or (type(e) is Universal) != universal
+                for e, x in zip(popped, names)):
+            raise InvariantViolation(f"{kind} {names[-1]} is not the last context entry")
         below = self.__dict__.get("_below")
-        if below is not None:
+        if below is not None and len(below.entries) == n:
             return below
         positions = dict(self.positions)
-        del positions[name]
+        for x in names:
+            del positions[x]
         solutions = self.solutions
-        if type(last) is Solved:
-            solutions = dict(solutions)
-            del solutions[name]
-        new = self._derive(self.entries[:-1], positions, solutions)
-        one = _names(name)
+        if any(type(e) is Solved for e in popped):
+            solutions = {x: p for x, p in solutions.items() if x in positions}
+        new = self._derive(self.entries[:n], positions, solutions)
         if universal:
-            new.__dict__.update(uvar_names=self.uvar_names - one, erased=self.erased[:-1])
+            new.__dict__.update(uvar_names=self.uvar_names.difference(names),
+                                erased=self.erased[:len(self.erased) - len(names)])
         else:
-            new.__dict__["evar_names"] = self.evar_names - one
+            new.__dict__["evar_names"] = self.evar_names.difference(names)
         return new
 
     def solve(self, name: str, solution: PosType) -> "Context":
@@ -584,8 +641,10 @@ class Context:
         entries = self.entries
         if not isinstance(entries[i], Unsolved):
             raise InvariantViolation(f"{name} is not unsolved")
-        # solving the last entry leaves the context below it as it was
-        below = self.__dict__.get("_below") if i == len(entries) - 1 else None
+        # solving a pushed entry leaves the context below it as it was
+        below = self.__dict__.get("_below")
+        if below is not None and i < len(below.entries):
+            below = None
         return self._derive(entries[:i] + (Solved(name, solution),) + entries[i + 1:],
                             self.positions, {**self.solutions, name: solution}, below)
 
@@ -688,8 +747,4 @@ def extends(theta: Context, theta_prime: Context) -> bool:
 
 def num_prenex(t: Type) -> int:
     """Length of the leading quantifier spine; zero for every other head."""
-    n = 0
-    while isinstance(t, Forall):
-        n += 1
-        t = t.scope
-    return n
+    return t.prenex

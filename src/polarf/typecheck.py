@@ -12,6 +12,21 @@ Value and computation synthesis always produce ground types; only spine
 results may mention existentials, and the let rules restrict them away so
 nothing leaks into the output context.
 
+A spine's head is read through the context, as the non-ground side of a
+negative subtyping judgment is (see `subtype`): `spine-arg` completes the
+domain it checks its argument against and passes the rest of the arrow
+chain on as it is, and `spine-done` completes the result, once.  (Before,
+the invariant was that the head mentions no solved existential, and each
+argument completed the whole rest of the chain.)  A block of quantifiers
+at the head is opened at once: a fresh existential for each variable that
+its scope mentions, pushed in one step, and one map; a quantifier whose
+variable is unused is skipped, as `spine-skip-unused`.  The steps of the
+inner quantifiers are built when read, and their postconditions follow
+from those of the spine below them: its output weakly extends the
+context with the block's existentials pushed, which weakly extends each
+partly pushed one (transitivity; `wellformed.wf_extension`).  Every spine
+step prints its head read through its `before` context, as it did.
+
 A chain of lets is typed in a loop, so a long program takes no more stack
 than a short one: `comp` walks down the continuations, types each let's
 application and pushes a frame for it, types the computation the chain
@@ -30,10 +45,9 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, TypeCheckError, require
 from .subtype import _Engine
 from .syntax import (
-    Arrow, BoolLit, Computation, Context, Data, Down, EVar, Forall, IntLit,
+    Arrow, BoolLit, Computation, Context, Data, Down, Forall, IntLit,
     Lambda, Let, LetAnn, NegType, PairVal, Return, Thunk, TypeAbs, TypeEnv,
-    Universal, Unsolved, Up, Value, Var, apply_context, bind_tyvar, is_ground,
-    num_prenex,
+    Universal, Up, Value, Var, apply_context, bind_tyvar, is_ground,
 )
 from .wellformed import (
     restrict_context, wf_annotation, wf_context, wf_env, wf_extension, wf_type,
@@ -209,27 +223,25 @@ class _Typer(_Engine):
     # -- spines -----------------------------------------------------------
 
     def spine(self, theta: Context, args: tuple, n: NegType, parent_metric):
-        if apply_context(theta, n) != n:
-            raise InvariantViolation("spine head mentions solved existentials")
-        metric = (len(args), num_prenex(n))
+        # the head `n` is read through the context (see the module docstring)
+        metric = (len(args), n.prenex)
         if parent_metric is not None and metric >= parent_metric:
             raise InvariantViolation("spine metric did not decrease")
 
         if isinstance(n, Forall):
             # quantified heads are always instantiated, even under an empty
             # spine: the let rules need a returner type, and an uninstantiated
-            # quantifier can never become one.  `n` is closed, so the only
-            # index that can dangle from its scope is its own variable's.
-            if n.scope.dangling < 0:
-                m, out = self.spine(theta, args, n.scope, metric)
-                self._record("spine-skip-unused", (n, " >> ", m), theta, out)
-            else:
-                name = self.fresh_evar(n.hint, theta)
-                m, out = self.spine(theta.push(Unsolved(name)), args,
-                                    n.open(EVar(name)), metric)
-                # the new existential stays in the output context; let rules
-                # remove it by restriction
-                self._record("spine-instantiate", (n, " >> ", m), theta, out)
+            # quantifier can never become one.  The whole block is opened at
+            # once; a variable that its scope does not mention is skipped.
+            # The new existentials stay in the output context; let rules
+            # remove them by restriction.
+            k = n.prenex
+            ps, pushed, body = self._open(theta, n, k, True)
+            m, out = self.spine(pushed, args, body, (len(args), 1))
+            rules = tuple("spine-skip-unused" if p is None else "spine-instantiate"
+                          for p in ps)
+            self._record_block(rules, n, " >> ", m, ps, theta, out, False)
+            self._record(rules[0], (n, " >> ", m), theta, out)
         elif args and isinstance(n, Arrow):
             v, rest = args[0], args[1:]
             p, t1 = self.value(theta, v, None)
@@ -238,14 +250,15 @@ class _Typer(_Engine):
                 t1, p, dom, ("argument ", v, " of type ", p,
                              " does not fit the parameter type ", dom),
                 getattr(v, "span", None))
-            m, out = self.spine(t2, rest, apply_context(t2, n.codomain), metric)
+            m, out = self.spine(t2, rest, n.codomain, metric)
             self._record("spine-arg", (v, " : ", n, " >> ", m), theta, out)
         elif not args:
-            m, out = n, theta
+            m, out = apply_context(theta, n), theta
             self._record("spine-done", (n, " >> ", m), theta, out)
         else:
             self.fail("arity", (f"too many arguments: {len(args)} left over for "
-                                "a head of type ", n), getattr(args[0], "span", None))
+                                "a head of type ", apply_context(theta, n)),
+                      getattr(args[0], "span", None))
 
         self._check_spine_post(theta, out, n, m)
         return m, out

@@ -65,9 +65,10 @@ def wf_context(theta: Context) -> bool:
 def wf_extension(theta: Context, out: Context, weak: bool = False) -> bool:
     """For a well-formed `theta`: is `out` well-formed, and does it extend
     `theta` (or, if `weak`, weakly extend it)?  Equal to `wf_context(out)
-    and extends(theta, out)`, read from what changed.
+    and extends(theta, out)`, read from what changed, or from the checks
+    that already led from `theta` to `out`.
 
-    Lemma (context extension, after Dunfield and Krishnaswami, "Complete
+    Lemma 1 (context extension, after Dunfield and Krishnaswami, "Complete
     and Easy Bidirectional Typechecking for Higher-Rank Polymorphism",
     ICFP 2013).  Let `theta` be well-formed, and let `out` have `theta`'s
     length (or, if `weak`, at least that length).  Then `out` is
@@ -90,12 +91,56 @@ def wf_extension(theta: Context, out: Context, weak: bool = False) -> bool:
     and what is left of `wf_context(out)` is the scope condition on the
     solutions that are new, which 1 and 2 check.
 
-    So if `out is theta` there is nothing to check.  Otherwise this reads
-    the entries that are not the very objects `theta` has (a scan in C),
-    and the entries past `theta`: its cost is what changed.
+    Lemma 2 (transitivity, ibid.).  If `mid` is a well-formed extension of
+    the well-formed `theta`, and `out` one of `mid`, then `out` is a
+    well-formed extension of `theta`; the same holds for weak extension,
+    and an extension is a weak extension.  Proof: well-formedness of `out`
+    is given.  An entry of `theta` is equal in `mid` or solved there from
+    unsolved, and then equal in `out` or solved there from unsolved; a
+    solved entry stays equal, so it is equal in `out` or solved from
+    unsolved.  And an entry past `theta` in `out` is past `theta` in `mid`
+    or past `mid`: an existential, fresh, with a well-formed solution.
+
+    So this check costs what changed.  If `out is theta` there is nothing
+    to check.  A check that passes stamps `out` with `theta` (`_extends`);
+    then, when the stamps of `out` lead back to `theta` in a few steps,
+    Lemma 2 decides, and the stamps found are what the premises of a rule
+    checked: a rule whose output is the object its last premise returned
+    reads one stamp per premise.  Otherwise this reads the entries that
+    are not the very objects `theta` has (a scan in C), and the entries
+    past `theta`.  A stamp says only that one context is a (weak)
+    extension of another, if that other is well-formed, which stays true;
+    a strong check follows only strong stamps.
     """
     if out is theta:
         return True
+    if not (_follows(theta, out, weak) or _delta(theta, out, weak)):
+        return False
+    out.__dict__["_extends"] = (theta, weak)
+    return True
+
+
+# the stamps read before the delta check decides: one per premise of the
+# longest sequence of premises a rule has, but for the datatype rule,
+# which has two per argument
+_HOPS = 4
+
+
+def _follows(theta: Context, out: Context, weak: bool) -> bool:
+    """Do checked extensions lead from `theta` to `out` (Lemma 2)?"""
+    c = out
+    for _ in range(_HOPS):
+        stamp = c.__dict__.get("_extends")
+        if stamp is None or stamp[1] and not weak:
+            return False
+        c = stamp[0]
+        if c is theta:
+            return True
+    return False
+
+
+def _delta(theta: Context, out: Context, weak: bool) -> bool:
+    """Lemma 1's conditions, read from the entries that changed."""
     old, new = theta.entries, out.entries
     n = len(old)
     if len(new) != n and not (weak and len(new) > n):
@@ -140,7 +185,10 @@ def restrict_context(theta_prime: Context, theta: Context) -> Context:
     # the same names as theta's, in the same order and of the same kinds
     positions = theta.positions
     solutions = {x: p for x, p in theta_prime.solutions.items() if x in positions}
-    return theta._derive(entries, positions, solutions)
+    restricted = theta._derive(entries, positions, solutions)
+    # the first len(theta) entries of a weak extension extend theta
+    restricted.__dict__["_extends"] = (theta, False)
+    return restricted
 
 
 def wf_env(theta: Context, gamma: TypeEnv) -> bool:

@@ -1,4 +1,4 @@
-"""Rule budgets of the subtyping engine, counted in rules, not wall clock.
+"""Rule and node budgets of the checker, counted, not timed.
 
 The invariant rules check both directions one level down.  Without the
 per-run memo of ground/ground judgments that costs 2^d rules on nested
@@ -6,12 +6,20 @@ per-run memo of ground/ground judgments that costs 2^d rules on nested
 most 4*d + 1 rules.  The budget fixture stops a run as soon as it records
 one rule too many, so an exponential engine fails these tests at once
 instead of running for hours.
+
+Checking against a block of k quantifiers and typing a k-argument spine
+build a number of type nodes linear in k: the block is opened in one map,
+the rest of the arrow chain is read through the context, and no rule
+rebuilds its completed type to check its size.
 """
 
 import pytest
 
-from polarf import Context, TypeCheckError, parse_type, subtype_pos
-from polarf import cli, subtype
+from polarf import (
+    Context, TypeCheckError, check_program, parse_program, parse_type, subtype_neg,
+    subtype_pos,
+)
+from polarf import cli, subtype, syntax
 from polarf.cli import check_source_json, main
 
 
@@ -122,3 +130,53 @@ def test_repeats_through_arrows_under_a_shift(rule_budget):
         t = f"dn ({t} -> up ({t}))"
     ty = parse_type(t, "+")
     assert len(subtype_pos(Context(), ty, ty).trace) == 6 * depth + 1
+
+
+# -- node builds of wide prenex blocks and long spines -------------------------------
+
+LEAVES = ("Int", "Bool", "String")
+
+
+def prenex_query(k):
+    binders = [f"a{i}" for i in range(1, k + 1)]
+    ground = " -> ".join(LEAVES[i % 3] for i in range(k))
+    quantified = f"forall {' '.join(binders)}. {' -> '.join(binders)} -> up a1"
+    return parse_type(quantified, "-"), parse_type(f"{ground} -> up Int", "-")
+
+
+def spine_program(k):
+    binders = [f"a{i}" for i in range(1, k + 1)]
+    args = [("1", "true", "s", "ids")[i % 4] for i in range(k)]
+    return parse_program(
+        "val s : String\nval ids : List (dn (forall a. a -> up a))\n"
+        f"val f : dn (forall {' '.join(binders)}. {' -> '.join(binders)} "
+        f"-> up ({binders[0]} * {binders[-1]}))\n"
+        f"run let r = f({', '.join(args)}); return r\n")
+
+
+def node_builds(monkeypatch, run):
+    """The type nodes `run()` builds: every node computes its facts once."""
+    combine, count = syntax._combine, [0]
+
+    def counted(*args):
+        count[0] += 1
+        return combine(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(syntax, "_combine", counted)
+        run()
+    return count[0]
+
+
+@pytest.mark.parametrize("build,check", [
+    pytest.param(prenex_query, lambda q: subtype_neg(Context(), *q), id="prenex"),
+    pytest.param(spine_program, check_program, id="spine"),
+])
+def test_node_builds_grow_linearly(build, check, monkeypatch):
+    # with the block opened one quantifier at a time, these grow ~3.9x per
+    # doubling: each opening rebuilds every quantifier inside it
+    inputs = [build(k) for k in (16, 32, 64)]
+    builds = [node_builds(monkeypatch, lambda: check(x)) for x in inputs]
+    assert builds[0] > 16
+    for small, large in zip(builds, builds[1:]):
+        assert large <= 2.3 * small, builds

@@ -8,21 +8,25 @@ for the spine rules).  On every rule of generated programs and queries and
 of the corpus, both must give the same answer, on the rule's own contexts,
 on the pair reversed, and on planted bad outputs.  The let rules restrict
 a spine's output with the same weak check, so `restrict_context` rejects
-every planted bad spine output.  And every rule must still run a
-postcondition: a bad context planted under each kind of rule is caught.
+every planted bad spine output.  The checks a rule reads from its
+premises (transitivity of extension, and the completed size built from
+the premises') agree with the full checks on every rule.  And every rule
+must still run a postcondition: a bad context planted under each kind of
+rule is caught.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from polarf import (
     Context, Data, InvariantViolation, Solved, TypeCheckError, UVar, Universal,
-    Unsolved, extends, parse_program, restrict_context, subtype_neg, subtype_pos,
-    synth_computation, wf_context,
+    Unsolved, apply_context, extends, is_ground, parse_program, restrict_context,
+    subtype, subtype_neg, subtype_pos, synth_computation, wellformed, wf_context,
 )
 from polarf.corpus import EXAMPLES, STRIPPED
-from polarf.subtype import _Engine
+from polarf.subtype import _Engine, _OpenedStep
 from polarf.typecheck import _Typer, check_program
 from polarf.wellformed import wf_extension
 
@@ -41,8 +45,8 @@ def traced(run):
         return e.trace
 
 
-def rule_contexts(seed, programs, queries):
-    """(before, after, weak) of every rule of the corpus and of generated
+def rule_steps(seed, programs, queries):
+    """The trace steps of every rule of the corpus and of generated
     programs and subtyping queries, accepted or not."""
     rng = random.Random(seed)
     traces = [traced(lambda: check_program(parse_program(ex.source, ex.name)))
@@ -59,9 +63,14 @@ def rule_contexts(seed, programs, queries):
         else:
             holed, theta, _ = holeify(rng, a)
             traces.append(traced(lambda: subtype_neg(theta, holed, b)))
-    for trace in traces:
-        for step in trace:
-            yield step.before, step.after, step.rule.startswith("spine-")
+    return [step for trace in traces for step in trace]
+
+
+def rule_contexts(seed, programs, queries):
+    """(before, after, weak) of every rule of the corpus and of generated
+    programs and subtyping queries, accepted or not."""
+    for step in rule_steps(seed, programs, queries):
+        yield step.before, step.after, step.rule.startswith("spine-")
 
 
 # planted bad outputs: each returns a context, or None where it does not apply
@@ -152,6 +161,70 @@ def test_delta_check_on_contexts_of_every_kind():
         assert reference(base, out, weak) == verdict, out
         assert wf_extension(base, out, weak) == verdict, out
     assert wf_extension(base, base) and wf_extension(base, base, weak=True)
+
+
+# -- postconditions by lemma ---------------------------------------------------------
+
+def completion(after, judgment):
+    """A subtyping judgment's non-ground side completed under `after`, and
+    its ground side."""
+    a, polarity, b = judgment
+    if polarity == " <=+ ":
+        return apply_context(after, b), a
+    return apply_context(after, a), b
+
+
+def test_postconditions_by_lemma_match_full_checks(monkeypatch):
+    """The postconditions that a rule reads from its premises, against the
+    full checks they stand for, on every rule of the corpus and of the
+    generated programs and queries.  A context check that follows the
+    premises' stamps (Lemma 2 of `wf_extension`) agrees with
+    `wf_context(out) and extends(theta, out)`; the size a rule builds from
+    its premises' bounds its completed non-ground side, which is ground and
+    no larger than its ground side; and the quantifiers of a block opened
+    at once, which run no check of their own, pass the full checks too."""
+    counts = Counter()
+    follows, check_post = wellformed._follows, subtype._check_post
+    synth_post, spine_post = _Typer._check_synth_post, _Typer._check_spine_post
+
+    def checked_follows(theta, out, weak):
+        verdict = follows(theta, out, weak)
+        if verdict:
+            assert reference(theta, out, weak)
+            counts["transitivity"] += 1
+        return verdict
+
+    def checked_post(theta, out, ground_size, size, goal):
+        check_post(theta, out, ground_size, size, goal)
+        completed, _ = completion(out, goal)
+        assert wf_context(out) and extends(theta, out)
+        assert is_ground(completed) and completed.size <= size <= ground_size
+        counts["subtyping"] += 1
+
+    def checked_synth_post(self, theta, out, result):
+        synth_post(self, theta, out, result)
+        assert reference(theta, out, False)
+        counts["synthesis"] += 1
+
+    def checked_spine_post(self, theta, out, n, m):
+        spine_post(self, theta, out, n, m)
+        assert reference(theta, out, True)
+        counts["spine"] += 1
+
+    monkeypatch.setattr(wellformed, "_follows", checked_follows)
+    monkeypatch.setattr(subtype, "_check_post", checked_post)
+    monkeypatch.setattr(_Typer, "_check_synth_post", checked_synth_post)
+    monkeypatch.setattr(_Typer, "_check_spine_post", checked_spine_post)
+    for step in rule_steps(43, programs=300, queries=600):
+        judgment = step.judgment
+        if len(judgment) == 3 and judgment[1] in (" <=+ ", " <=- "):
+            completed, ground = completion(step.after, judgment)
+            assert is_ground(completed) and completed.size <= ground.size
+            counts["subtyping steps"] += 1
+        counts["opened"] += isinstance(step, _OpenedStep)
+    assert min(counts["subtyping"], counts["subtyping steps"]) > 2000, counts
+    assert counts["synthesis"] > 500 and counts["spine"] > 150, counts
+    assert counts["transitivity"] > 400 and counts["opened"] > 20, counts
 
 
 # -- every rule runs a postcondition ------------------------------------------------

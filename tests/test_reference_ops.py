@@ -33,7 +33,7 @@ from polarf import (
 )
 from polarf.syntax import (
     BoolLit, IntLit, Lambda, Let, LetAnn, PairVal, Return, Thunk, TypeAbs, Var,
-    fresh_name, subst_uvars,
+    fresh_name, open_block, subst_uvars, used_binders,
 )
 from polarf.wellformed import _wf, wf_extension
 
@@ -168,6 +168,10 @@ def ref_height(t):
     else:
         kids = []
     return 1 + max(map(ref_height, kids), default=0)
+
+
+def ref_prenex(t):
+    return 1 + ref_prenex(t.scope) if type(t) is Forall else 0
 
 
 def ref_dangling(t):
@@ -350,6 +354,7 @@ def assert_facts(t):
     assert t.size == ref_termsize(t)
     assert t.height == ref_height(t)
     assert t.dangling == ref_dangling(t)
+    assert t.prenex == ref_prenex(t)
     for uvars in (frozenset(), frozenset(UNIVERSALS), ref_free_uvars(t)):
         for evars in (frozenset(), ref_free_evars(t)):
             assert _wf(t, uvars, evars) == ref_wf(t, uvars, evars)
@@ -380,6 +385,36 @@ def built_types(rng):
         yield sub.scope
         sub = sub.open(EVar(f"?s{ref_termsize(sub)}"))
         yield sub
+
+
+def test_block_opening_matches_one_quantifier_at_a_time():
+    """Opening the first i quantifiers of a block in one map substitutes
+    each variable as the named reference does, and `used_binders` names
+    the quantifiers whose variable the scope mentions."""
+    rng = random.Random(39)
+    unused = 0
+    for _ in range(300):
+        body = gen_type(rng, "-", uvars=UNIVERSALS)
+        binders = rng.sample(UNIVERSALS, rng.randint(1, 3))
+        n = body
+        for b in reversed(binders):
+            n = Forall(b, n)
+        k = len(binders)
+        # the named reference would capture a universal named like a binder
+        ps = [rng.choice([EVar(f"?o{j}"), solution(rng)]) for j in range(k)]
+        ps = [p if p.uvars.isdisjoint(binders) else EVar(f"?o{j}")
+              for j, p in enumerate(ps)]
+        assert used_binders(n, k) == {j for j, b in enumerate(binders) if b in body.uvars}
+        unused += len(used_binders(n, k)) < k
+        for i in range(k + 1):
+            expected = body
+            for b, p in zip(binders[:i], ps):
+                expected = ref_subst(expected, b, p, UVar)
+            for b in reversed(binders[i:]):
+                expected = Forall(b, expected)
+            assert open_block(n, ps[:i]) == expected
+            assert open_block(n, ps[:i]).prenex == ref_prenex(expected)
+    assert unused > 50
 
 
 def test_type_facts_match_walks():

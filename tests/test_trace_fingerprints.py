@@ -9,9 +9,11 @@ change that means to alter the printed output.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from polarf import Context, TypeCheckError, parse_type, subtype_neg
 from polarf.cli import check_source_json
 from polarf.corpus import EXAMPLES, STRIPPED
 
@@ -62,3 +64,74 @@ def test_every_corpus_program_is_pinned():
 def test_traced_record_digest(ex):
     record = check_source_json(ex.source, ex.name, with_trace=True)
     assert hashlib.sha256(record.encode()).hexdigest() == DIGESTS[ex.name]
+
+
+# -- wide prenex blocks and long spines ---------------------------------------------
+#
+# A quantifier block is opened in one pass and a spine's head is read through
+# the context, yet the per-quantifier steps print as they did when each
+# quantifier was opened on its own and each head was completed first.
+
+LEAVES = ("Int", "Bool", "String")
+
+
+def prenex_query(k, accepted):
+    """`forall a1..ak. a1 -> .. -> ak -> up a1` against a ground arrow that
+    fits it, or that differs only in the result."""
+    binders = [f"a{i}" for i in range(1, k + 1)]
+    quantified = f"forall {' '.join(binders)}. {' -> '.join(binders)} -> up a1"
+    ground = " -> ".join(LEAVES[i % 3] for i in range(k))
+    return quantified, f"{ground} -> up {'Int' if accepted else 'Bool'}"
+
+
+def spine_program(k):
+    """One application of a `k`-quantifier, `k`-argument head."""
+    binders = [f"a{i}" for i in range(1, k + 1)]
+    args = [("1", "true", "s", "ids")[i % 4] for i in range(k)]
+    return ("val s : String\nval ids : List (dn (forall a. a -> up a))\n"
+            f"val f : dn (forall {' '.join(binders)}. {' -> '.join(binders)} "
+            f"-> up ({binders[0]} * {binders[-1]}))\n"
+            f"run let r = f({', '.join(args)}); return r\n")
+
+
+PRENEX_DIGESTS = {
+    (1, True): "38af8a6ba73768cef6b850fb37e9ae6b799659b411846df058661fd5df264a24",
+    (1, False): "84e444c5a212e12151dd6dd2f4ec87a4984f08709489cfc91086069ddfc58b02",
+    (2, True): "65ec5e3480685fd88ea22bd2143c9be5f0a04e78cd011cddce8957ba3262e19c",
+    (2, False): "c5e2546b82c809326b847c9cda3d279a189ee30fbe7dcf50e10da13701db9ea9",
+    (5, True): "6d9bf2e5e5863cbda4c4f84e22d97576eab63f06d300ba308b6a7d651408b35b",
+    (5, False): "247588967263d47b3174bca6d8d334c4391258940be3542af8f8112331a4e3cc",
+    (16, True): "e6f6f286e487b9836b8c033951dc2b816f06ebedd684ed904f9737b9f0406259",
+    (16, False): "df5672ce39feac78e03030e191a9a437c41138f33c6bb79339b610ba66f86fdd",
+}
+SPINE_DIGESTS = {
+    1: "2537cdf51a3074f67a2fdd2b07c6114c877f3bd2aa1ef27426005c06e7b7b99d",
+    5: "797fa8fb5cefea602ff79b4c881b149e642b73b3191c161f327dd79cfad30564",
+    16: "ddafacc89815a138d877732894e869b4d29a6729c8f61a046da7b2b602ff9bd8",
+}
+
+
+def printed(trace):
+    return [[s.rule, s.goal, s.context_before, s.context_after] for s in trace]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16])
+@pytest.mark.parametrize("accepted", [True, False], ids=["accept", "reject"])
+def test_prenex_trace_digest(k, accepted):
+    left, right = prenex_query(k, accepted)
+    n, m = parse_type(left, "-"), parse_type(right, "-")
+    try:
+        record = {"trace": printed(subtype_neg(Context(), n, m).trace)}
+        assert accepted
+    except TypeCheckError as e:
+        assert not accepted
+        record = {"trace": printed(e.trace), "message": e.message}
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == PRENEX_DIGESTS[k, accepted]
+
+
+@pytest.mark.parametrize("k", [1, 5, 16])
+def test_spine_trace_digest(k):
+    record = check_source_json(spine_program(k), f"spine{k}.ipf", with_trace=True)
+    assert '"status": "ok"' in record
+    assert hashlib.sha256(record.encode()).hexdigest() == SPINE_DIGESTS[k]
