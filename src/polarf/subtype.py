@@ -103,10 +103,13 @@ every other rule splits its conclusion into disjoint parts, so above the
 invariant rules a derivation is already linear in the size of the types.
 The memo key is the polarity, the universals in scope (in order) and both
 types (whose `==` is alpha-equivalence), the non-ground one read through
-the context.  A ground/ground judgment solves no existential, so its
-output context is its input context: the judgment is remembered after it
-has succeeded and passed its postconditions, and a repeat returns the
-input context with a `memo` trace step, after its metric check.
+the context.  A key hashes in O(1) after a node's first hash: a type
+node keeps its hash (see `syntax`), so each node is hashed once, when a
+key that holds it is first looked up, and no later lookup walks the
+types.  A ground/ground judgment solves no existential, so its output
+context is its input context: the judgment is remembered after it has
+succeeded and passed its postconditions, and a repeat returns the input
+context with a `memo` trace step, after its metric check.
 Judgments whose ground side is a variable or a constant are not
 remembered: they take one rule, as a memo step does.  Failures end the
 check, so they are not remembered either.

@@ -10,9 +10,10 @@ every `UVar` is free, so `==` and `hash` are alpha-equivalence and
 substitution never renames.  Nothing here changes once built, so values
 can be shared freely across threads.
 
-Every type node carries its facts, computed when it is built from its
-children's facts in O(arity) (the per-node half of Filliâtre and Conchon,
-"Type-Safe Modular Hash-Consing", ML Workshop 2006):
+Every type node carries its facts, computed from its children's facts in
+O(arity) (the per-node half of Filliâtre and Conchon, "Type-Safe Modular
+Hash-Consing", ML Workshop 2006).  All but the hash are computed when the
+node is built:
 
 - `evars` and `uvars`: the names of its free existentials and universals,
   as frozensets, shared with a child whose set already holds them all;
@@ -26,10 +27,19 @@ children's facts in O(arity) (the per-node half of Filliâtre and Conchon,
 - `typed`: whether every node below it is a type;
 - `prenex`: the number of quantifiers in its leading block (`Forall`s
   directly inside one another, from the node down); 0 unless it is a
-  `Forall`.
+  `Forall`;
+- `hash`: its structural hash, the one `==` agrees with.  A node with
+  children (`_Composite`) computes it on its first `hash()`, from its
+  children's kept hashes, and keeps it, so every later `hash()` is O(1);
+  the memo keys of the subtyping engine and of the oracle hash whole
+  types on every lookup.  It is not computed when the node is built: most
+  nodes are never hashed, and a node whose child is not a type still
+  builds.  A variable hashes its name or index on each call and keeps
+  nothing.
 
 The invariant is that a node's facts are those of the subtree below it.
-A node is never changed after it is built, so they stay true, and the
+A node's fields are never changed after it is built, so they stay true
+(the kept hash is filled in once, from the fields), and the
 operations that walked a type read them instead: free variables,
 groundness and size are attribute reads, and well-formedness is two set
 inclusions and an int test.
@@ -59,10 +69,11 @@ from .errors import InvariantViolation, SourceSpan
 
 class _cached:
     """`functools.cached_property` without the lock that Python 3.11 takes
-    on every first read: with it, a context's first `solutions` read cost
-    more than the map itself, and most contexts are read once or twice.
-    The value is kept in the instance's `__dict__`; threads that race
-    compute the same value."""
+    on every first read, for the facts of a `Context` (type nodes have
+    slots and no `__dict__`): with the lock, a context's first `solutions`
+    read cost more than the map itself, and most contexts are read once or
+    twice.  The value is kept in the instance's `__dict__`; threads that
+    race compute the same value."""
 
     def __init__(self, compute):
         self.compute, self.name = compute, compute.__name__
@@ -97,6 +108,21 @@ class NegType(_Type):
     """Base class for negative (computation) types."""
 
     __slots__ = ()
+
+
+class _Composite(_Type):
+    """A type node with children.  It keeps its hash in `_hash`, which
+    `_combine` sets to None: the first `hash()` computes it with the
+    class's generated `__hash__` (kept as `_rehash`), which hashes the
+    tuple of the node's fields and so reads each child's kept hash."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = self._rehash()
+        return h
 
 
 Type = PosType | NegType
@@ -142,14 +168,23 @@ def _combine(node, kids, size=1, shift=0):
         kids = [c if isinstance(c, _Type) else _NotAType for c in kids]
         return _combine(node, kids, size, shift)
     node.evars, node.uvars, node.size, node.typed = evars, uvars, total, typed
-    node.height = height
+    node.height, node._hash = height, None
     node.dangling = dangling - shift if dangling >= shift else -1
 
 
-# Type nodes are not `frozen`: a frozen dataclass sets each slot through
-# `object.__setattr__`, which made building a node with its facts about
-# 2.5 times slower.  Nothing assigns to a node after `__post_init__`.
-_node = dataclass(slots=True, unsafe_hash=True)
+def _node(cls):
+    """A type node class: a dataclass with slots, `==` over its compared
+    fields and, on a `_Composite`, the hash kept after its first `hash()`.
+
+    Type nodes are not `frozen`: a frozen dataclass sets each slot through
+    `object.__setattr__`, which made building a node with its facts about
+    2.5 times slower.  Nothing assigns to a node after `__post_init__` but
+    what it keeps when first asked for it, its hash and a `Forall`'s named
+    view, which are functions of its fields."""
+    cls = dataclass(slots=True, unsafe_hash=True)(cls)
+    if issubclass(cls, _Composite):
+        cls._rehash, cls.__hash__ = cls.__hash__, _Composite.__hash__
+    return cls
 
 # A variable has one fact of its own; the others are class attributes,
 # shared by every variable of its class (and read-only on instances).
@@ -192,7 +227,7 @@ class EVar(PosType):
 
 
 @_node
-class Down(PosType):
+class Down(PosType, _Composite):
     """Thunk type: suspends a computation of the wrapped negative type."""
 
     body: NegType
@@ -202,7 +237,7 @@ class Down(PosType):
 
 
 @_node
-class Data(PosType):
+class Data(PosType, _Composite):
     """Opaque positive datatype constructor applied to positive arguments."""
 
     constructor: str
@@ -213,7 +248,7 @@ class Data(PosType):
 
 
 @_node
-class Arrow(NegType):
+class Arrow(NegType, _Composite):
     """Function type; domain is positive, codomain negative."""
 
     domain: PosType
@@ -223,33 +258,38 @@ class Arrow(NegType):
         _combine(self, (self.domain, self.codomain))
 
 
-@dataclass(init=False, unsafe_hash=True)
-class Forall(NegType):
+@_node
+class Forall(NegType, _Composite):
     """Universal quantification over a positive type variable.
 
     Inside `scope` the bound variable is a `BVar`, so the generated `==`
-    and `hash` are alpha-equivalence; `hint` is the name it prints as
-    unless that would capture.  `Forall(binder, body)`, `.binder` and
-    `.body` are a named view (opened once, then cached) for callers outside
-    the parser, the printer and the checker, which work on `scope`.  A
-    quantifier's `prenex` fact is one more than its scope's.
+    and the kept hash are alpha-equivalence: both read `scope` only;
+    `hint` is the name it prints as unless that would capture.
+    `Forall(binder, body)`, `.binder` and `.body` are a named view for
+    callers outside the parser, the printer and the checker, which work on
+    `scope`: it is kept in the slot `_named`, filled when the view is first
+    read (or by `Forall(binder, body)`).  A quantifier's `prenex` fact is
+    one more than its scope's.  `prenex` and `_named` are fields only so
+    that they get slots: they are not compared, hashed, printed or passed
+    to the constructor.
     """
 
     scope: NegType
     hint: str = field(compare=False)
+    prenex: int = field(init=False, compare=False, repr=False)
+    _named: tuple = field(init=False, compare=False, repr=False)
 
     def __init__(self, binder: str, body: NegType):
         scope = _map(body, lambda v, k: BVar(k), lambda u, k: binder not in u.uvars)
-        self.__dict__.update(scope=scope, hint=binder, _named=(binder, body),
-                             prenex=1 + getattr(scope, "prenex", 0))
+        self.scope, self.hint, self.prenex = scope, binder, 1 + getattr(scope, "prenex", 0)
+        self._named = binder, body
         _combine(self, (scope,), 0, 1)
 
     @classmethod
     def bind(cls, hint: str, scope: NegType) -> "Forall":
         """The quantifier whose scope is `scope` (its variable is `BVar(0)`)."""
         self = object.__new__(cls)
-        self.__dict__.update(scope=scope, hint=hint,
-                             prenex=1 + getattr(scope, "prenex", 0))
+        self.scope, self.hint, self.prenex = scope, hint, 1 + getattr(scope, "prenex", 0)
         _combine(self, (scope,), 0, 1)
         return self
 
@@ -260,17 +300,20 @@ class Forall(NegType):
         """The scope with the bound variable replaced by the closed type `p`."""
         return open_block(self, (p,))
 
-    @_cached
-    def _named(self) -> tuple:
-        binder = fresh_name(self.hint, self.scope.uvars)
-        return binder, self.open(UVar(binder))
+    def _view(self) -> tuple:
+        try:
+            return self._named
+        except AttributeError:
+            binder = fresh_name(self.hint, self.scope.uvars)
+            self._named = named = binder, self.open(UVar(binder))
+            return named
 
-    binder = property(lambda self: self._named[0])
-    body = property(lambda self: self._named[1])
+    binder = property(lambda self: self._view()[0])
+    body = property(lambda self: self._view()[1])
 
 
 @_node
-class Up(NegType):
+class Up(NegType, _Composite):
     """Returner type: a computation producing a value of the wrapped type."""
 
     body: PosType
@@ -280,7 +323,7 @@ class Up(NegType):
 
 
 @_node
-class NegData(NegType):
+class NegData(NegType, _Composite):
     """Opaque negative datatype constructor (positive arguments)."""
 
     constructor: str

@@ -11,7 +11,13 @@ Checking against a block of k quantifiers and typing a k-argument spine
 build a number of type nodes linear in k: the block is opened in one map,
 the rest of the arrow chain is read through the context, and no rule
 rebuilds its completed type to check its size.
+
+The memos hash whole types on every lookup.  A type node with children
+computes its hash once, on its first `hash()`, from its children's kept
+hashes; building a node computes none.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -21,6 +27,8 @@ from polarf import (
 )
 from polarf import cli, subtype, syntax
 from polarf.cli import check_source_json, main
+from polarf.parser import MAX_TYPE_HEIGHT
+from polarf.syntax import Arrow, Data, Down, Forall, NegData, Up
 
 
 def dnup(depth, leaf):
@@ -180,3 +188,61 @@ def test_node_builds_grow_linearly(build, check, monkeypatch):
     assert builds[0] > 16
     for small, large in zip(builds, builds[1:]):
         assert large <= 2.3 * small, builds
+
+
+# -- hashing ---------------------------------------------------------------------------
+
+COMPOSITES = (Down, Up, Arrow, Data, NegData, Forall)
+
+
+@pytest.fixture
+def hash_computations(monkeypatch):
+    """Count, per class, the hashes computed from a node's fields."""
+    count = Counter()
+    for cls in COMPOSITES:
+        def counted(self, compute=cls._rehash):
+            count[type(self).__name__] += 1
+            return compute(self)
+
+        monkeypatch.setattr(cls, "_rehash", counted)
+    return count
+
+
+def composite_nodes(t, seen):
+    """The distinct nodes with children in `t`, by identity."""
+    if type(t) in COMPOSITES and id(t) not in seen:
+        seen[id(t)] = t
+        kids = {Down: ("body",), Up: ("body",), Arrow: ("domain", "codomain"),
+                Forall: ("scope",)}.get(type(t))
+        for kid in t.args if kids is None else (getattr(t, k) for k in kids):
+            composite_nodes(kid, seen)
+    return seen
+
+
+def test_a_type_is_hashed_once(hash_computations):
+    src = "dn (ST Int Bool)"
+    for i in range(32):
+        src = f"dn (forall a{i}. a{i} -> up (List ({src} * a{i})))"
+    for _ in range(5):
+        src = f"List ({src})"
+    t = parse_type(src, "+")
+    assert t.height == MAX_TYPE_HEIGHT
+    nodes = composite_nodes(t, {}).values()
+    assert len(nodes) > 190
+    assert not hash_computations  # building a node hashes nothing
+    first = hash(t)
+    assert hash_computations == Counter(type(n).__name__ for n in nodes)
+    hash_computations.clear()
+    assert hash(t) == first and not hash_computations
+    # a new node over hashed children computes its own hash only
+    n = t
+    while type(n) is Data:
+        n = n.args[0]
+    n = n.body  # the outermost quantifier, hashed with `t`
+    hash(n)
+    assert not hash_computations
+    for new in (Down(n), Up(t), Arrow(t, n), Data("Pair", (t, t)),
+                NegData("ST", (t, t)), Forall.bind("b", n)):
+        hash(new)
+        assert hash_computations == Counter({type(new).__name__: 1})
+        hash_computations.clear()

@@ -434,7 +434,7 @@ def test_copies_and_pickles_rebuild_the_facts():
     for _ in range(60):
         for t in [*leaves, *built_types(rng)]:
             for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-                assert twin == t and type(twin) is type(t)
+                assert twin == t and type(twin) is type(t) and hash(twin) == hash(t)
                 assert (twin.evars, twin.uvars, twin.size, twin.height, twin.dangling,
                         twin.typed) \
                     == (t.evars, t.uvars, t.size, t.height, t.dangling, t.typed)
@@ -452,6 +452,55 @@ def test_facts_of_types_with_a_child_that_is_not_a_type():
         assert not t.typed
         assert_facts(t)
     assert not _wf("not a type", frozenset(), frozenset())
+    # a node builds whatever its children are; one that holds an unhashable
+    # child fails only when it is hashed, and every time
+    assert hash(junk[0]) == hash(Data("List", ("a",)))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(junk[-1])
+
+
+def rebuilt(t, rename):
+    """`t` built again node by node, apart from `t`, through the named view
+    of each quantifier, with its variable renamed by `rename`."""
+    if isinstance(t, Forall):
+        new = rename(t.binder)
+        return Forall(new, rebuilt(subst_type(UVar(new), t.binder, t.body), rename))
+    if isinstance(t, (Down, Up)):
+        return type(t)(rebuilt(t.body, rename))
+    if isinstance(t, (Data, NegData)):
+        return type(t)(t.constructor, tuple(rebuilt(a, rename) for a in t.args))
+    if isinstance(t, Arrow):
+        return Arrow(rebuilt(t.domain, rename), rebuilt(t.codomain, rename))
+    return type(t)(t.index if isinstance(t, BVar) else t.name)
+
+
+def test_hash_agrees_with_equality():
+    """A type built apart, and an alpha-variant with other binder names,
+    are `==` and hash alike, whichever of them is hashed first."""
+    rng = random.Random(40)
+    nested = 0
+    for i in range(400):
+        # with fewer universals, quantifiers nest (each binds a name not in scope)
+        t = gen_type(rng, rng.choice("+-"), uvars=UNIVERSALS[:i % 4])
+        for u in (t, holeify(rng, t)[0]):
+            # binders renamed apart from every name the generator uses
+            variant = rebuilt(u, lambda b: f"{b}_{i}")
+            twin = rebuilt(u, lambda b: b)
+            assert twin is not u and variant is not u
+            first, second = (twin, u) if i % 2 else (u, twin)
+            assert hash(first) == hash(second) == hash(variant) == hash(u)
+            assert twin == u and variant == u
+            nested += isinstance(u, Forall) and isinstance(u.scope, Forall)
+    assert nested > 20
+    # the hint is the name a binder prints as; it is neither compared nor hashed
+    scope = Arrow(BVar(0), Up(BVar(0)))
+    assert Forall.bind("a", scope) == Forall.bind("b", scope)
+    assert hash(Forall.bind("a", scope)) == hash(Forall.bind("b", scope))
+    # the same constructor and arguments make a positive and a negative datatype
+    for args in ((), (UVar("a"), Data("Int"))):
+        assert Data("ST", args) != NegData("ST", args)
+        assert len({Data("ST", args), NegData("ST", args), Data("ST", args)}) == 2
 
 
 def test_term_sizes_match_walk():
