@@ -47,6 +47,25 @@ past the interpreter's recursion limit, such as 3,000 nested parentheses
 (which add no height) or braces, is one at the token reached; a chain of
 `let`s is read in a loop.  The command line reports the same error when a
 program's type, trace or error message is too deep to print.
+
+Programs tend to repeat their assumptions: every corpus program starts
+with the same 26 `val` lines.  So `parse_program` keeps, for the whole
+process, the type of each assumption it has parsed, and reads a `val` type
+it has seen before in one dictionary lookup instead of building it again.
+The key is the program's own `data` declarations and the texts of the
+type's tokens, which run to the next `val` before the program's `run`
+(else to that `run`): no type contains either keyword.  The declarations
+are in the key because they decide what a constructor means: under
+`data T neg 0`, `dn T` is a type, and under `data T pos 0` it is a parse
+error.  The texts include the binders' names, so alpha-variants keep
+entries of their own and print with their own names.  Only a closed value
+type that ends exactly where its tokens do is kept; an error is never
+kept, so a bad type is parsed again and fails with the same message and
+span.  (A type that parsed once within the recursion limit is read again
+without recursing.)  At most `ASSUMPTION_TYPES_CAP` types are kept, the
+oldest leaving first.  Type nodes are never changed once built, so parses
+may share them.  `parse_type` and terms, which carry spans, are always
+parsed afresh.
 """
 
 from __future__ import annotations
@@ -438,6 +457,13 @@ class _Parser:
             decls.append(decl)
         assumptions = []
         seen = set()
+        kinds, texts, declared = self.kinds, self.texts, tuple(decls)
+        # no type contains `val` or `run`: each assumption's type ends at
+        # the next `val` before the first `run`, else at that `run` (or eof)
+        try:
+            run_at = kinds.index("run", self.pos)
+        except ValueError:
+            run_at = len(kinds) - 1
         while self.at("val"):
             self.pos += 1
             name_at = self.pos
@@ -447,16 +473,40 @@ class _Parser:
             seen.add(name)
             self.expect(":")
             type_at = self.pos
-            self.free.clear()
-            ty = self.want(self.type_any(), PosType, "assumptions must have value types")
-            if self.free:
-                loose = ", ".join(sorted(self.free))
-                self.err(f"assumption type must be closed (unbound: {loose})", type_at)
+            try:
+                end = kinds.index("val", type_at, run_at)
+            except ValueError:
+                end = run_at
+            key = (declared, tuple(texts[type_at:end]))
+            ty = _ASSUMPTION_TYPES.get(key)
+            if ty is None:
+                self.free.clear()
+                ty = self.want(self.type_any(), PosType, "assumptions must have value types")
+                if self.free:
+                    loose = ", ".join(sorted(self.free))
+                    self.err(f"assumption type must be closed (unbound: {loose})", type_at)
+                if self.pos == end:
+                    _remember(key, ty)
+            else:
+                self.pos = end
             assumptions.append((name, ty))
         self.expect("run")
         body = self.computation()
         self.expect("eof")
         return Program(tuple(decls), tuple(assumptions), body)
+
+
+# The types of the assumptions parsed so far in this process, by the
+# program's own datatype declarations and the type's token texts, oldest
+# first; at most ASSUMPTION_TYPES_CAP of them.
+ASSUMPTION_TYPES_CAP = 1024
+_ASSUMPTION_TYPES: dict = {}
+
+
+def _remember(key, ty):
+    if len(_ASSUMPTION_TYPES) >= ASSUMPTION_TYPES_CAP:
+        del _ASSUMPTION_TYPES[next(iter(_ASSUMPTION_TYPES))]
+    _ASSUMPTION_TYPES[key] = ty
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:

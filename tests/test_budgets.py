@@ -10,7 +10,8 @@ instead of running for hours.
 Checking against a block of k quantifiers and typing a k-argument spine
 build a number of type nodes linear in k: the block is opened in one map,
 the rest of the arrow chain is read through the context, and no rule
-rebuilds its completed type to check its size.
+rebuilds its completed type to check its size.  A program parsed again
+builds no node for an assumption type it shares with an earlier parse.
 
 The memos hash whole types on every lookup.  A type node with children
 computes its hash once, on its first `hash()`, from its children's kept
@@ -27,6 +28,7 @@ from polarf import (
 )
 from polarf import cli, subtype, syntax
 from polarf.cli import check_source_json, main
+from polarf.corpus import EXAMPLES, STRIPPED
 from polarf.parser import MAX_TYPE_HEIGHT
 from polarf.syntax import Arrow, Data, Down, Forall, NegData, Up
 
@@ -188,6 +190,15 @@ def test_node_builds_grow_linearly(build, check, monkeypatch):
     assert builds[0] > 16
     for small, large in zip(builds, builds[1:]):
         assert large <= 2.3 * small, builds
+
+
+def test_assumption_types_are_built_once(monkeypatch):
+    # every corpus program starts with the same 26 `val` lines: parsed again,
+    # a program builds only the nodes of its `run` term's annotations
+    for ex in EXAMPLES + STRIPPED:
+        parse_program(ex.source)
+        again = node_builds(monkeypatch, lambda: parse_program(ex.source))
+        assert again == node_builds(monkeypatch, lambda: parse_program("run " + ex.term))
 
 
 # -- hashing ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarf import (
-    Arrow, Data, Down, Forall, Let, LetAnn, TypeCheckError, UVar, Up,
+    Arrow, Data, Down, Forall, Let, LetAnn, NegData, TypeCheckError, UVar, Up,
     parse_program, parse_type, pretty,
 )
+from polarf import parser
+from polarf.cli import check_source_json
 from polarf.corpus import EXAMPLES, STRIPPED
 
 from gen import gen_comp, gen_env, gen_type
@@ -129,6 +131,65 @@ class TestParseProgram:
         for ex in EXAMPLES + STRIPPED:
             prog = parse_program(ex.source, ex.name)
             assert prog.body is not None
+
+
+class TestAssumptionMemo:
+    """`parse_program` reads a `val` type it has parsed before from a memo
+    kept by the declarations and the type's token texts."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(parser, "_ASSUMPTION_TYPES", {})
+
+    def test_corpus_parses_and_records_alike_from_the_memo(self):
+        for ex in EXAMPLES + STRIPPED:
+            parser._ASSUMPTION_TYPES.clear()
+            first, second = parse_program(ex.source), parse_program(ex.source)
+            assert first == second
+            for (_, read), (_, kept) in zip(first.assumptions, second.assumptions):
+                assert kept is read
+            for with_trace in (False, True):
+                parser._ASSUMPTION_TYPES.clear()
+                cold = check_source_json(ex.source, ex.name, with_trace)
+                assert check_source_json(ex.source, ex.name, with_trace) == cold
+
+    def test_declarations_are_part_of_the_key(self):
+        body = "val x : dn T\nrun return x"
+        prog = parse_program("data T neg 0\n" + body)
+        assert prog.assumptions[0][1] == Down(NegData("T", ()))
+        with pytest.raises(TypeCheckError) as e:
+            parse_program("data T pos 0\n" + body)
+        assert e.value.message == "dn expects a computation type (usually 'dn (...)')"
+
+    @pytest.mark.parametrize("src", [
+        "val x : List\nrun return x",
+        "val x : up Int\nrun return x",
+        "val x : dn (forall a. a -> up b)\nrun return x",
+        "val x : Int val y : Int )\nrun return x",
+        "val x : Int Bool\nrun return x",
+    ])
+    def test_errors_are_not_kept(self, src):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(TypeCheckError) as e:
+                parse_program(src)
+            errors.append((e.value.message, e.value.span.start, e.value.span.end))
+        assert errors[0] == errors[1]
+
+    def test_binder_names_keep_their_own_entries(self):
+        a = parse_program("val f : dn (forall a. a -> up a)\nrun return f")
+        b = parse_program("val f : dn (forall b. b -> up b)\nrun return f")
+        assert a.assumptions[0][1] == b.assumptions[0][1]
+        assert pretty(a.assumptions[0][1]) == "dn (forall a. a -> up a)"
+        assert pretty(b.assumptions[0][1]) == "dn (forall b. b -> up b)"
+
+    def test_memo_stays_within_its_cap(self):
+        cap = parser.ASSUMPTION_TYPES_CAP
+        lines = [f"val v{i} : dn (forall a{i}. a{i} -> up a{i})" for i in range(cap + 5)]
+        prog = parse_program("\n".join(lines) + "\nrun return v0")
+        assert len(parser._ASSUMPTION_TYPES) == cap
+        last = parse_program(lines[-1] + "\nrun return v0")
+        assert last.assumptions[0][1] is prog.assumptions[-1][1]
 
 
 class TestPretty:

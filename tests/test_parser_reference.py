@@ -17,6 +17,7 @@ import pytest
 
 from gen import gen_type
 from polarf import TypeCheckError, parse_program, parse_type, pretty
+from polarf import parser
 from polarf.corpus import ENVIRONMENT, EXAMPLES, STRIPPED
 from polarf.parser import _Parser, _lex
 from polarf.syntax import (
@@ -178,8 +179,16 @@ def ref_parse_type(text, polarity):
 
 
 def ref_parse_program(text):
-    p = RefParser(text, "<input>")
-    return p.parse(p.program)
+    """The reference's parse of a program.  It runs with an empty memo of
+    assumption types, so that every `val` type is read by the reference's
+    rules, and leaves the parser's memo as it found it."""
+    kept = parser._ASSUMPTION_TYPES
+    parser._ASSUMPTION_TYPES = {}
+    try:
+        p = RefParser(text, "<input>")
+        return p.parse(p.program)
+    finally:
+        parser._ASSUMPTION_TYPES = kept
 
 
 # -- comparison -----------------------------------------------------------------
