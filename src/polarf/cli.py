@@ -51,24 +51,13 @@ def _check_source(text: str, filename: str, with_trace: bool):
         program = parse_program(text, filename)
         result = check_program(program, trace=with_trace)
     except TypeCheckError as e:
-        result = e
-    except RecursionError:
-        # typing a term nested deeply around a deep type runs out of stack
-        result = TypeCheckError("parse", "nested too deeply")
-    try:
-        if isinstance(result, TypeCheckError):
-            return _error_record(result, with_trace)
-        record = {
-            "status": "ok",
-            "type": pretty(result.type),
-            "error": None,
-            "trace": _trace_json(result.trace) if with_trace else None,
-        }
-        return record, EXIT_OK
-    except RecursionError:
-        # a type, trace or message built from deeply nested terms may be too
-        # deep to print
-        return _error_record(TypeCheckError("parse", "nested too deeply"), with_trace)
+        return _error_record(e, with_trace)
+    return {
+        "status": "ok",
+        "type": pretty(result.type),
+        "error": None,
+        "trace": _trace_json(result.trace) if with_trace else None,
+    }, EXIT_OK
 
 
 def _error_record(e: TypeCheckError, with_trace: bool):

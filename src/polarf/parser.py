@@ -39,14 +39,15 @@ bytes.  Kinds are decided once per distinct text, so lexing builds no
 object and makes no Python call per token.  The parser reads the three lists
 by index: `pos` is the next token.
 
-The parse error "nested too deeply" has two meanings.  A type taller than
+The parse error "nested too deeply" is a type as written taller than
 `MAX_TYPE_HEIGHT` (nodes on its longest path to a leaf, quantifiers
-included) is one, at the first token of the innermost type too tall: the
-layers after the parser follow types by recursion.  Other input nested
-past the interpreter's recursion limit, such as 3,000 nested parentheses
-(which add no height) or braces, is one at the token reached; a chain of
-`let`s is read in a loop.  The command line reports the same error when a
-program's type, trace or error message is too deep to print.
+included), spanning its first token, or a term nested more than
+`MAX_TERM_DEPTH` levels deep, at the first token past that depth: braces,
+lambda and type-abstraction bodies, pairs and parentheses add a level, and
+so do parentheses in a type but those around the argument of a constructor
+or `up`; a chain of `let`s adds none.  The typer adds a term whose type
+would be taller than `MAX_TYPE_HEIGHT`.  Within the bounds no layer runs
+out of stack (see `MAX_TERM_DEPTH`).
 
 Programs tend to repeat their assumptions: every corpus program starts
 with the same 26 `val` lines.  So `parse_program` keeps, for the whole
@@ -61,8 +62,7 @@ error.  The texts include the binders' names, so alpha-variants keep
 entries of their own and print with their own names.  Only a closed value
 type that ends exactly where its tokens do is kept; an error is never
 kept, so a bad type is parsed again and fails with the same message and
-span.  (A type that parsed once within the recursion limit is read again
-without recursing.)  At most `ASSUMPTION_TYPES_CAP` types are kept, the
+span.  At most `ASSUMPTION_TYPES_CAP` types are kept, the
 oldest leaving first.  Type nodes are never changed once built, so parses
 may share them.  `parse_type` and terms, which carry spans, are always
 parsed afresh.
@@ -106,12 +106,20 @@ BUILTIN_DATATYPES = (
 )
 
 
-# The tallest type the parser reads; a taller one is the parse error "nested
-# too deeply".  From an empty stack, under the default recursion limit of
-# 1,000, the subtyping engine and the printer follow nested constructors (the
-# shape that costs them the most frames per level) to a height of about 250,
-# so this leaves room for their callers' frames.
+# The tallest type read or built; a taller one is "nested too deeply".
 MAX_TYPE_HEIGHT = 200
+
+# The deepest a term nests.  Within both bounds every layer fits the default
+# recursion limit of 1,000 with 50 to spare for the callers of `cli.main`.
+# In units of the limit (C-level comparisons count), a term level costs the
+# parser 3 (a thunk: `value`, `nested`, `computation`), the typer 4 (a thunk
+# argument: `comp`, `_let_application`, `spine`, `value`) and the printer 2;
+# a type level costs the parser 4 (a constructor argument: `type_any`,
+# `atom`, `args`, `atom`), subtyping 4 (`==` on equal types) and the printer
+# 2, up to twice this tall (a parameter type completed with a solution).  The
+# most from `main` is 931: a let under 32 thunk arguments checking an
+# argument against 198 nested `List`s.
+MAX_TERM_DEPTH = 32
 
 _PRODUCT = "product components must be positive types"
 
@@ -183,10 +191,11 @@ class _Parser:
     def __init__(self, src: str, filename: str):
         self.filename = filename
         self.kinds, self.texts, self.ends = _lex(src, filename)
-        self.pos = 0
+        self.pos = self.type_start = 0
         self.sigs = {d.name: d for d in BUILTIN_DATATYPES}
         self.scope = []    # the type variables bound by enclosing foralls
         self.free = set()  # type variables read outside their scope
+        self.depth = 0     # the levels of term nesting around the next token
 
     # -- token plumbing ------------------------------------------------
     # Tokens are read by index.  `eof` is consumed only by a rule's last
@@ -236,58 +245,68 @@ class _Parser:
         end = self.ends[self.pos - 1] if self.pos > 0 else start
         return SourceSpan(self.filename, start, end)
 
-    def parse(self, rule):
-        """Run `rule`; running out of stack is the parse error "nested too
-        deeply" at the token reached."""
-        try:
-            return rule()
-        except RecursionError:
-            pass
-        self.err("nested too deeply")
+    def nested(self, rule, *args):
+        """`rule(*args)`, a term level deeper; past the bound, at the next token."""
+        if self.depth == MAX_TERM_DEPTH:
+            self.err("nested too deeply")
+        self.depth += 1
+        result = rule(*args)
+        self.depth -= 1
+        return result
 
     # -- types ---------------------------------------------------------
     # One rule reads a type of either polarity; `want` checks the polarity
-    # where the type is used.
+    # where the type is used.  `d` counts the nodes the type surely has above
+    # the next token: it is too tall once `d` reaches the bound, or a part
+    # read under `d` nodes is too tall for them.
 
-    def type_any(self):
+    def whole_type(self):
+        self.type_start = self.pos  # where "nested too deeply" points
+        return self.type_any()
+
+    def type_any(self, d: int = 0):
         """A quantifier, or a head, its `*` factors and then `-> N`."""
-        first = self.pos
-        if self.kinds[first] == "forall":
+        if d >= MAX_TYPE_HEIGHT:
+            self.err("nested too deeply", self.type_start)
+        if self.at("forall"):
             self.pos += 1
             binders = [self.expect("ident")]
             while self.at("ident"):
                 binders.append(self.expect("ident"))
             self.expect(".")
             self.scope += binders
-            t = self.want(self.type_any(), NegType, "expected a computation type here")
+            t = self.want(self.type_any(d + len(binders)), NegType,
+                          "expected a computation type here")
             del self.scope[-len(binders):]
             for b in reversed(binders):
                 t = Forall.bind(b, t)
         else:
-            t = self.neg_head()
+            t = self.neg_head(d)
             if t is None:
-                t = self.atom(True)
+                t = self.atom(True, d)
                 if self.at("*"):  # `P * Q` is `Pair P Q`, right associative
                     factors = []
                     while self.at("*"):
                         factors.append(self.want(t, PosType, _PRODUCT))
                         self.pos += 1
-                        t = self.want(self.atom(True), PosType, _PRODUCT)
+                        t = self.want(self.atom(True, d), PosType, _PRODUCT)
                     for f in reversed(factors):
                         t = Data("Pair", (f, t))
             if self.at("arrow"):
                 self.want(t, PosType,
                           "arrow domain must be positive (wrap it in 'dn (...)')")
                 self.pos += 1
-                t = Arrow(t, self.want(self.type_any(), NegType,
+                t = Arrow(t, self.want(self.type_any(d + 1), NegType,
                                        "expected a computation type here"))
-        if t.height > MAX_TYPE_HEIGHT:
-            self.err("nested too deeply", first)
+        if t.height + d > MAX_TYPE_HEIGHT:
+            self.err("nested too deeply", self.type_start)
         return t
 
-    def atom(self, apply: bool):
+    def atom(self, apply: bool, d: int):
         """A variable, `dn N`, a parenthesized type, or a value constructor,
         which takes its arguments only when `apply`."""
+        if d >= MAX_TYPE_HEIGHT:
+            self.err("nested too deeply", self.type_start)
         i = self.pos
         kind = self.kinds[i]
         text = self.texts[i]
@@ -305,44 +324,44 @@ class _Parser:
                 self.err(f"{text} needs {decl.arity} argument(s); "
                          "parenthesize the application")
             self.pos = i + 1
-            return Data(text, self.args(decl) if decl.arity else ())
-        if kind == "(":
+            return Data(text, self.args(decl, d) if decl.arity else ())
+        if kind == "(":  # around an argument, it is part of that node
             self.pos = i + 1
-            t = self.type_any()
+            t = self.nested(self.type_any, d) if apply else self.type_any(d)
             self.expect(")")
             return t
         if kind != "dn":
             self.err(f"expected a type, found {text!r}")
         self.pos = i + 1
         if not self.at("("):  # `dn` before a computation head
-            return Down(self.neg_head()
+            return Down(self.neg_head(d + 1)
                         or self.err("dn expects a computation type (usually 'dn (...)')"))
         self.pos += 1
-        t = self.want(self.type_any(), NegType, "expected a computation type here")
+        t = self.want(self.type_any(d + 1), NegType, "expected a computation type here")
         self.expect(")")
         return Down(t)
 
-    def neg_head(self):
+    def neg_head(self, d: int):
         """`up P` or a computation constructor and its arguments; None at
         any other token."""
         i = self.pos
         kind = self.kinds[i]
         if kind == "up":
             self.pos = i + 1
-            return Up(self.want(self.atom(False), PosType, "up expects a value type"))
+            return Up(self.want(self.atom(False, d + 1), PosType, "up expects a value type"))
         if kind == "conid":
             decl = self.sig(self.texts[i])
             if decl.polarity == "-":
                 self.pos = i + 1
-                return NegData(decl.name, self.args(decl))
+                return NegData(decl.name, self.args(decl, d))
         return None
 
-    def args(self, decl: DataDecl) -> tuple:
+    def args(self, decl: DataDecl, d: int) -> tuple:
         """The arguments of `decl`'s constructor, one atom each."""
         args = []
         for i in range(decl.arity):
             msg = f"argument {i + 1} of {decl.name} must be a positive type"
-            args.append(self.want(self.atom(False), PosType, msg))
+            args.append(self.want(self.atom(False, d + 1), PosType, msg))
         return tuple(args)
 
     def want(self, t, cls, msg: str):
@@ -364,7 +383,7 @@ class _Parser:
             anno = None
             if self.at(":"):
                 self.pos += 1
-                anno = self.want(self.type_any(), PosType,
+                anno = self.want(self.whole_type(), PosType,
                                  "let annotations must be value types")
             self.expect("=")
             head = self.value()
@@ -385,15 +404,16 @@ class _Parser:
             self.pos = i + 1
             param = self.expect("ident")
             self.expect(":")
-            anno = self.want(self.type_any(), PosType,
+            anno = self.want(self.whole_type(), PosType,
                              "lambda annotations must be value types")
             self.expect(".")
-            body = Lambda(param, anno, self.computation(), self.span_from(start))
+            body = Lambda(param, anno, self.nested(self.computation),
+                          self.span_from(start))
         elif kind == "tyabs":
             self.pos = i + 1
             binder = self.expect("ident")
             self.expect(".")
-            body = TypeAbs(binder, self.computation(), self.span_from(start))
+            body = TypeAbs(binder, self.nested(self.computation), self.span_from(start))
         elif kind == "return":
             self.pos = i + 1
             body = Return(self.value(), self.span_from(start))
@@ -423,15 +443,15 @@ class _Parser:
             return BoolLit(kind == "true", self.span_from(start))
         if kind == "{":
             self.pos = i + 1
-            body = self.computation()
+            body = self.nested(self.computation)
             self.expect("}")
             return Thunk(body, self.span_from(start))
         if kind == "(":
             self.pos = i + 1
-            first = self.value()
+            first = self.nested(self.value)
             if self.at(","):
                 self.pos += 1
-                second = self.value()
+                second = self.nested(self.value)
                 self.expect(")")
                 return PairVal(first, second, self.span_from(start))
             self.expect(")")
@@ -481,7 +501,7 @@ class _Parser:
             ty = _ASSUMPTION_TYPES.get(key)
             if ty is None:
                 self.free.clear()
-                ty = self.want(self.type_any(), PosType, "assumptions must have value types")
+                ty = self.want(self.whole_type(), PosType, "assumptions must have value types")
                 if self.free:
                     loose = ", ".join(sorted(self.free))
                     self.err(f"assumption type must be closed (unbound: {loose})", type_at)
@@ -511,14 +531,13 @@ def _remember(key, ty):
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse a whole program; raises TypeCheckError(parse) with a span."""
-    p = _Parser(text, filename)
-    return p.parse(p.program)
+    return _Parser(text, filename).program()
 
 
 def parse_type(text: str, polarity: str = "any", filename: str = "<type>"):
     """Parse a single type; `polarity` is '+', '-', or 'any'."""
     p = _Parser(text, filename)
-    t = p.parse(p.type_any)
+    t = p.whole_type()
     p.expect("eof")
     if polarity == "+" and not isinstance(t, PosType):
         p.err("expected a positive type")
@@ -547,8 +566,9 @@ def pretty(x) -> str:
     raise TypeError(f"cannot pretty-print {x!r}")
 
 
-def _pp_pos(p, env=None) -> str:
-    """`env` holds the binders around `p` (None outside every binder)."""
+def _pp_pos(p, env=None, atom=False) -> str:
+    """`env` holds the binders around `p` (None outside every binder); an
+    `atom` is parenthesized unless it is a variable or a constant."""
     cls = type(p)
     if cls is UVar or cls is EVar:
         if env is not None and p.name in env.names:
@@ -562,22 +582,17 @@ def _pp_pos(p, env=None) -> str:
             env.mention(name, len(env.names) - p.index)
         return name
     if cls is Down:
-        return f"dn ({_pp_neg(p.body, env)})"
-    if cls is Data:
-        if p.constructor == "Pair" and len(p.args) == 2:
-            left, right = p.args
-            lt = f"({_pp_pos(left, env)})" if _is_pair(left) else _pp_pos(left, env)
-            return f"{lt} * {_pp_pos(right, env)}"
-        if not p.args:
-            return p.constructor
-        return p.constructor + " " + " ".join(_pp_pos_atom(a, env) for a in p.args)
-    raise TypeError(f"not a positive type: {p!r}")
-
-
-def _pp_pos_atom(p, env=None) -> str:
-    if type(p) in (UVar, EVar, BVar) or (type(p) is Data and not p.args):
-        return _pp_pos(p, env)
-    return f"({_pp_pos(p, env)})"
+        out = f"dn ({_pp_neg(p.body, env)})"
+    elif cls is not Data:
+        raise TypeError(f"not a positive type: {p!r}")
+    elif not p.args:
+        return p.constructor
+    elif _is_pair(p):
+        left, right = p.args
+        out = f"{_pp_pos(left, env, _is_pair(left))} * {_pp_pos(right, env)}"
+    else:
+        out = " ".join([p.constructor] + [_pp_pos(a, env, True) for a in p.args])
+    return f"({out})" if atom else out
 
 
 def _pp_neg(n, env=None) -> str:
@@ -586,11 +601,9 @@ def _pp_neg(n, env=None) -> str:
     if isinstance(n, Arrow):
         return f"{_pp_pos(n.domain, env)} -> {_pp_neg(n.codomain, env)}"
     if isinstance(n, Up):
-        return f"up {_pp_pos_atom(n.body, env)}"
+        return f"up {_pp_pos(n.body, env, True)}"
     if isinstance(n, NegData):
-        if not n.args:
-            return n.constructor
-        return n.constructor + " " + " ".join(_pp_pos_atom(a, env) for a in n.args)
+        return " ".join([n.constructor] + [_pp_pos(a, env, True) for a in n.args])
     raise TypeError(f"not a negative type: {n!r}")
 
 
@@ -649,17 +662,21 @@ def _pp_value(v) -> str:
 
 
 def _pp_comp(t) -> str:
-    if isinstance(t, Lambda):
-        return f"\\{t.param} : {_pp_pos(t.annotation)}. {_pp_comp(t.body)}"
-    if isinstance(t, TypeAbs):
-        return f"/\\{t.binder}. {_pp_comp(t.body)}"
-    if isinstance(t, Return):
-        return f"return {_pp_value(t.value)}"
-    if isinstance(t, (Let, LetAnn)):
+    lets = []  # a chain of lets is printed in a loop
+    while isinstance(t, (Let, LetAnn)):
         anno = f" : {_pp_pos(t.annotation)}" if isinstance(t, LetAnn) else ""
-        args = ", ".join(_pp_value(v) for v in t.args)
-        return f"let {t.name}{anno} = {_pp_value(t.head)}({args}); {_pp_comp(t.cont)}"
-    raise TypeError(f"not a computation: {t!r}")
+        args = ", ".join([_pp_value(v) for v in t.args])
+        lets.append(f"let {t.name}{anno} = {_pp_value(t.head)}({args}); ")
+        t = t.cont
+    if isinstance(t, Lambda):
+        last = f"\\{t.param} : {_pp_pos(t.annotation)}. {_pp_comp(t.body)}"
+    elif isinstance(t, TypeAbs):
+        last = f"/\\{t.binder}. {_pp_comp(t.body)}"
+    elif isinstance(t, Return):
+        last = f"return {_pp_value(t.value)}"
+    else:
+        raise TypeError(f"not a computation: {t!r}")
+    return "".join(lets) + last
 
 
 def _pp_context(theta: Context) -> str:

@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, TypeCheckError, require
+from .parser import MAX_TYPE_HEIGHT
 from .subtype import _Engine
 from .syntax import (
     Arrow, BoolLit, Computation, Context, Data, Down, Forall, IntLit,
@@ -133,6 +134,7 @@ class _Typer(_Engine):
         else:
             raise TypeError(f"not a value: {v!r}")
 
+        self._fits(p, v.span)
         self._check_synth_post(theta, out, p)
         return p, out
 
@@ -184,6 +186,7 @@ class _Typer(_Engine):
             self._record("return", ("return ... ==> ", n), theta, out)
         else:
             raise TypeError(f"not a computation: {t!r}")
+        self._fits(n, t.span)
         self._check_synth_post(theta, out, n)
 
         for let, before, q in reversed(frames):
@@ -208,13 +211,13 @@ class _Typer(_Engine):
             self.fail("shape", ("partial application is forbidden: the arguments "
                                 "leave the head at type ", m, ", not a returner type"),
                       t.span)
-        q = m.body
+        q = self._fits(m.body, t.span)
         if p is None:
             return q, t2
         t3 = self._subtype_pos(
             t2, p, q, ("annotation ", p, " does not match the inferred type ", q),
             t.span)
-        qc = apply_context(t3, q)
+        qc = self._fits(apply_context(t3, q), t.span)
         t4 = self._subtype_pos(
             t3, qc, p, ("inferred type ", qc, " does not match the annotation ", p),
             t.span)
@@ -223,47 +226,57 @@ class _Typer(_Engine):
     # -- spines -----------------------------------------------------------
 
     def spine(self, theta: Context, args: tuple, n: NegType, parent_metric):
-        # the head `n` is read through the context (see the module docstring)
-        metric = (len(args), n.prenex)
-        if parent_metric is not None and metric >= parent_metric:
-            raise InvariantViolation("spine metric did not decrease")
+        # the head `n` is read through the context (see the module docstring);
+        # the rules run in a loop, then record and check their steps innermost first
+        frames = []  # (input context, head, arguments, block or None), outermost first
+        while True:
+            metric = (len(args), n.prenex)
+            if parent_metric is not None and metric >= parent_metric:
+                raise InvariantViolation("spine metric did not decrease")
+            if isinstance(n, Forall):
+                # quantified heads are always instantiated, even under an empty
+                # spine (the let rules need a returner type).  The whole block is
+                # opened at once, skipping a variable its scope does not mention;
+                # the let rules restrict the new existentials away.
+                ps, pushed, body = self._open(theta, n, n.prenex, True)
+                frames.append((theta, n, args, ps))
+                theta, n, parent_metric = pushed, body, (len(args), 1)
+            elif not args:
+                break
+            elif isinstance(n, Arrow):
+                v, span = args[0], getattr(args[0], "span", None)
+                p, t1 = self.value(theta, v, None)
+                dom = self._fits(apply_context(t1, n.domain), span)
+                t2 = self._subtype_pos(
+                    t1, p, dom, ("argument ", v, " of type ", p,
+                                 " does not fit the parameter type ", dom), span)
+                frames.append((theta, n, args, None))
+                theta, args, n, parent_metric = t2, args[1:], n.codomain, metric
+            else:
+                self.fail("arity", (f"too many arguments: {len(args)} left over for "
+                                    "a head of type ", apply_context(theta, n)),
+                          getattr(args[0], "span", None))
 
-        if isinstance(n, Forall):
-            # quantified heads are always instantiated, even under an empty
-            # spine: the let rules need a returner type, and an uninstantiated
-            # quantifier can never become one.  The whole block is opened at
-            # once; a variable that its scope does not mention is skipped.
-            # The new existentials stay in the output context; let rules
-            # remove them by restriction.
-            k = n.prenex
-            ps, pushed, body = self._open(theta, n, k, True)
-            m, out = self.spine(pushed, args, body, (len(args), 1))
-            rules = tuple("spine-skip-unused" if p is None else "spine-instantiate"
-                          for p in ps)
-            self._record_block(rules, n, " >> ", m, ps, theta, out, False)
-            self._record(rules[0], (n, " >> ", m), theta, out)
-        elif args and isinstance(n, Arrow):
-            v, rest = args[0], args[1:]
-            p, t1 = self.value(theta, v, None)
-            dom = apply_context(t1, n.domain)
-            t2 = self._subtype_pos(
-                t1, p, dom, ("argument ", v, " of type ", p,
-                             " does not fit the parameter type ", dom),
-                getattr(v, "span", None))
-            m, out = self.spine(t2, rest, n.codomain, metric)
-            self._record("spine-arg", (v, " : ", n, " >> ", m), theta, out)
-        elif not args:
-            m, out = apply_context(theta, n), theta
-            self._record("spine-done", (n, " >> ", m), theta, out)
-        else:
-            self.fail("arity", (f"too many arguments: {len(args)} left over for "
-                                "a head of type ", apply_context(theta, n)),
-                      getattr(args[0], "span", None))
-
-        self._check_spine_post(theta, out, n, m)
+        m, out = apply_context(theta, n), theta
+        frames.append((theta, n, args, ()))  # spine-done: a block of no quantifiers
+        for theta, n, args, ps in reversed(frames):
+            if ps is None:
+                self._record("spine-arg", (args[0], " : ", n, " >> ", m), theta, out)
+            else:
+                rules = tuple("spine-skip-unused" if p is None else "spine-instantiate"
+                              for p in ps) or ("spine-done",)
+                self._record_block(rules, n, " >> ", m, ps, theta, out, False)
+                self._record(rules[0], (n, " >> ", m), theta, out)
+            self._check_spine_post(theta, out, n, m)
         return m, out
 
     # -- shared checks ------------------------------------------------------
+
+    def _fits(self, t, span):
+        """`t`; if taller than `MAX_TYPE_HEIGHT`, "nested too deeply" at `span`."""
+        if t.height > MAX_TYPE_HEIGHT:
+            self.fail("parse", "nested too deeply", span)
+        return t
 
     def _annotation(self, theta, anno, what, span):
         p = wf_annotation(theta, anno, self.renamed)

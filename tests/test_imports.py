@@ -1,5 +1,6 @@
-"""No module of the package imports a name it does not use, and the
-package re-exports no name that nothing reads.
+"""No module of the package imports a name it does not use, the package
+re-exports no name that nothing reads, and no module names
+`RecursionError`.
 
 A stand-in for a linter's unused-import rule, on the standard library's
 `ast`: a name bound by `import` or `from ... import` in a module of
@@ -7,6 +8,9 @@ A stand-in for a linter's unused-import rule, on the standard library's
 somewhere in that module.  A leftover import after a refactor fails here.
 A name `__init__.py` re-exports must be read by a module of the package, by
 `bench/` or `tools/`, or be named in README's `## Library` example.
+"Nested too deeply" is decided by the input against the stated bounds
+(`parser.MAX_TYPE_HEIGHT`, `parser.MAX_TERM_DEPTH`), never by catching the
+interpreter running out of stack.
 """
 
 import ast
@@ -40,6 +44,26 @@ def test_the_check_sees_a_leftover():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# -- no module catches running out of stack ---------------------------------------
+
+def names_recursion_error(source: str) -> bool:
+    tree = ast.parse(source)
+    return any(isinstance(node, ast.Name) and node.id == "RecursionError"
+               or isinstance(node, ast.Attribute) and node.attr == "RecursionError"
+               for node in ast.walk(tree))
+
+
+def test_the_check_sees_a_recursion_catch():
+    source = "try:\n    f()\nexcept (ValueError, RecursionError):\n    pass\n"
+    assert names_recursion_error(source)
+    assert not names_recursion_error("f()  # RecursionError\n")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_recursion_error(path):
+    assert not names_recursion_error(path.read_text(encoding="utf-8"))
 
 
 # -- every re-export has a reader ------------------------------------------------

@@ -169,7 +169,7 @@ class RefParser(_Parser):
 
 def ref_parse_type(text, polarity):
     p = RefParser(text, "<type>")
-    t = p.parse(p.type_any)
+    t = p.type_any()
     p.expect("eof")
     if polarity == "+" and not isinstance(t, PosType):
         p.err("expected a positive type")
@@ -186,7 +186,7 @@ def ref_parse_program(text):
     parser._ASSUMPTION_TYPES = {}
     try:
         p = RefParser(text, "<input>")
-        return p.parse(p.program)
+        return p.program()
     finally:
         parser._ASSUMPTION_TYPES = kept
 
