@@ -35,8 +35,17 @@ def _span_json(span):
 
 
 def _trace_json(trace):
-    return [{"rule": s.rule, "goal": s.goal, "context_before": s.context_before,
-             "context_after": s.context_after} for s in trace]
+    # steps share their contexts: print each object once, and hold it, so
+    # that no id is freed and reused within the call
+    shown = {}
+
+    def show(ctx):
+        if id(ctx) not in shown:
+            shown[id(ctx)] = ctx, pretty(ctx)
+        return shown[id(ctx)][1]
+
+    return [{"rule": s.rule, "goal": s.goal, "context_before": show(s.before),
+             "context_after": show(s.after)} for s in trace]
 
 
 def check_source_json(text: str, filename: str = "<input>",

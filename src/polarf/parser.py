@@ -30,14 +30,15 @@ Lexical grammar (files use the `.ipf` extension):
 Any other character is a parse error, as are a lone `-` or `/`; so is an
 integer literal longer than `int()` reads (`sys.get_int_max_str_digits()`).
 
-`_lex` reads the whole input with one `findall` of one pattern, whose
-matches are (gap, token) pairs, the gap being whitespace and comments.  It
-returns three lists: the token kinds, the token texts and the offset just
-past each token, a running sum of the gap and token lengths; a token starts
-at its end minus its length.  Offsets count characters of the text, not
-bytes.  Kinds are decided once per distinct text, so lexing builds no
-object and makes no Python call per token.  The parser reads the three lists
-by index: `pos` is the next token.
+`_lex` returns three lists: the token kinds, the token texts and the
+offset just past each token (in characters, not bytes); a token starts at
+its end minus its length.  The parser reads them by index: `pos` is the
+next token.  No token holds a newline and a comment ends at one, so each
+line is lexed alone, by one `findall` of (gap, token) pairs, the gap being
+whitespace and comments.  Programs repeat their lines (every corpus
+program starts with the same 26), so each line's tokens are kept for the
+process by its text, with ends from the line's start: at most
+`LINE_TOKENS_CAP` lines of at most `LINE_LENGTH_MAX` characters.
 
 The parse error "nested too deeply" is a type as written taller than
 `MAX_TYPE_HEIGHT` (nodes on its longest path to a leaf, quantifiers
@@ -165,25 +166,50 @@ def _kind(text: str) -> str:
     return kind
 
 
+# `_lex_line` of the lines lexed so far, by their text, the oldest leaving
+# first: kinds, texts, ends from the line's start, the first `bad` or -1.
+LINE_TOKENS_CAP = 1024
+LINE_LENGTH_MAX = 256
+_LINE_TOKENS: dict = {}
+
+
+def _lex_line(line: str):
+    """The `_LINE_TOKENS` entry of one line, which holds no newline."""
+    pairs = _TOKEN.findall(line)
+    # drop `eof`, and the empty match after a gap that ends the line
+    del pairs[-2 if len(pairs) > 1 and not pairs[-2][1] else -1:]
+    texts = tuple(map(itemgetter(1), pairs))
+    kinds = tuple(map(_kind, texts))
+    ends = tuple(accumulate(map(len, chain.from_iterable(pairs))))[1::2]
+    return kinds, texts, ends, kinds.index("bad") if "bad" in kinds else -1
+
+
 def _lex(src: str, filename: str):
     """The tokens of `src` as three lists: `kinds`, `texts` and `ends` (the
     offset just past each token; a token starts at its end minus its
     length).  The last token is `eof`.  Raises the parse error of the first
     character no token starts with."""
-    pairs = _TOKEN.findall(src)
-    # after a gap that ends the input, the pattern matches once more, empty
-    if len(pairs) > 1 and not pairs[-2][1]:
-        del pairs[-1]
-    texts = list(map(itemgetter(1), pairs))
-    kind_of = {text: _kind(text) for text in set(texts)}
-    kinds = list(map(kind_of.__getitem__, texts))
-    ends = list(accumulate(map(len, chain.from_iterable(pairs))))[1::2]
-    if "bad" in kind_of.values():
-        i = kinds.index("bad")
-        c = texts[i][0]
-        start = ends[i] - len(texts[i])
-        msg = _STRAY.get(c) or f"unexpected character {c!r}"
-        raise TypeCheckError("parse", msg, SourceSpan(filename, start, start + 1))
+    kinds, texts, ends = [], [], []
+    offset = 0
+    for line in src.split("\n"):
+        entry = _LINE_TOKENS.get(line)
+        if entry is None:
+            entry = _lex_line(line)
+            if len(line) <= LINE_LENGTH_MAX:
+                _keep(_LINE_TOKENS, LINE_TOKENS_CAP, line, entry)
+        line_kinds, line_texts, line_ends, bad = entry
+        if bad >= 0:
+            text = line_texts[bad]
+            start = offset + line_ends[bad] - len(text)
+            msg = _STRAY.get(text[0]) or f"unexpected character {text[0]!r}"
+            raise TypeCheckError("parse", msg, SourceSpan(filename, start, start + 1))
+        kinds += line_kinds
+        texts += line_texts
+        ends += map(offset.__add__, line_ends)
+        offset += len(line) + 1
+    kinds.append("eof")
+    texts.append("")
+    ends.append(len(src))
     return kinds, texts, ends
 
 
@@ -506,7 +532,7 @@ class _Parser:
                     loose = ", ".join(sorted(self.free))
                     self.err(f"assumption type must be closed (unbound: {loose})", type_at)
                 if self.pos == end:
-                    _remember(key, ty)
+                    _keep(_ASSUMPTION_TYPES, ASSUMPTION_TYPES_CAP, key, ty)
             else:
                 self.pos = end
             assumptions.append((name, ty))
@@ -523,10 +549,15 @@ ASSUMPTION_TYPES_CAP = 1024
 _ASSUMPTION_TYPES: dict = {}
 
 
-def _remember(key, ty):
-    if len(_ASSUMPTION_TYPES) >= ASSUMPTION_TYPES_CAP:
-        del _ASSUMPTION_TYPES[next(iter(_ASSUMPTION_TYPES))]
-    _ASSUMPTION_TYPES[key] = ty
+def _keep(memo: dict, cap: int, key, value):
+    """Store `value` in a memo of at most `cap` entries, the oldest leaving
+    first.  Threads share the memos: another may drop the same entry first."""
+    while len(memo) >= cap:
+        try:
+            del memo[next(iter(memo))]
+        except (KeyError, RuntimeError):  # RuntimeError: changed while read
+            pass
+    memo[key] = value
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:

@@ -11,7 +11,8 @@ Checking against a block of k quantifiers and typing a k-argument spine
 build a number of type nodes linear in k: the block is opened in one map,
 the rest of the arrow chain is read through the context, and no rule
 rebuilds its completed type to check its size.  A program parsed again
-builds no node for an assumption type it shares with an earlier parse.
+builds no node for an assumption type it shares with an earlier parse, and
+lexes no line that an earlier input held.
 
 The memos hash whole types on every lookup.  A type node with children
 computes its hash once, on its first `hash()`, from its children's kept
@@ -26,7 +27,7 @@ from polarf import (
     Context, TypeCheckError, check_program, parse_program, parse_type, subtype_neg,
     subtype_pos,
 )
-from polarf import cli, subtype, syntax
+from polarf import cli, parser, subtype, syntax
 from polarf.cli import check_source_json, main
 from polarf.corpus import EXAMPLES, STRIPPED
 from polarf.parser import MAX_TYPE_HEIGHT
@@ -199,6 +200,26 @@ def test_assumption_types_are_built_once(monkeypatch):
         parse_program(ex.source)
         again = node_builds(monkeypatch, lambda: parse_program(ex.source))
         assert again == node_builds(monkeypatch, lambda: parse_program("run " + ex.term))
+
+
+def test_a_corpus_pass_lexes_each_distinct_line_once(monkeypatch):
+    # the corpus programs share their 26 environment lines: one pass from an
+    # empty memo lexes 63 distinct lines, where a lexer of whole inputs
+    # reads every line of every program
+    lex_line, lexed = parser._lex_line, []
+
+    def counted(line):
+        lexed.append(line)
+        return lex_line(line)
+
+    monkeypatch.setattr(parser, "_LINE_TOKENS", {})
+    monkeypatch.setattr(parser, "_lex_line", counted)
+    sources = [ex.source for ex in EXAMPLES + STRIPPED]
+    for src in sources:
+        parser._lex(src, "f")
+    lines = [line for src in sources for line in src.split("\n")]
+    assert sorted(lexed) == sorted(set(lines))
+    assert len(lexed) == 63 and len(lines) > 900
 
 
 # -- hashing ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """The regex lexer against the character loop it replaced.
 
-`parser._lex` reads every token with one `findall` of a single compiled
-pattern and returns the kinds, texts and end offsets as three lists.  The
-reference kept here is the direct character-by-character loop, changed in
-one place: an integer literal is a run of decimal digits (`str.isdecimal`,
-what `int()` reads), where the loop once took any `str.isdigit` character,
-so that `2²` became an int token that `int()` then rejected with a Python
-traceback.  Both lexers must give the same tokens, or the same parse error
-with the same span, on the corpus, on every string literal in the tests and
-on random strings over the characters where the two could part.
+`parser._lex` reads each line's tokens with one `findall` of a single
+compiled pattern, or from its memo of the lines it has lexed, and returns
+the kinds, texts and end offsets as three lists.  The reference kept here
+is the direct character-by-character loop, changed in one place: an
+integer literal is a run of decimal digits (`str.isdecimal`, what `int()`
+reads), where the loop once took any `str.isdigit` character, so that `2²`
+became an int token that `int()` then rejected with a Python traceback.
+Both lexers must give the same tokens, or the same parse error with the
+same span, on the corpus, on every string literal in the tests and on
+random strings over the characters where the two could part, from an
+empty memo and from a warm one.
 """
 
 import ast
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from polarf import Computation, TypeCheckError, Value, parse_program, pretty
+from polarf import parser
 from polarf.corpus import ENVIRONMENT, EXAMPLES, STRIPPED
 from polarf.errors import SourceSpan
 from polarf.parser import KEYWORDS, _lex
@@ -160,6 +163,37 @@ def test_only_non_decimal_digits_changed():
             parted += 1
             assert any(c.isdigit() and not c.isdecimal() for c in src), repr(src)
     assert parted > 0
+
+
+def multi_line_strings(seed, count):
+    """Inputs of 2 to 6 lines drawn from three random strings, so that a
+    line may come back at another offset."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pool = ["".join(rng.choice(ATOMS) for _ in range(rng.randint(0, 8)))
+                for _ in range(3)]
+        yield "\n".join(rng.choice(pool) for _ in range(rng.randint(2, 6)))
+
+
+def test_memo_hits_at_any_offset(monkeypatch):
+    """A line's tokens read from the memo, at the line's first offset or
+    at another, are the tokens the reference reads there."""
+    bad_line = "val x : Int ? Int"
+    inputs = ([ENVIRONMENT, f"{bad_line}\nrun return x"]
+              + [ex.source for ex in EXAMPLES + STRIPPED]
+              + list(multi_line_strings(33, 2_000)))
+    for src in inputs:
+        monkeypatch.setattr(parser, "_LINE_TOKENS", {})
+        for text in (src, src, "run -- a prefix line\n" + src):
+            assert_same(text)
+    monkeypatch.setattr(parser, "_LINE_TOKENS", {})
+    spans = []
+    for prefix in ("", "val y : Bool\n"):
+        with pytest.raises(TypeCheckError) as e:
+            _lex(f"{prefix}{bad_line}\nrun return x", "f")
+        spans.append((e.value.message, e.value.span.start, e.value.span.end))
+    assert spans == [("unexpected character '?'", 12, 13),
+                     ("unexpected character '?'", 25, 26)]
 
 
 @pytest.mark.parametrize("src, start", [("run return ²", 11),

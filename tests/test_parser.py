@@ -1,6 +1,8 @@
 """Concrete syntax: parsing, polarity enforcement, pretty round-trips."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +192,71 @@ class TestAssumptionMemo:
         assert len(parser._ASSUMPTION_TYPES) == cap
         last = parse_program(lines[-1] + "\nrun return v0")
         assert last.assumptions[0][1] is prog.assumptions[-1][1]
+
+
+class TestLineTokens:
+    """`_lex` keeps the tokens of each line it has lexed, by the line's
+    text, within two bounds, and returns lists of its own."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(parser, "_LINE_TOKENS", {})
+
+    def test_memo_stays_within_its_cap(self):
+        cap = parser.LINE_TOKENS_CAP
+        lines = [f"x{i}" for i in range(cap + 1)]
+        kinds, texts, ends = parser._lex("\n".join(lines), "f")
+        assert texts == lines + [""]
+        assert len(parser._LINE_TOKENS) == cap
+        assert lines[0] not in parser._LINE_TOKENS
+        assert lines[1] in parser._LINE_TOKENS and lines[-1] in parser._LINE_TOKENS
+
+    def test_long_lines_are_lexed_but_not_kept(self):
+        limit = parser.LINE_LENGTH_MAX
+        kept, long = "x" * limit, "x " * (limit // 2 + 1)
+        src = f"{kept}\n{long}"
+        kinds, texts, ends = parser._lex(src, "f")
+        count = limit // 2 + 1
+        assert kinds == ["ident"] * (1 + count) + ["eof"]
+        assert texts == [kept] + ["x"] * count + [""]
+        assert ends == [limit] + [limit + 2 + 2 * i for i in range(count)] + [len(src)]
+        assert list(parser._LINE_TOKENS) == [kept]
+
+    def test_returned_lists_are_the_callers(self):
+        src = "val x : Int\nrun return x"
+        first = parser._lex(src, "f")
+        expected = [list(tokens) for tokens in first]
+        for tokens in first:
+            tokens[0] = tokens[-1]
+            tokens.append(tokens[0])
+        first[0].clear()
+        assert [list(tokens) for tokens in parser._lex(src, "f")] == expected
+
+    def test_threads_share_the_memo_at_its_cap(self, monkeypatch):
+        # threads that drop the same oldest entry at once must not fail
+        monkeypatch.setattr(parser, "LINE_TOKENS_CAP", 8)
+        failures = []
+
+        def lex(t):
+            try:
+                for i in range(30_000):
+                    assert parser._lex(f"x{t}_{i}", "f")[1] == [f"x{t}_{i}", ""]
+            except Exception as e:  # reported by the assertion below
+                failures.append(e)
+
+        threads = [threading.Thread(target=lex, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(parser._LINE_TOKENS) <= 8 + len(threads)
 
 
 class TestPretty:

@@ -229,6 +229,42 @@ class TestLazyTrace:
         assert len(pretty_calls) == printed
 
 
+class TestTraceRendering:
+    """Steps share their contexts, and the trace of a `check --json` record
+    prints each context object once."""
+
+    @pytest.fixture
+    def shown_contexts(self, monkeypatch):
+        shown = []
+
+        def counted(x):
+            if isinstance(x, Context):
+                shown.append(x)
+            return pretty(x)
+
+        monkeypatch.setattr(cli, "pretty", counted)
+        return shown
+
+    def test_each_context_object_is_printed_once(self, shown_contexts):
+        steps = renders = 0
+        for ex in EXAMPLES + STRIPPED:
+            trace = trace_of(parse_program(ex.source, ex.name))
+            # hold every context read, so that no two share an id
+            contexts = [ctx for s in trace for ctx in (s.before, s.after)]
+            distinct = len({id(ctx) for ctx in contexts})
+            shown_contexts.clear()
+            cli._trace_json(trace)
+            assert len(shown_contexts) == distinct, ex.name
+            steps += len(trace)
+            renders += distinct
+
+            shown_contexts.clear()
+            record = json.loads(cli.check_source_json(ex.source, ex.name, with_trace=True))
+            assert len(record["trace"]) == len(trace)
+            assert len({id(ctx) for ctx in shown_contexts}) == len(shown_contexts) > 0
+        assert 2 * renders < steps  # 225 renders for 727 steps, not 2 per step
+
+
 class TestTypeFacts:
     """Types carry their facts (free variables, size, scope): a check reads
     them and walks no type."""

@@ -9,11 +9,12 @@ root of the checkout.  The file holds, per workload:
 
 - `end_to_end`: the metrics of the `--trace 0` run (`setup_s`,
   `job_ms_p50`, `job_ms_tail`, `jobs_per_s`, `ok_ratio`, `peak_rss_mb`);
-- `per_layer`: from the `--trace 1` run, the `parser.*` figures, the self
-  times of the subtyping engine, typing, the well-formedness checks and the
-  oracle (`*.self_ms`), context application (`syntax.apply_*`), the times
-  of the `prenex` and `spine` rungs, the growth ratios of the size ladders
-  and `trace.absent_names`;
+- `per_layer`: from the `--trace 1` run, the `parser.*` and `cli.*`
+  figures (parsing, printing and the plain and traced record jobs), the
+  self times of the subtyping engine, typing, the well-formedness checks
+  and the oracle (`*.self_ms`), context application (`syntax.apply_*`),
+  the times of the `prenex` and `spine` rungs, the growth ratios of the
+  size ladders and `trace.absent_names`;
 - `runs`: each run's `correct`, `attempted` and `failed`;
 
 and the provenance: the commit, whether `src/` or `bench/` differ from it,
@@ -58,7 +59,7 @@ LAYERS = ("subtype", "typecheck", "wellformed", "oracle")
 
 def per_layer(metrics: dict) -> dict:
     return {name: m for name, m in metrics.items()
-            if name.startswith(("parser.", "syntax.apply_"))
+            if name.startswith(("parser.", "cli.", "syntax.apply_"))
             or name in {f"{layer}.self_ms" for layer in LAYERS}
             or re.fullmatch(r"(prenex|spine)\.k\d+_ms", name)
             or name.endswith("growth") or name == "trace.absent_names"}
