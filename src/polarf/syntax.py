@@ -7,8 +7,13 @@ a value type, `Up` is the type of a computation returning a value).
 Binders are locally nameless (Charguéraud, "The Locally Nameless
 Representation", JAR 2012): a `Forall` binds the `BVar`s of its scope and
 every `UVar` is free, so `==` and `hash` are alpha-equivalence and
-substitution never renames.  Nothing here changes once built, so values
-can be shared freely across threads.
+substitution never renames.  Three things are written into a value after
+it is built: a composite type's kept hash, a quantifier's named view (both
+below) and a context's `_extends` stamp (`wellformed.wf_extension`).  A
+race between threads is harmless: the hash and the view are functions of
+the node's fields, so racing threads write equal values, and a stamp says
+only what a check found true, so every stamp a reader sees is true and one
+lost to a race costs only a check.  So values can be shared across threads.
 
 Every type node carries its facts, computed from its children's facts in
 O(arity) (the per-node half of Filliâtre and Conchon, "Type-Safe Modular
@@ -66,24 +71,6 @@ from .errors import InvariantViolation, SourceSpan
 
 # ---------------------------------------------------------------------------
 # Types
-
-class _cached:
-    """`functools.cached_property` without the lock that Python 3.11 takes
-    on every first read, for the facts of a `Context` (type nodes have
-    slots and no `__dict__`): with the lock, a context's first `solutions`
-    read cost more than the map itself, and most contexts are read once or
-    twice.  The value is kept in the instance's `__dict__`; threads that
-    race compute the same value."""
-
-    def __init__(self, compute):
-        self.compute, self.name = compute, compute.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
 
 class _Type:
     """The facts every type node carries (see the module docstring)."""
@@ -567,16 +554,20 @@ class Context:
     the end, and the extension checks compare a prefix instead of matching
     entries up by name.
 
-    A context carries its facts the way a type node does: `positions`,
-    `uvar_names`, `evar_names`, `solutions` and `erased`.  A context built
-    from a tuple of entries computes each when it is first read; `push`,
-    `pop` and `solve` hand the new context its facts, made from those of
-    the context they change by one set or dict operation on the entry that
-    changed (a copy in C, not a walk over the entries).  A pushed context
-    also keeps the context it was pushed on (`_below`), and so does a
-    context solved at an entry that was pushed: `pop` returns it as it is
-    when it takes off all the entries pushed on it.  Facts are shared
-    between contexts, so they are never mutated.
+    A context carries its facts the way a type node does: `positions` (each
+    entry's position, by name), `uvar_names` and `evar_names`, `solutions`
+    (each solved existential's solution, by name) and `erased` (the
+    declarative context: universal names only, in order).  A context built
+    from a tuple of entries computes them in one pass when it is built.
+    `push`, `pop`, `solve` and `restrict_context` build theirs with
+    `_derive` and hand it its facts, made from those of the context they
+    change by one set or dict operation on the entries that changed (a
+    copy in C; a walk over the entries would make each rule linear in the
+    context).  A pushed context also keeps the context it was pushed on
+    (`_below`, else None), and so does a context solved at an entry that
+    was pushed: `pop` returns it as it is when it takes off all the entries
+    pushed on it.  Facts are shared between contexts, so they are never
+    mutated.
     """
 
     entries: tuple = ()
@@ -587,28 +578,20 @@ class Context:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @_cached
-    def positions(self) -> dict:
-        """Each entry's position, by name."""
-        return {e.name: i for i, e in enumerate(self.entries)}
-
-    @_cached
-    def evar_names(self) -> frozenset:
-        return frozenset(e.name for e in self.entries if type(e) is not Universal)
-
-    @_cached
-    def uvar_names(self) -> frozenset:
-        return frozenset(e.name for e in self.entries if type(e) is Universal)
-
-    @_cached
-    def solutions(self) -> dict:
-        """Each solved existential's solution, by name."""
-        return {e.name: e.solution for e in self.entries if type(e) is Solved}
-
-    @_cached
-    def erased(self) -> tuple:
-        """The declarative context: universal names only, in order."""
-        return tuple(e.name for e in self.entries if type(e) is Universal)
+    def __post_init__(self):
+        positions, solutions, universals, evars = {}, {}, [], []
+        for i, e in enumerate(self.entries):
+            positions[e.name] = i
+            if type(e) is Universal:
+                universals.append(e.name)
+            else:
+                evars.append(e.name)
+                if type(e) is Solved:
+                    solutions[e.name] = e.solution
+        erased = tuple(universals)
+        self.__dict__.update(positions=positions, solutions=solutions, erased=erased,
+                             uvar_names=frozenset(erased), evar_names=frozenset(evars),
+                             _below=None)
 
     def _derive(self, entries, positions, solutions, below=None) -> "Context":
         """The context of `entries` with the given facts, and with this
@@ -659,7 +642,7 @@ class Context:
                 e.name != x or (type(e) is Universal) != universal
                 for e, x in zip(popped, names)):
             raise InvariantViolation(f"{kind} {names[-1]} is not the last context entry")
-        below = self.__dict__.get("_below")
+        below = self._below
         if below is not None and len(below.entries) == n:
             return below
         positions = dict(self.positions)
@@ -685,7 +668,7 @@ class Context:
         if not isinstance(entries[i], Unsolved):
             raise InvariantViolation(f"{name} is not unsolved")
         # solving a pushed entry leaves the context below it as it was
-        below = self.__dict__.get("_below")
+        below = self._below
         if below is not None and i < len(below.entries):
             below = None
         return self._derive(entries[:i] + (Solved(name, solution),) + entries[i + 1:],

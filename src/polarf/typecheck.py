@@ -189,13 +189,15 @@ class _Typer(_Engine):
         self._fits(n, t.span)
         self._check_synth_post(theta, out, n)
 
+        # every let has the result `n` and the output `out` checked just above,
+        # so only its extension of its own input is left to check
         for let, before, q in reversed(frames):
             self.env.unbind(let.name)
             if type(let) is LetAnn:
                 self._record("let-annotated", ("let ", let.name, " : ", q), before, out)
             else:
                 self._record("let", ("let ", let.name, " ==> ", q), before, out)
-            self._check_synth_post(before, out, n)
+            self._check_extension(before, out)
         return n, out
 
     def _let_application(self, theta, t, size, p):
@@ -258,6 +260,8 @@ class _Typer(_Engine):
                           getattr(args[0], "span", None))
 
         m, out = apply_context(theta, n), theta
+        if apply_context(out, m) != m:  # the same for every frame below
+            raise InvariantViolation("spine result mentions solved existentials")
         frames.append((theta, n, args, ()))  # spine-done: a block of no quantifiers
         for theta, n, args, ps in reversed(frames):
             if ps is None:
@@ -285,10 +289,13 @@ class _Typer(_Engine):
                       span)
         return p
 
-    def _check_synth_post(self, theta, out, result):
+    def _check_extension(self, theta, out):
         if not wf_extension(theta, out):
             raise InvariantViolation(
                 "synthesis output is ill-formed or does not extend its input")
+
+    def _check_synth_post(self, theta, out, result):
+        self._check_extension(theta, out)
         if not is_ground(result):
             raise InvariantViolation("synthesized a non-ground type")
         if not wf_type(out, result):
@@ -298,8 +305,6 @@ class _Typer(_Engine):
         if not wf_extension(theta, out, weak=True):
             raise InvariantViolation(
                 "spine output is ill-formed or does not weakly extend its input")
-        if apply_context(out, m) != m:
-            raise InvariantViolation("spine result mentions solved existentials")
         # m may mention n's existentials and the new ones, which (as out
         # weakly extends theta) are out's existentials that theta lacks
         extra = m.evars - n.evars

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from polarf import cli
 from polarf.cli import main
 from polarf.corpus import ENVIRONMENT
+from polarf.errors import InvariantViolation
 
 
 @pytest.fixture
@@ -102,6 +104,34 @@ class TestSub:
     def test_bad_type_is_an_error(self, ipf):
         path = ipf("Int <<: Int\n", name="subs.txt")
         assert main(["sub", path]) == 2
+
+    def test_unreadable_file_exit_2(self, tmp_path, capsys):
+        assert main(["sub", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_line_without_subtyping_is_an_error(self, ipf, capsys):
+        path = ipf("Int <: Int\nInt\n", name="subs.txt")
+        assert main(["sub", path]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "1: ok  Int <: Int", "2: error: expected 'A <: B'"]
+
+    def test_ill_formed_query_is_an_error(self, ipf, capsys):
+        # `a` is bound by no quantifier, so the query breaks the precondition
+        path = ipf("a <: a\n", name="subs.txt")
+        assert main(["sub", path]) == 2
+        assert capsys.readouterr().out == "1: error: types must be well-formed\n"
+
+
+class TestInternalError:
+    def test_invariant_violation_exit_3(self, ipf, capsys, monkeypatch):
+        def broken(*_, **__):
+            raise InvariantViolation("planted")
+
+        monkeypatch.setattr(cli, "check_program", broken)
+        assert main(["check", ipf("run return 1")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "internal error: planted\n"
 
 
 class TestCorpus:

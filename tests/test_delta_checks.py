@@ -12,7 +12,8 @@ every planted bad spine output.  The checks a rule reads from its
 premises (transitivity of extension, and the completed size built from
 the premises') agree with the full checks on every rule.  And every rule
 must still run a postcondition: a bad context planted under each kind of
-rule is caught.
+rule is caught.  The context facts handed over rule by rule equal those
+its entries define.
 """
 
 import random
@@ -161,6 +162,27 @@ def test_delta_check_on_contexts_of_every_kind():
         assert reference(base, out, weak) == verdict, out
         assert wf_extension(base, out, weak) == verdict, out
     assert wf_extension(base, base) and wf_extension(base, base, weak=True)
+
+
+FACTS = ("positions", "uvar_names", "evar_names", "solutions", "erased")
+
+
+def test_handed_over_facts_match_the_entries():
+    """The facts that `push`, `pop_all`, `solve` and `restrict_context` hand
+    a new context, one entry at a time, are those that its entries define:
+    the facts of `Context(entries)`, computed in one pass.  And the context
+    a pushed context keeps (`_below`) is a prefix of it."""
+    contexts = derived = 0
+    for step in rule_steps(47, programs=1000, queries=1000):
+        for ctx in (step.before, step.after):
+            built = Context(ctx.entries)
+            for fact in FACTS:
+                assert getattr(ctx, fact) == getattr(built, fact), (fact, ctx)
+            below = ctx._below
+            assert below is None or ctx.entries[:len(below)] == below.entries
+            contexts += 1
+            derived += below is not None
+    assert contexts > 20_000 and derived > 2000, (contexts, derived)
 
 
 # -- postconditions by lemma ---------------------------------------------------------
