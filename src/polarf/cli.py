@@ -99,16 +99,20 @@ def _read_source(path: str) -> str:
 
 def _cmd_check(args) -> int:
     try:
-        text = _read_source(args.file)
+        record, code = _check_source(_read_source(args.file), args.file, args.trace)
     except OSError as e:
         if not args.json:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_PARSE_ERROR
         record, code = _error_record(TypeCheckError("parse", str(e)), args.trace)
-    except TypeCheckError as e:
+    except TypeCheckError as e:  # from reading the file; `_check_source` catches its own
         record, code = _error_record(e, args.trace)
-    else:
-        record, code = _check_source(text, args.file, args.trace)
+    except InvariantViolation as e:
+        if not args.json:
+            raise
+        print(f"internal error: {e}", file=sys.stderr)
+        record, code = {"status": "internal-error", "type": None, "error": {
+            "kind": "internal", "message": str(e), "span": None}, "trace": None}, EXIT_INTERNAL
     if args.json:
         print(json.dumps(record))
         return code

@@ -70,7 +70,8 @@ class OracleBudgetExceeded(Exception):
     """The bounded declarative search ran out of budget; fail loudly, never silently."""
 
 
-def require(cond: bool, what: str):
-    """Reject a call whose documented precondition does not hold."""
+def require(cond: bool, what: str, error=ValueError):
+    """Reject a call whose documented precondition does not hold, with
+    `error`: by default a ValueError, since meeting it is the caller's job."""
     if not cond:
-        raise ValueError(what)
+        raise error(what)

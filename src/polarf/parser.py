@@ -711,12 +711,5 @@ def _pp_comp(t) -> str:
 
 
 def _pp_context(theta: Context) -> str:
-    if not theta.entries:
-        return "·"
-    parts = []
-    for e in theta.entries:
-        if isinstance(e, Solved):
-            parts.append(f"{e.name} = {_pp_pos(e.solution)}")
-        else:
-            parts.append(e.name)
-    return ", ".join(parts)
+    return ", ".join([f"{e.name} = {_pp_pos(e.solution)}" if type(e) is Solved else e.name
+                      for e in theta.entries]) or "·"

@@ -302,21 +302,24 @@ class _Engine:
     def subtype(self, polarity, theta: Context, a, b) -> Context:
         """Check a <=polarity b under theta, after its preconditions, with a new memo."""
         require(wf_context(theta), "input context is ill-formed")
-        return self.premise(polarity, theta, a, b)
+        return self.premise(polarity, theta, a, b, ValueError)
 
-    def premise(self, polarity, theta: Context, a, b) -> Context:
+    def premise(self, polarity, theta: Context, a, b, error=InvariantViolation):
         """`subtype` for a context already known to be well-formed (see the
-        module docstring): the preconditions on the types, and a new memo."""
-        require(wf_type(theta, a) and wf_type(theta, b), "types must be well-formed")
+        module docstring): the preconditions on the types, and a new memo.
+        A failed precondition raises `error`: a ValueError for the caller
+        of `subtype_pos` or `subtype_neg`, else an InvariantViolation,
+        since a typing rule builds both sides to meet them."""
+        require(wf_type(theta, a) and wf_type(theta, b), "types must be well-formed", error)
         self.memo = set()  # keys of the remembered judgments derived so far
         if polarity == "+":
-            require(is_ground(a), "the left side of a positive judgment must be ground")
+            require(is_ground(a), "the left side of a positive judgment must be ground", error)
             require(apply_context(theta, b) == b,
-                    "the right side must not mention solved existentials")
+                    "the right side must not mention solved existentials", error)
             return self.pos(theta, a, b, None)[1]
-        require(is_ground(b), "the right side of a negative judgment must be ground")
+        require(is_ground(b), "the right side of a negative judgment must be ground", error)
         require(apply_context(theta, a) == a,
-                "the left side must not mention solved existentials")
+                "the left side must not mention solved existentials", error)
         return self.neg(theta, a, b, None)[1]
 
     def _remember(self, key, theta, out, goal):

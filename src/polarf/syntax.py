@@ -540,7 +540,6 @@ class Solved:
 ContextEntry = Universal | Unsolved | Solved
 
 
-@dataclass(frozen=True)
 class Context:
     """Ordered checker context; entry names are pairwise distinct.
 
@@ -557,30 +556,27 @@ class Context:
     A context carries its facts the way a type node does: `positions` (each
     entry's position, by name), `uvar_names` and `evar_names`, `solutions`
     (each solved existential's solution, by name) and `erased` (the
-    declarative context: universal names only, in order).  A context built
-    from a tuple of entries computes them in one pass when it is built.
-    `push`, `pop`, `solve` and `restrict_context` build theirs with
-    `_derive` and hand it its facts, made from those of the context they
-    change by one set or dict operation on the entries that changed (a
-    copy in C; a walk over the entries would make each rule linear in the
-    context).  A pushed context also keeps the context it was pushed on
-    (`_below`, else None), and so does a context solved at an entry that
-    was pushed: `pop` returns it as it is when it takes off all the entries
-    pushed on it.  Facts are shared between contexts, so they are never
-    mutated.
+    declarative context: universal names only, in order).
+    `Context(entries)` computes them in one pass, and `push`, `pop` and
+    `restrict_context` build their contexts that way: a pass over a context,
+    which holds only the variables in scope, costs less than handing the
+    facts over did.  `solve` changes no name, so its context shares its
+    input's `positions`, names and `erased`, with one solution added.  A
+    pushed context also keeps the context it was pushed on (`_below`, else
+    None), and so does a context solved at an entry that was pushed: `pop`
+    returns it as it is when it takes off all the entries pushed on it.
+    `_extends` is the stamp of a passed extension check (see
+    `wellformed.wf_extension`), else None.  Facts are shared between
+    contexts, so they are never mutated.  `==`, `hash`, `copy` and `pickle`
+    go by the entries alone.
     """
 
-    entries: tuple = ()
+    __slots__ = ("entries", "positions", "uvar_names", "evar_names", "solutions",
+                 "erased", "_below", "_extends")
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __post_init__(self):
+    def __init__(self, entries: tuple = ()):
         positions, solutions, universals, evars = {}, {}, [], []
-        for i, e in enumerate(self.entries):
+        for i, e in enumerate(entries):
             positions[e.name] = i
             if type(e) is Universal:
                 universals.append(e.name)
@@ -588,42 +584,38 @@ class Context:
                 evars.append(e.name)
                 if type(e) is Solved:
                     solutions[e.name] = e.solution
-        erased = tuple(universals)
-        self.__dict__.update(positions=positions, solutions=solutions, erased=erased,
-                             uvar_names=frozenset(erased), evar_names=frozenset(evars),
-                             _below=None)
+        self.entries, self.positions, self.solutions = entries, positions, solutions
+        self.erased = erased = tuple(universals)
+        self.uvar_names, self.evar_names = frozenset(erased), frozenset(evars)
+        self._below = self._extends = None
 
-    def _derive(self, entries, positions, solutions, below=None) -> "Context":
-        """The context of `entries` with the given facts, and with this
-        context's universal and existential names, which a caller that adds
-        or removes an entry then updates."""
-        new = object.__new__(Context)
-        new.__dict__.update(entries=entries, positions=positions, solutions=solutions,
-                            uvar_names=self.uvar_names, evar_names=self.evar_names,
-                            erased=self.erased, _below=below)
-        return new
+    def __eq__(self, other):
+        return self.entries == other.entries if type(other) is Context else NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"Context(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return Context, (self.entries,)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
     def push(self, *entries: ContextEntry) -> "Context":
         """The context with `entries` pushed on the end, in order."""
         if not entries:
             return self
-        positions = {**self.positions}
-        for e in entries:
-            if e.name in positions:
+        n, new = len(self.entries), Context(self.entries + entries)
+        for k, e in enumerate(entries):
+            if e.name in self.positions or new.positions[e.name] != n + k:
                 raise InvariantViolation(f"duplicate context entry {e.name}")
-            positions[e.name] = len(positions)
-        solutions = self.solutions
-        if any(type(e) is Solved for e in entries):
-            solutions = {**solutions, **{e.name: e.solution for e in entries
-                                         if type(e) is Solved}}
-        new = self._derive(self.entries + entries, positions, solutions, self)
-        universals = tuple(e.name for e in entries if type(e) is Universal)
-        if universals:
-            new.__dict__.update(uvar_names=self.uvar_names.union(universals),
-                                erased=self.erased + universals)
-        if len(universals) < len(entries):
-            new.__dict__["evar_names"] = self.evar_names.union(
-                e.name for e in entries if type(e) is not Universal)
+        new._below = self
         return new
 
     def pop(self, name: str, universal: bool) -> "Context":
@@ -637,27 +629,13 @@ class Context:
         universals)."""
         kind = "universal" if universal else "existential"
         n = len(self.entries) - len(names)
-        popped = self.entries[n:] if n >= 0 else ()
-        if len(popped) != len(names) or any(
-                e.name != x or (type(e) is Universal) != universal
-                for e, x in zip(popped, names)):
+        if n < 0 or any(e.name != x or (type(e) is Universal) != universal
+                        for e, x in zip(self.entries[n:], names)):
             raise InvariantViolation(f"{kind} {names[-1]} is not the last context entry")
         below = self._below
         if below is not None and len(below.entries) == n:
             return below
-        positions = dict(self.positions)
-        for x in names:
-            del positions[x]
-        solutions = self.solutions
-        if any(type(e) is Solved for e in popped):
-            solutions = {x: p for x, p in solutions.items() if x in positions}
-        new = self._derive(self.entries[:n], positions, solutions)
-        if universal:
-            new.__dict__.update(uvar_names=self.uvar_names.difference(names),
-                                erased=self.erased[:len(self.erased) - len(names)])
-        else:
-            new.__dict__["evar_names"] = self.evar_names.difference(names)
-        return new
+        return Context(self.entries[:n])
 
     def solve(self, name: str, solution: PosType) -> "Context":
         """Replace the unsolved entry for `name` with a solution."""
@@ -667,12 +645,16 @@ class Context:
         entries = self.entries
         if not isinstance(entries[i], Unsolved):
             raise InvariantViolation(f"{name} is not unsolved")
+        new = object.__new__(Context)
+        new.entries = entries[:i] + (Solved(name, solution),) + entries[i + 1:]
+        new.positions, new.erased = self.positions, self.erased
+        new.uvar_names, new.evar_names = self.uvar_names, self.evar_names
+        new.solutions = {**self.solutions, name: solution}
         # solving a pushed entry leaves the context below it as it was
         below = self._below
-        if below is not None and i < len(below.entries):
-            below = None
-        return self._derive(entries[:i] + (Solved(name, solution),) + entries[i + 1:],
-                            self.positions, {**self.solutions, name: solution}, below)
+        new._below = below if below is not None and i >= len(below.entries) else None
+        new._extends = None
+        return new
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def wf_extension(theta: Context, out: Context, weak: bool = False) -> bool:
         return True
     if not (_follows(theta, out, weak) or _delta(theta, out, weak)):
         return False
-    out.__dict__["_extends"] = (theta, weak)
+    out._extends = (theta, weak)
     return True
 
 
@@ -130,7 +130,7 @@ def _follows(theta: Context, out: Context, weak: bool) -> bool:
     """Do checked extensions lead from `theta` to `out` (Lemma 2)?"""
     c = out
     for _ in range(_HOPS):
-        stamp = c.__dict__.get("_extends")
+        stamp = c._extends
         if stamp is None or stamp[1] and not weak:
             return False
         c = stamp[0]
@@ -182,12 +182,9 @@ def restrict_context(theta_prime: Context, theta: Context) -> Context:
     entries = theta_prime.entries[:len(theta.entries)]
     if entries == theta.entries:
         return theta
-    # the same names as theta's, in the same order and of the same kinds
-    positions = theta.positions
-    solutions = {x: p for x, p in theta_prime.solutions.items() if x in positions}
-    restricted = theta._derive(entries, positions, solutions)
+    restricted = Context(entries)
     # the first len(theta) entries of a weak extension extend theta
-    restricted.__dict__["_extends"] = (theta, False)
+    restricted._extends = (theta, False)
     return restricted
 
 

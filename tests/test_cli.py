@@ -8,6 +8,7 @@ from polarf import cli
 from polarf.cli import main
 from polarf.corpus import ENVIRONMENT
 from polarf.errors import InvariantViolation
+from polarf.syntax import Context
 
 
 @pytest.fixture
@@ -123,15 +124,44 @@ class TestSub:
         assert capsys.readouterr().out == "1: error: types must be well-formed\n"
 
 
+def broken(*_, **__):
+    raise InvariantViolation("planted")
+
+
 class TestInternalError:
     def test_invariant_violation_exit_3(self, ipf, capsys, monkeypatch):
-        def broken(*_, **__):
-            raise InvariantViolation("planted")
-
         monkeypatch.setattr(cli, "check_program", broken)
         assert main(["check", ipf("run return 1")]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "internal error: planted\n"
+
+    def test_invariant_violation_json_record(self, ipf, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_program", broken)
+        assert main(["check", ipf("run return 1"), "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: planted\n"
+        assert json.loads(captured.out) == {
+            "status": "internal-error", "type": None, "trace": None,
+            "error": {"kind": "internal", "message": "planted", "span": None}}
+
+    def test_broken_context_in_a_run_exit_3(self, ipf, capsys, monkeypatch):
+        """A pushed context that forgets its new existentials breaks a
+        precondition of a subtyping premise inside the typing run: a bug in
+        the checker, reported as one, not an escaped ValueError."""
+        push = Context.push
+
+        def forgetful(self, *entries):
+            new = push(self, *entries)
+            if new is not self:
+                object.__setattr__(new, "evar_names", self.evar_names)
+            return new
+
+        monkeypatch.setattr(Context, "push", forgetful)
+        path = ipf("val id : dn (forall a. a -> up a)\nrun let y = id(1); return y")
+        assert main(["check", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: types must be well-formed\n"
 
 
 class TestCorpus:

@@ -168,10 +168,11 @@ FACTS = ("positions", "uvar_names", "evar_names", "solutions", "erased")
 
 
 def test_handed_over_facts_match_the_entries():
-    """The facts that `push`, `pop_all`, `solve` and `restrict_context` hand
-    a new context, one entry at a time, are those that its entries define:
-    the facts of `Context(entries)`, computed in one pass.  And the context
-    a pushed context keeps (`_below`) is a prefix of it."""
+    """The facts of every context the rules see are those that its entries
+    define: the facts of `Context(entries)`, computed in one pass, also
+    where `solve` handed its input's positions and names on, and where
+    `pop_all` returned the context kept below.  And the context a pushed
+    context keeps (`_below`) is a prefix of it."""
     contexts = derived = 0
     for step in rule_steps(47, programs=1000, queries=1000):
         for ctx in (step.before, step.after):

@@ -1,6 +1,7 @@
 """No module of the package imports a name it does not use, the package
 re-exports no name that nothing reads, and no module names
-`RecursionError`.
+`RecursionError`.  And README's `## Library` example runs and prints what
+its comments say.
 
 A stand-in for a linter's unused-import rule, on the standard library's
 `ast`: a name bound by `import` or `from ... import` in a module of
@@ -78,11 +79,16 @@ def read_names(source: str) -> set:
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
-def library_block_names() -> set:
-    """Names imported or read in the first code block of README's `## Library`."""
+def library_block() -> str:
+    """The first code block of README's `## Library`."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1]
-    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def library_block_names() -> set:
+    """Names imported or read in the first code block of README's `## Library`."""
+    block = library_block()
     tree = ast.parse(block)
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
@@ -98,3 +104,19 @@ def test_every_export_is_read_or_documented():
         read |= read_names(path.read_text(encoding="utf-8"))
     assert "extends" in exported
     assert sorted(exported - read) == []
+
+
+# -- README's library example says what it does ------------------------------------
+
+def test_library_example_runs_as_commented(capsys):
+    """README's `## Library` block runs, and the values its comments give
+    for `check_program(prog).type` and `num_prenex(a)` are the real ones."""
+    block = library_block()
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out
+    comments = dict(line.split("  # ", 1) for line in block.splitlines() if "  # " in line)
+    comments = {code.strip(): note.strip() for code, note in comments.items()}
+    assert printed == f"{eval('check_program(prog).type', namespace)}\n"
+    assert comments["print(check_program(prog).type)"] == printed.strip()
+    assert comments["num_prenex(a)"].startswith(f"{eval('num_prenex(a)', namespace)}:")

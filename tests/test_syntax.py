@@ -1,5 +1,7 @@
 """Core syntax operations: free variables, substitution, contexts, metrics."""
 
+import copy
+import pickle
 import random
 import re
 
@@ -217,6 +219,31 @@ class TestRestrictErase:
         assert theta.erased == ("a", "b")
         assert Context().erased == ()
         assert Context((Unsolved("?a"), Unsolved("?b"))).erased == ()
+
+    def test_push_names_the_duplicate(self):
+        theta = Context((Universal("a"), Unsolved("?x")))
+        for entries, name in (((Unsolved("?x"),), "?x"),
+                              ((Unsolved("?y"), Universal("b"), Unsolved("?y")), "?y")):
+            with pytest.raises(InvariantViolation, match=re.escape(f"entry {name}")):
+                theta.push(*entries)
+
+    def test_copies_rebuild_from_the_entries(self):
+        """`copy`, `deepcopy` and `pickle` give an equal context with the
+        facts of its entries, and a context has slots, not a `__dict__`."""
+        int_ = Data("Int", ())
+        theta = (Context((Universal("a"), Unsolved("?x"))).solve("?x", int_)
+                 .push(Unsolved("?y"), Universal("b")).solve("?y", int_))
+        assert theta._below is not None and not hasattr(theta, "__dict__")
+        shown = ("Context(entries=(Universal(name='a'), Solved(name='?x', solution=Data("
+                 "constructor='Int', args=())), Solved(name='?y', solution=Data("
+                 "constructor='Int', args=())), Universal(name='b')))")
+        for copied in (copy.copy(theta), copy.deepcopy(theta),
+                       pickle.loads(pickle.dumps(theta))):
+            assert type(copied) is Context and copied == theta and copied is not theta
+            assert hash(copied) == hash(theta) and repr(copied) == repr(theta) == shown
+            for fact in ("positions", "uvar_names", "evar_names", "solutions", "erased"):
+                assert getattr(copied, fact) == getattr(theta, fact), fact
+        assert theta.erased == ("a", "b") and theta.solutions == {"?x": int_, "?y": int_}
 
 
 class TestExtension:
