@@ -4,9 +4,6 @@ type inference, plus a bounded declarative oracle for property testing."""
 from .errors import (
     InvariantViolation, OracleBudgetExceeded, SourceSpan, TypeCheckError,
 )
-from .oracle import (
-    candidate_universe, decl_iso, decl_subtype, decl_synth,
-)
 from .parser import (
     BUILTIN_DATATYPES, DataDecl, Program, parse_program, parse_type, pretty,
 )
@@ -26,3 +23,14 @@ from .typecheck import (
 from .wellformed import restrict_context, wf_context, wf_env, wf_type
 
 __version__ = "0.1.0"
+
+# The oracle is loaded when one of its names is first read (PEP 562), so
+# that `polarf check`, which never runs it, does not import it.
+_ORACLE = ("candidate_universe", "decl_iso", "decl_subtype", "decl_synth")
+
+
+def __getattr__(name):
+    if name in _ORACLE:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module 'polarf' has no attribute {name!r}")

@@ -9,7 +9,7 @@ ambiguous-let error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import Record
 
 ENVIRONMENT = """\
 -- shared environment for the example suite
@@ -42,11 +42,11 @@ val r : dn (dn (forall a. a -> forall b. b -> up b) -> up Int)
 """
 
 
-@dataclass(frozen=True)
-class Example:
-    name: str
-    term: str
-    expected: str  # ok | ann | reject
+class Example(Record):
+    __slots__ = _fields = ("name", "term", "expected")
+
+    def __init__(self, name: str, term: str, expected: str):  # ok | ann | reject
+        self.name, self.term, self.expected = name, term, expected
 
     @property
     def source(self) -> str:

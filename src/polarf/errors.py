@@ -2,25 +2,55 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class Record:
+    """A value compared, hashed and printed by the fields its class names in
+    `_fields`, not by its other slots (a span, a term's size, a type's
+    facts): `==` holds between instances of one class with equal fields,
+    `hash` is that of the fields' tuple, `repr` is `Class(field=value, ...)`.
+    A subclass writes its `__slots__` and `__init__`; `__init_subclass__`
+    gives it `__eq__` and `_rehash`, its `__hash__` unless it has its own."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("_fields")
+        if fields is None:
+            return
+        key, one = attrgetter(*fields), len(fields) == 1  # of one field: its value
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def _rehash(self):
+            return hash((key(self),) if one else key(self))
+
+        cls.__eq__, cls._rehash = __eq__, _rehash
+        if cls.__hash__ is object.__hash__:  # not a composite type or a Context
+            cls.__hash__ = _rehash
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class SourceSpan(Record):
     """Half-open range [start, end) within a named input, counted in
     characters of its text: for a file, the text decoded from UTF-8 with
     CRLF and CR read as LF.  The one span that counts bytes is that of the
     parse error "invalid UTF-8", at the first byte that does not decode."""
 
-    file: str
-    start: int
-    end: int
+    __slots__ = _fields = ("file", "start", "end")
 
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"span start {self.start} is after end {self.end}")
+    def __init__(self, file: str, start: int, end: int):
+        if start > end:
+            raise ValueError(f"span start {start} is after end {end}")
+        self.file, self.start, self.end = file, start, end
 
     def __str__(self) -> str:
         return f"{self.file}:{self.start}-{self.end}"
@@ -43,8 +73,8 @@ class TypeCheckError(Exception):
     The message may be given as `parts` (text, and the types, terms or
     contexts it names), printed when `message` is first read."""
 
-    def __init__(self, kind: str, message, span: Optional[SourceSpan] = None,
-                 trace: Tuple = ()):
+    def __init__(self, kind: str, message, span: SourceSpan | None = None,
+                 trace: tuple = ()):
         if kind not in ERROR_KINDS:
             raise ValueError(f"unknown error kind: {kind}")
         self.kind = kind

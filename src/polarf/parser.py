@@ -72,12 +72,10 @@ parsed afresh.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Optional
 
-from .errors import SourceSpan, TypeCheckError
+from .errors import Record, SourceSpan, TypeCheckError
 from .syntax import (
     Arrow, BVar, BoolLit, Computation, Context, Data, Down, EVar, Forall,
     IntLit, Lambda, Let, LetAnn, NegData, NegType, PairVal, PosType, Return,
@@ -88,13 +86,13 @@ KEYWORDS = {"forall", "up", "dn", "let", "return", "run", "val", "data",
             "true", "false"}
 
 
-@dataclass(frozen=True)
-class DataDecl:
+class DataDecl(Record):
     """A datatype constructor: name, polarity ('+' or '-'), and arity."""
 
-    name: str
-    polarity: str
-    arity: int
+    __slots__ = _fields = ("name", "polarity", "arity")
+
+    def __init__(self, name: str, polarity: str, arity: int):
+        self.name, self.polarity, self.arity = name, polarity, arity
 
 
 BUILTIN_DATATYPES = (
@@ -116,8 +114,10 @@ MAX_TYPE_HEIGHT = 200
 # parser 3 (a thunk: `value`, `nested`, `computation`), the typer 4 (a thunk
 # argument: `comp`, `_let_application`, `spine`, `value`) and the printer 2;
 # a type level costs the parser 4 (a constructor argument: `type_any`,
-# `atom`, `args`, `atom`), subtyping 4 (`==` on equal types) and the printer
-# 2, up to twice this tall (a parameter type completed with a solution).  The
+# `atom`, `args`, `atom`), subtyping 4 (`==` on equal types: a `Record`
+# `__eq__` frame, then comparing the field tuples, the `args` tuples and an
+# argument; a one-field node such as `up` costs 2) and the printer 2, up
+# to twice this tall (a parameter type completed with a solution).  The
 # most from `main` is 931: a let under 32 thunk arguments checking an
 # argument against 198 nested `List`s.
 MAX_TERM_DEPTH = 32
@@ -125,13 +125,13 @@ MAX_TERM_DEPTH = 32
 _PRODUCT = "product components must be positive types"
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """A parsed source file: datatype declarations, assumptions, and one term."""
 
-    datatypes: tuple
-    assumptions: tuple
-    body: Computation
+    __slots__ = _fields = ("datatypes", "assumptions", "body")
+
+    def __init__(self, datatypes: tuple, assumptions: tuple, body: Computation):
+        self.datatypes, self.assumptions, self.body = datatypes, assumptions, body
 
 
 # One match per token: the gap before it (whitespace and comments), then the
@@ -235,7 +235,7 @@ class _Parser:
         """The offset of token `i`'s first character."""
         return self.ends[i] - len(self.texts[i])
 
-    def err(self, msg: str, i: Optional[int] = None):
+    def err(self, msg: str, i: int | None = None):
         """The parse error `msg`, spanning token `i` (by default the next)."""
         if i is None:
             i = min(self.pos, len(self.kinds) - 1)

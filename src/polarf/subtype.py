@@ -117,9 +117,7 @@ check, so they are not remembered either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvariantViolation, TypeCheckError, require
+from .errors import InvariantViolation, Record, TypeCheckError, require
 from .parser import pretty
 from .syntax import (
     Arrow, Context, Data, Down, EVar, Forall, NegData, NegType, PosType,
@@ -209,10 +207,11 @@ class _OpenedStep(TraceStep):
     after = property(lambda self: self.block.after(self.i))
 
 
-@dataclass(frozen=True)
-class SubtypeResult:
-    context: Context
-    trace: tuple
+class SubtypeResult(Record):
+    __slots__ = _fields = ("context", "trace")
+
+    def __init__(self, context: Context, trace: tuple):
+        self.context, self.trace = context, trace
 
 
 def _check_post(theta: Context, out: Context, ground_size: int, size: int, goal):

@@ -63,16 +63,14 @@ Terms carry their node count (`size`) the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
-from .errors import InvariantViolation, SourceSpan
+from .errors import InvariantViolation, Record, SourceSpan
 
 # ---------------------------------------------------------------------------
 # Types
 
-class _Type:
+class _Type(Record):
     """The facts every type node carries (see the module docstring)."""
 
     __slots__ = ("evars", "uvars", "size", "height", "dangling", "typed")
@@ -80,9 +78,8 @@ class _Type:
     prenex = 0  # a `Forall` keeps its own
 
     def __reduce__(self):
-        # `copy` and `pickle` rebuild a node from its fields, so that the
-        # copy computes its own facts
-        return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
+        # `copy` and `pickle` rebuild a node from its fields: a copy computes its facts
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class PosType(_Type):
@@ -99,9 +96,9 @@ class NegType(_Type):
 
 class _Composite(_Type):
     """A type node with children.  It keeps its hash in `_hash`, which
-    `_combine` sets to None: the first `hash()` computes it with the
-    class's generated `__hash__` (kept as `_rehash`), which hashes the
-    tuple of the node's fields and so reads each child's kept hash."""
+    `_combine` sets to None: the first `hash()` computes it with
+    `_rehash`, which hashes the tuple of the node's fields (see `Record`)
+    and so reads each child's kept hash."""
 
     __slots__ = ("_hash",)
 
@@ -159,112 +156,89 @@ def _combine(node, kids, size=1, shift=0):
     node.dangling = dangling - shift if dangling >= shift else -1
 
 
-def _node(cls):
-    """A type node class: a dataclass with slots, `==` over its compared
-    fields and, on a `_Composite`, the hash kept after its first `hash()`.
+# A type node is a `Record` whose `__init__` sets its fields and facts.  No
+# guard stops assignment (it would cost `object.__setattr__` per slot, as a
+# frozen class does): nothing assigns to a node after `__init__` but what it
+# keeps when first asked, its hash and a `Forall`'s named view, functions
+# of its fields.  A variable has one fact of its own; the others are class
+# attributes, shared by every variable of its class.
 
-    Type nodes are not `frozen`: a frozen dataclass sets each slot through
-    `object.__setattr__`, which made building a node with its facts about
-    2.5 times slower.  Nothing assigns to a node after `__post_init__` but
-    what it keeps when first asked for it, its hash and a `Forall`'s named
-    view, which are functions of its fields."""
-    cls = dataclass(slots=True, unsafe_hash=True)(cls)
-    if issubclass(cls, _Composite):
-        cls._rehash, cls.__hash__ = cls.__hash__, _Composite.__hash__
-    return cls
-
-# A variable has one fact of its own; the others are class attributes,
-# shared by every variable of its class (and read-only on instances).
-
-@_node
 class UVar(PosType):
     """Universal type variable."""
 
-    name: str
-
+    __slots__ = _fields = ("name",)
     evars, size, height, dangling, typed = _NONE, 1, 1, -1, True
 
-    def __post_init__(self):
-        self.uvars = _names(self.name)
+    def __init__(self, name: str):
+        self.name, self.uvars = name, _names(name)
 
 
-@_node
 class BVar(PosType):
     """Bound type variable, found only in a `Forall`'s scope: `BVar(0)` is
     the variable of the nearest enclosing `Forall`, `BVar(1)` the next."""
 
-    index: int
-
+    __slots__ = _fields = ("index",)
     evars, uvars, size, height, typed = _NONE, _NONE, 1, 1, True
 
-    def __post_init__(self):
-        self.dangling = self.index
+    def __init__(self, index: int):
+        self.index = self.dangling = index
 
 
-@_node
 class EVar(PosType):
     """Existential placeholder; checker-internal, never produced by parsing."""
 
-    name: str
-
+    __slots__ = _fields = ("name",)
     uvars, size, height, dangling, typed = _NONE, 1, 1, -1, True
 
-    def __post_init__(self):
-        self.evars = _names(self.name)
+    def __init__(self, name: str):
+        self.name, self.evars = name, _names(name)
 
 
-@_node
 class Down(PosType, _Composite):
     """Thunk type: suspends a computation of the wrapped negative type."""
 
-    body: NegType
+    __slots__ = _fields = ("body",)
 
-    def __post_init__(self):
-        _combine(self, (self.body,))
+    def __init__(self, body: NegType):
+        self.body = body
+        _combine(self, (body,))
 
 
-@_node
 class Data(PosType, _Composite):
     """Opaque positive datatype constructor applied to positive arguments."""
 
-    constructor: str
-    args: tuple = ()
+    __slots__ = _fields = ("constructor", "args")
 
-    def __post_init__(self):
-        _combine(self, self.args)
+    def __init__(self, constructor: str, args: tuple = ()):
+        self.constructor, self.args = constructor, args
+        _combine(self, args)
 
 
-@_node
 class Arrow(NegType, _Composite):
     """Function type; domain is positive, codomain negative."""
 
-    domain: PosType
-    codomain: NegType
+    __slots__ = _fields = ("domain", "codomain")
 
-    def __post_init__(self):
-        _combine(self, (self.domain, self.codomain))
+    def __init__(self, domain: PosType, codomain: NegType):
+        self.domain, self.codomain = domain, codomain
+        _combine(self, (domain, codomain))
 
 
-@_node
 class Forall(NegType, _Composite):
     """Universal quantification over a positive type variable.
 
-    Inside `scope` the bound variable is a `BVar`, so the generated `==`
-    and the kept hash are alpha-equivalence: both read `scope` only;
-    `hint` is the name it prints as unless that would capture.
+    Inside `scope` the bound variable is a `BVar`, so `==` and the kept
+    hash are alpha-equivalence: both read `scope` only, its one compared
+    field; `hint` is the name it prints as unless that would capture.
     `Forall(binder, body)`, `.binder` and `.body` are a named view for
     callers outside the parser, the printer and the checker, which work on
     `scope`: it is kept in the slot `_named`, filled when the view is first
     read (or by `Forall(binder, body)`).  A quantifier's `prenex` fact is
-    one more than its scope's.  `prenex` and `_named` are fields only so
-    that they get slots: they are not compared, hashed, printed or passed
-    to the constructor.
+    one more than its scope's.
     """
 
-    scope: NegType
-    hint: str = field(compare=False)
-    prenex: int = field(init=False, compare=False, repr=False)
-    _named: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("scope", "hint", "prenex", "_named")
+    _fields = ("scope",)
 
     def __init__(self, binder: str, body: NegType):
         scope = _map(body, lambda v, k: BVar(k), lambda u, k: binder not in u.uvars)
@@ -283,6 +257,9 @@ class Forall(NegType, _Composite):
     def __reduce__(self):
         return Forall.bind, (self.hint, self.scope)
 
+    def __repr__(self):
+        return f"Forall(scope={self.scope!r}, hint={self.hint!r})"
+
     def open(self, p: PosType) -> NegType:
         """The scope with the bound variable replaced by the closed type `p`."""
         return open_block(self, (p,))
@@ -299,25 +276,24 @@ class Forall(NegType, _Composite):
     body = property(lambda self: self._view()[1])
 
 
-@_node
 class Up(NegType, _Composite):
     """Returner type: a computation producing a value of the wrapped type."""
 
-    body: PosType
+    __slots__ = _fields = ("body",)
 
-    def __post_init__(self):
-        _combine(self, (self.body,))
+    def __init__(self, body: PosType):
+        self.body = body
+        _combine(self, (body,))
 
 
-@_node
 class NegData(NegType, _Composite):
     """Opaque negative datatype constructor (positive arguments)."""
 
-    constructor: str
-    args: tuple = ()
+    __slots__ = _fields = ("constructor", "args")
 
-    def __post_init__(self):
-        _combine(self, self.args)
+    def __init__(self, constructor: str, args: tuple = ()):
+        self.constructor, self.args = constructor, args
+        _combine(self, args)
 
 
 def _map(t: Type, leaf, skip, k: int = 0) -> Type:
@@ -384,17 +360,17 @@ def used_binders(t: NegType, k: int) -> set:
 # ---------------------------------------------------------------------------
 # Terms
 #
-# Every term has `size`, its number of nodes (type annotations are not
-# nodes): a class attribute on the leaves, set at construction on the rest.
-# It is not a field, so `==`, `hash` and `repr` do not see it.
+# A term is a `Record` that compares all its fields but `span`.  Its
+# `size`, not a field either, is its number of nodes (type annotations are
+# not nodes): a class attribute on the leaves, a slot on the rest.
 
-class Value:
+class Value(Record):
     """Base class for value terms."""
 
     __slots__ = ()
 
 
-class Computation:
+class Computation(Record):
     """Base class for computation terms."""
 
     __slots__ = ()
@@ -406,141 +382,132 @@ Term = Value | Computation
 ArgList = tuple
 
 
-@dataclass(frozen=True)
 class Var(Value):
-    name: str
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__, _fields = ("name", "span"), ("name",)
     size = 1
 
+    def __init__(self, name: str, span: SourceSpan | None = None):
+        self.name, self.span = name, span
 
-@dataclass(frozen=True)
+
 class Thunk(Value):
     """Braces around a computation, suspending it."""
 
-    body: Computation
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__, _fields = ("body", "span", "size"), ("body",)
 
-    def __post_init__(self):
-        self.__dict__["size"] = 1 + self.body.size
+    def __init__(self, body: Computation, span: SourceSpan | None = None):
+        self.body, self.span, self.size = body, span, 1 + body.size
 
 
-@dataclass(frozen=True)
 class IntLit(Value):
-    value: int
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__, _fields = ("value", "span"), ("value",)
     size = 1
 
+    def __init__(self, value: int, span: SourceSpan | None = None):
+        self.value, self.span = value, span
 
-@dataclass(frozen=True)
+
 class BoolLit(Value):
-    value: bool
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__, _fields = ("value", "span"), ("value",)
     size = 1
 
+    def __init__(self, value: bool, span: SourceSpan | None = None):
+        self.value, self.span = value, span
 
-@dataclass(frozen=True)
+
 class PairVal(Value):
-    first: Value
-    second: Value
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__, _fields = ("first", "second", "span", "size"), ("first", "second")
 
-    def __post_init__(self):
-        self.__dict__["size"] = 1 + self.first.size + self.second.size
+    def __init__(self, first: Value, second: Value, span: SourceSpan | None = None):
+        self.first, self.second, self.span = first, second, span
+        self.size = 1 + first.size + second.size
 
 
-@dataclass(frozen=True)
 class Lambda(Computation):
     """Annotated function abstraction; the annotation is a positive type."""
 
-    param: str
-    annotation: PosType
-    body: Computation
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__ = ("param", "annotation", "body", "span", "size")
+    _fields = ("param", "annotation", "body")
 
-    def __post_init__(self):
-        self.__dict__["size"] = 1 + self.body.size
+    def __init__(self, param: str, annotation: PosType, body: Computation,
+                 span: SourceSpan | None = None):
+        self.param, self.annotation, self.body = param, annotation, body
+        self.span, self.size = span, 1 + body.size
 
 
-@dataclass(frozen=True)
 class TypeAbs(Computation):
-    binder: str
-    body: Computation
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__, _fields = ("binder", "body", "span", "size"), ("binder", "body")
 
-    def __post_init__(self):
-        self.__dict__["size"] = 1 + self.body.size
+    def __init__(self, binder: str, body: Computation, span: SourceSpan | None = None):
+        self.binder, self.body, self.span, self.size = binder, body, span, 1 + body.size
 
 
-@dataclass(frozen=True)
 class Return(Computation):
-    value: Value
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__, _fields = ("value", "span", "size"), ("value",)
 
-    def __post_init__(self):
-        self.__dict__["size"] = 1 + self.value.size
-
-
-def _let_size(self):
-    self.__dict__["size"] = (1 + self.head.size + sum(a.size for a in self.args)
-                             + self.cont.size)
+    def __init__(self, value: Value, span: SourceSpan | None = None):
+        self.value, self.span, self.size = value, span, 1 + value.size
 
 
-@dataclass(frozen=True)
 class LetAnn(Computation):
     """let x : P = head(args); cont  -- the annotated sequencing form."""
 
-    name: str
-    annotation: PosType
-    head: Value
-    args: ArgList
-    cont: Computation
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "annotation", "head", "args", "cont", "span", "size")
+    _fields = ("name", "annotation", "head", "args", "cont")
 
-    __post_init__ = _let_size
+    def __init__(self, name: str, annotation: PosType, head: Value, args: ArgList,
+                 cont: Computation, span: SourceSpan | None = None):
+        self.name, self.annotation, self.head, self.args = name, annotation, head, args
+        self.cont, self.span = cont, span
+        self.size = 1 + head.size + sum(a.size for a in args) + cont.size
 
 
-@dataclass(frozen=True)
 class Let(Computation):
     """let x = head(args); cont  -- allowed only when the result is unambiguous."""
 
-    name: str
-    head: Value
-    args: ArgList
-    cont: Computation
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "head", "args", "cont", "span", "size")
+    _fields = ("name", "head", "args", "cont")
 
-    __post_init__ = _let_size
+    def __init__(self, name: str, head: Value, args: ArgList, cont: Computation,
+                 span: SourceSpan | None = None):
+        self.name, self.head, self.args, self.cont, self.span = name, head, args, cont, span
+        self.size = 1 + head.size + sum(a.size for a in args) + cont.size
 
 
 # ---------------------------------------------------------------------------
 # Contexts and environments
 
-@dataclass(frozen=True)
-class Universal:
+class Universal(Record):
     """A universal type variable entry."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Unsolved:
+class Unsolved(Record):
     """An existential variable without a solution yet."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Solved:
+class Solved(Record):
     """An existential variable with its (ground) solution."""
 
-    name: str
-    solution: PosType
+    __slots__ = _fields = ("name", "solution")
+
+    def __init__(self, name: str, solution: PosType):
+        self.name, self.solution = name, solution
 
 
 ContextEntry = Universal | Unsolved | Solved
 
 
-class Context:
+class Context(Record):
     """Ordered checker context; entry names are pairwise distinct.
 
     A context is a stack.  The checker changes one in only three ways: it
@@ -567,12 +534,13 @@ class Context:
     returns it as it is when it takes off all the entries pushed on it.
     `_extends` is the stamp of a passed extension check (see
     `wellformed.wf_extension`), else None.  Facts are shared between
-    contexts, so they are never mutated.  `==`, `hash`, `copy` and `pickle`
-    go by the entries alone.
+    contexts, so they are never mutated.  `==`, `hash`, `repr`, `copy` and
+    `pickle` go by the entries alone, its one compared field.
     """
 
     __slots__ = ("entries", "positions", "uvar_names", "evar_names", "solutions",
                  "erased", "_below", "_extends")
+    _fields = ("entries",)
 
     def __init__(self, entries: tuple = ()):
         positions, solutions, universals, evars = {}, {}, [], []
@@ -589,14 +557,8 @@ class Context:
         self.uvar_names, self.evar_names = frozenset(erased), frozenset(evars)
         self._below = self._extends = None
 
-    def __eq__(self, other):
-        return self.entries == other.entries if type(other) is Context else NotImplemented
-
-    def __hash__(self):
+    def __hash__(self):  # the entries' own hash, which a result's hash includes
         return hash(self.entries)
-
-    def __repr__(self):
-        return f"Context(entries={self.entries!r})"
 
     def __reduce__(self):
         return Context, (self.entries,)
@@ -657,11 +619,13 @@ class Context:
         return new
 
 
-@dataclass(frozen=True)
-class TypeEnv:
+class TypeEnv(Record):
     """Environment mapping term variables to positive types; rightmost wins."""
 
-    bindings: tuple = ()
+    __slots__ = _fields = ("bindings",)
+
+    def __init__(self, bindings: tuple = ()):
+        self.bindings = bindings
 
     def lookup(self, name: str):
         for x, p in reversed(self.bindings):

@@ -40,9 +40,7 @@ same after a thousand lets as after one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvariantViolation, TypeCheckError, require
+from .errors import InvariantViolation, Record, TypeCheckError, require
 from .parser import MAX_TYPE_HEIGHT
 from .subtype import _Engine
 from .syntax import (
@@ -55,13 +53,13 @@ from .wellformed import (
 )
 
 
-@dataclass(frozen=True)
-class SynthResult:
+class SynthResult(Record):
     """Synthesized type, output context, and rule-by-rule trace."""
 
-    type: object
-    context: Context
-    trace: tuple
+    __slots__ = _fields = ("type", "context", "trace")
+
+    def __init__(self, type: object, context: Context, trace: tuple):
+        self.type, self.context, self.trace = type, context, trace
 
 
 class _Scope:

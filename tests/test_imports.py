@@ -7,14 +7,21 @@ A stand-in for a linter's unused-import rule, on the standard library's
 `ast`: a name bound by `import` or `from ... import` in a module of
 `src/polarf` (other than `__init__.py`, which re-exports) must be read
 somewhere in that module.  A leftover import after a refactor fails here.
-A name `__init__.py` re-exports must be read by a module of the package, by
-`bench/` or `tools/`, or be named in README's `## Library` example.
+A name `__init__.py` re-exports, imported or loaded when first read (the
+oracle's names, `_ORACLE`), must be read by a module of the package, by
+`bench/` or `tools/`, or be named in README's `## Library` example.  No
+module imports `dataclasses`, and a fresh `import polarf.cli` loads neither
+`dataclasses`, `inspect` nor `typing`, nor the oracle, which `check` never
+runs.
 "Nested too deeply" is decided by the input against the stated bounds
 (`parser.MAX_TYPE_HEIGHT`, `parser.MAX_TERM_DEPTH`), never by catching the
 interpreter running out of stack.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,15 +102,71 @@ def library_block_names() -> set:
     return imported | read_names(block)
 
 
+def lazy_exports(init) -> set:
+    """The names of `_ORACLE`, which `__init__.py`'s `__getattr__` loads."""
+    return {name.value for node in init.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_ORACLE" for t in node.targets)
+            for name in node.value.elts}
+
+
 def test_every_export_is_read_or_documented():
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     exported = {alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    lazy = lazy_exports(init)
     read = library_block_names()
     for path in [*MODULES, *(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py")]:
         read |= read_names(path.read_text(encoding="utf-8"))
-    assert "extends" in exported
-    assert sorted(exported - read) == []
+    assert "extends" in exported and "decl_subtype" in lazy
+    assert sorted((exported | lazy) - read) == []
+
+
+def test_lazy_exports_are_the_oracles():
+    import polarf
+    from polarf import decl_subtype, oracle
+
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    for name in lazy_exports(init):
+        assert getattr(polarf, name) is getattr(oracle, name)
+    assert decl_subtype is oracle.decl_subtype
+    with pytest.raises(AttributeError, match="no attribute 'decl_nothing'"):
+        polarf.decl_nothing
+
+
+# -- a cold import loads what `check` runs -----------------------------------------
+
+def imports_dataclasses(source: str) -> bool:
+    tree = ast.parse(source)
+    return any(isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+               for node in ast.walk(tree))
+
+
+def test_the_check_sees_a_dataclass_import():
+    assert imports_dataclasses("from dataclasses import dataclass, field\n")
+    assert imports_dataclasses("import os, dataclasses\n")
+    assert not imports_dataclasses("from .errors import Record  # not a dataclass\n")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert not imports_dataclasses(path.read_text(encoding="utf-8"))
+
+
+def modules_after(code: str) -> set:
+    """The modules loaded in a fresh `python -S` (no `site`, so no `.pth`
+    start-up) after running `code`, with `src` on the path."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", f"{code}\nimport sys\n"
+                          "print('\\n'.join(sys.modules))"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_a_cold_check_import_loads_no_oracle_or_dataclasses():
+    added = modules_after("import polarf.cli") - modules_after("pass")
+    assert "polarf.cli" in added and "polarf.syntax" in added
+    assert sorted(added & {"dataclasses", "inspect", "typing", "polarf.oracle"}) == []
 
 
 # -- README's library example says what it does ------------------------------------
