@@ -50,23 +50,26 @@ or `up`; a chain of `let`s adds none.  The typer adds a term whose type
 would be taller than `MAX_TYPE_HEIGHT`.  Within the bounds no layer runs
 out of stack (see `MAX_TERM_DEPTH`).
 
-Programs tend to repeat their assumptions: every corpus program starts
+Programs tend to repeat their declarations: every corpus program starts
 with the same 26 `val` lines.  So `parse_program` keeps, for the whole
-process, the type of each assumption it has parsed, and reads a `val` type
-it has seen before in one dictionary lookup instead of building it again.
-The key is the program's own `data` declarations and the texts of the
-type's tokens, which run to the next `val` before the program's `run`
-(else to that `run`): no type contains either keyword.  The declarations
-are in the key because they decide what a constructor means: under
-`data T neg 0`, `dn T` is a type, and under `data T pos 0` it is a parse
-error.  The texts include the binders' names, so alpha-variants keep
-entries of their own and print with their own names.  Only a closed value
-type that ends exactly where its tokens do is kept; an error is never
-kept, so a bad type is parsed again and fails with the same message and
-span.  At most `ASSUMPTION_TYPES_CAP` types are kept, the
-oldest leaving first.  Type nodes are never changed once built, so parses
-may share them.  `parse_type` and terms, which carry spans, are always
-parsed afresh.
+process, the datatypes and assumptions that the clean parse of each
+declaration block produced, by the block's text: the block is every line
+before the first line whose first token is `run`.  A program whose block
+was seen before is lexed and parsed from its `run` line on: the block's
+lines are looked up once to find that line, and nothing of the block is
+joined, parsed or built again.  A `run` that does not start its line, a
+block line longer than `LINE_LENGTH_MAX`, a block longer than
+`PRELUDE_LENGTH_MAX` characters or a parse error takes the full path.  At
+most `PRELUDES_CAP` blocks are kept, the oldest leaving first.  The block
+holds the program's `data` declarations, which decide what a constructor
+means, and its binders' names, so alpha-variants keep entries of their own
+and print with their own names.
+
+No block that fails to parse is kept, so it fails again with the same
+message and span.  Type nodes are never changed once built, so parses may
+share them.  Terms carry spans and are always parsed afresh.  `parse_type`
+is not memoized: `polarf sub` reads each of its two types once per
+process, so a memo would cost a lookup and save nothing.
 """
 
 from __future__ import annotations
@@ -172,6 +175,9 @@ LINE_TOKENS_CAP = 1024
 LINE_LENGTH_MAX = 256
 _LINE_TOKENS: dict = {}
 
+# the most characters of a kept declaration block
+PRELUDE_LENGTH_MAX = 8192
+
 
 def _lex_line(line: str):
     """The `_LINE_TOKENS` entry of one line, which holds no newline."""
@@ -184,25 +190,31 @@ def _lex_line(line: str):
     return kinds, texts, ends, kinds.index("bad") if "bad" in kinds else -1
 
 
-def _lex(src: str, filename: str):
-    """The tokens of `src` as three lists: `kinds`, `texts` and `ends` (the
-    offset just past each token; a token starts at its end minus its
-    length).  The last token is `eof`.  Raises the parse error of the first
-    character no token starts with."""
+def _line_tokens(line: str):
+    """The `_LINE_TOKENS` entry of `line`, lexed and kept if missing."""
+    entry = _LINE_TOKENS.get(line)
+    if entry is None:
+        entry = _lex_line(line)
+        if len(line) <= LINE_LENGTH_MAX:
+            _keep(_LINE_TOKENS, LINE_TOKENS_CAP, line, entry)
+    return entry
+
+
+def _lex(src: str, filename: str, start: int = 0):
+    """The tokens of `src` from offset `start` (a line's first character)
+    as three lists: `kinds`, `texts` and `ends` (the offset in `src` just
+    past each token; a token starts at its end minus its length).  The last
+    token is `eof`.  Raises the parse error of the first character no token
+    starts with."""
     kinds, texts, ends = [], [], []
-    offset = 0
-    for line in src.split("\n"):
-        entry = _LINE_TOKENS.get(line)
-        if entry is None:
-            entry = _lex_line(line)
-            if len(line) <= LINE_LENGTH_MAX:
-                _keep(_LINE_TOKENS, LINE_TOKENS_CAP, line, entry)
-        line_kinds, line_texts, line_ends, bad = entry
+    offset = start
+    for line in src[start:].split("\n"):
+        line_kinds, line_texts, line_ends, bad = _line_tokens(line)
         if bad >= 0:
             text = line_texts[bad]
-            start = offset + line_ends[bad] - len(text)
+            at = offset + line_ends[bad] - len(text)
             msg = _STRAY.get(text[0]) or f"unexpected character {text[0]!r}"
-            raise TypeCheckError("parse", msg, SourceSpan(filename, start, start + 1))
+            raise TypeCheckError("parse", msg, SourceSpan(filename, at, at + 1))
         kinds += line_kinds
         texts += line_texts
         ends += map(offset.__add__, line_ends)
@@ -213,12 +225,15 @@ def _lex(src: str, filename: str):
     return kinds, texts, ends
 
 
+_BUILTIN_SIGS = {d.name: d for d in BUILTIN_DATATYPES}
+
+
 class _Parser:
-    def __init__(self, src: str, filename: str):
+    def __init__(self, src: str, filename: str, start: int = 0):
         self.filename = filename
-        self.kinds, self.texts, self.ends = _lex(src, filename)
+        self.kinds, self.texts, self.ends = _lex(src, filename, start)
         self.pos = self.type_start = 0
-        self.sigs = {d.name: d for d in BUILTIN_DATATYPES}
+        self.sigs = _BUILTIN_SIGS.copy()
         self.scope = []    # the type variables bound by enclosing foralls
         self.free = set()  # type variables read outside their scope
         self.depth = 0     # the levels of term nesting around the next token
@@ -386,8 +401,10 @@ class _Parser:
         """The arguments of `decl`'s constructor, one atom each."""
         args = []
         for i in range(decl.arity):
-            msg = f"argument {i + 1} of {decl.name} must be a positive type"
-            args.append(self.want(self.atom(False, d + 1), PosType, msg))
+            t = self.atom(False, d + 1)
+            if not isinstance(t, PosType):
+                self.err(f"argument {i + 1} of {decl.name} must be a positive type")
+            args.append(t)
         return tuple(args)
 
     def want(self, t, cls, msg: str):
@@ -503,13 +520,6 @@ class _Parser:
             decls.append(decl)
         assumptions = []
         seen = set()
-        kinds, texts, declared = self.kinds, self.texts, tuple(decls)
-        # no type contains `val` or `run`: each assumption's type ends at
-        # the next `val` before the first `run`, else at that `run` (or eof)
-        try:
-            run_at = kinds.index("run", self.pos)
-        except ValueError:
-            run_at = len(kinds) - 1
         while self.at("val"):
             self.pos += 1
             name_at = self.pos
@@ -519,34 +529,26 @@ class _Parser:
             seen.add(name)
             self.expect(":")
             type_at = self.pos
-            try:
-                end = kinds.index("val", type_at, run_at)
-            except ValueError:
-                end = run_at
-            key = (declared, tuple(texts[type_at:end]))
-            ty = _ASSUMPTION_TYPES.get(key)
-            if ty is None:
-                self.free.clear()
-                ty = self.want(self.whole_type(), PosType, "assumptions must have value types")
-                if self.free:
-                    loose = ", ".join(sorted(self.free))
-                    self.err(f"assumption type must be closed (unbound: {loose})", type_at)
-                if self.pos == end:
-                    _keep(_ASSUMPTION_TYPES, ASSUMPTION_TYPES_CAP, key, ty)
-            else:
-                self.pos = end
+            self.free.clear()
+            ty = self.want(self.whole_type(), PosType, "assumptions must have value types")
+            if self.free:
+                loose = ", ".join(sorted(self.free))
+                self.err(f"assumption type must be closed (unbound: {loose})", type_at)
             assumptions.append((name, ty))
+        return self.run(tuple(decls), tuple(assumptions))
+
+    def run(self, datatypes: tuple, assumptions: tuple) -> Program:
+        """`run t` and the end of input, after the declaration block."""
         self.expect("run")
         body = self.computation()
         self.expect("eof")
-        return Program(tuple(decls), tuple(assumptions), body)
+        return Program(datatypes, assumptions, body)
 
 
-# The types of the assumptions parsed so far in this process, by the
-# program's own datatype declarations and the type's token texts, oldest
-# first; at most ASSUMPTION_TYPES_CAP of them.
-ASSUMPTION_TYPES_CAP = 1024
-_ASSUMPTION_TYPES: dict = {}
+# The datatypes and assumptions of the declaration blocks parsed cleanly so
+# far, by the block's text, oldest first; at most PRELUDES_CAP of them.
+PRELUDES_CAP = 64
+_PRELUDES: dict = {}
 
 
 def _keep(memo: dict, cap: int, key, value):
@@ -560,9 +562,39 @@ def _keep(memo: dict, cap: int, key, value):
     memo[key] = value
 
 
+def _block_length(src: str):
+    """The length of `src`'s declaration block: the characters before the
+    first line whose first token is `run`.  None if there is no such line,
+    or the block is longer than PRELUDE_LENGTH_MAX or has a line longer
+    than LINE_LENGTH_MAX.  Of a line that long it reads only the first
+    token, which leaves the line to be lexed once, by `_lex`."""
+    offset = 0
+    while offset <= PRELUDE_LENGTH_MAX:
+        end = src.find("\n", offset)
+        line = src[offset:] if end < 0 else src[offset:end]
+        if len(line) > LINE_LENGTH_MAX:
+            return offset if _TOKEN.match(line)[2] == "run" else None
+        if _line_tokens(line)[0][:1] == ("run",):
+            return offset
+        if end < 0:
+            return None
+        offset = end + 1
+    return None
+
+
 def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse a whole program; raises TypeCheckError(parse) with a span."""
-    return _Parser(text, filename).program()
+    n = _block_length(text)
+    block = None if n is None else text[:n]
+    kept = _PRELUDES.get(block)
+    if kept is not None:
+        p = _Parser(text, filename, n)
+        p.sigs.update((d.name, d) for d in kept[0])
+        return p.run(*kept)
+    prog = _Parser(text, filename).program()
+    if block is not None:
+        _keep(_PRELUDES, PRELUDES_CAP, block, (prog.datatypes, prog.assumptions))
+    return prog
 
 
 def parse_type(text: str, polarity: str = "any", filename: str = "<type>"):

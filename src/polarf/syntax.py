@@ -64,6 +64,7 @@ Terms carry their node count (`size`) the same way.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import is_
 
 from .errors import InvariantViolation, Record, SourceSpan
 
@@ -315,7 +316,7 @@ def _map(t: Type, leaf, skip, k: int = 0) -> Type:
         return t if body is t.body else cls(body)
     if cls is Data or cls is NegData:
         args = tuple([_map(a, leaf, skip, k) for a in t.args])
-        return t if args == t.args else cls(t.constructor, args)
+        return t if all(map(is_, args, t.args)) else cls(t.constructor, args)
     if cls is Forall:
         scope = _map(t.scope, leaf, skip, k + 1)
         return t if scope is t.scope else Forall.bind(t.hint, scope)

@@ -303,13 +303,13 @@ def in_new_thread(fn, frames):
 def test_term_depth_ladder(source_file, capsys, shape, opener, depth):
     """Every term nested up to the bound checks, every deeper one is the
     parse error "nested too deeply" at the first token past the bound, and
-    the record is the same with the memo of `val` types cold or warm, and
-    from a new stack or under `MARGIN` frames."""
+    the record is the same with the memo of blocks cold or warm, and from
+    a new stack or under `MARGIN` frames."""
     source = shape(depth)
     path = source_file(source)
 
     def cold():
-        parser._ASSUMPTION_TYPES.clear()
+        parser._PRELUDES.clear()
         return check_json(path, capsys)
 
     code, record = cold()

@@ -13,7 +13,7 @@ from polarf import (
 )
 from polarf import parser
 from polarf.cli import check_source_json
-from polarf.corpus import EXAMPLES, STRIPPED
+from polarf.corpus import ENVIRONMENT, EXAMPLES, STRIPPED
 
 from gen import gen_comp, gen_env, gen_type
 
@@ -136,22 +136,22 @@ class TestParseProgram:
 
 
 class TestAssumptionMemo:
-    """`parse_program` reads a `val` type it has parsed before from a memo
-    kept by the declarations and the type's token texts."""
+    """`parse_program` keeps the assumptions of each clean declaration
+    block by the block's text, which holds everything that decides them."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(parser, "_ASSUMPTION_TYPES", {})
+        monkeypatch.setattr(parser, "_PRELUDES", {})
 
     def test_corpus_parses_and_records_alike_from_the_memo(self):
-        for ex in EXAMPLES + STRIPPED:
-            parser._ASSUMPTION_TYPES.clear()
-            first, second = parse_program(ex.source), parse_program(ex.source)
-            assert first == second
-            for (_, read), (_, kept) in zip(first.assumptions, second.assumptions):
-                assert kept is read
+        first = parse_program(EXAMPLES[0].source)
+        warm = [parse_program(ex.source) for ex in EXAMPLES + STRIPPED]
+        for ex, prog in zip(EXAMPLES + STRIPPED, warm):
+            assert prog.assumptions is first.assumptions
+            parser._PRELUDES.clear()
+            assert parse_program(ex.source) == prog
             for with_trace in (False, True):
-                parser._ASSUMPTION_TYPES.clear()
+                parser._PRELUDES.clear()
                 cold = check_source_json(ex.source, ex.name, with_trace)
                 assert check_source_json(ex.source, ex.name, with_trace) == cold
 
@@ -159,9 +159,11 @@ class TestAssumptionMemo:
         body = "val x : dn T\nrun return x"
         prog = parse_program("data T neg 0\n" + body)
         assert prog.assumptions[0][1] == Down(NegData("T", ()))
-        with pytest.raises(TypeCheckError) as e:
-            parse_program("data T pos 0\n" + body)
-        assert e.value.message == "dn expects a computation type (usually 'dn (...)')"
+        for _ in range(2):
+            with pytest.raises(TypeCheckError) as e:
+                parse_program("data T pos 0\n" + body)
+            assert e.value.message == "dn expects a computation type (usually 'dn (...)')"
+        assert list(parser._PRELUDES) == ["data T neg 0\nval x : dn T\n"]
 
     @pytest.mark.parametrize("src", [
         "val x : List\nrun return x",
@@ -169,6 +171,12 @@ class TestAssumptionMemo:
         "val x : dn (forall a. a -> up b)\nrun return x",
         "val x : Int val y : Int )\nrun return x",
         "val x : Int Bool\nrun return x",
+        "val x : Int $\nrun return x",
+        "val x : Int\nval x : Bool\nrun return x",
+        "data T pos 0\ndata T neg 0\nrun return true",
+        "val x : List a\nrun return x",
+        "val x : Int\n",
+        "val x : Int\nreturn x\nrun return x",
     ])
     def test_errors_are_not_kept(self, src):
         errors = []
@@ -176,6 +184,7 @@ class TestAssumptionMemo:
             with pytest.raises(TypeCheckError) as e:
                 parse_program(src)
             errors.append((e.value.message, e.value.span.start, e.value.span.end))
+            assert parser._PRELUDES == {}
         assert errors[0] == errors[1]
 
     def test_binder_names_keep_their_own_entries(self):
@@ -184,14 +193,155 @@ class TestAssumptionMemo:
         assert a.assumptions[0][1] == b.assumptions[0][1]
         assert pretty(a.assumptions[0][1]) == "dn (forall a. a -> up a)"
         assert pretty(b.assumptions[0][1]) == "dn (forall b. b -> up b)"
+        assert len(parser._PRELUDES) == 2
 
     def test_memo_stays_within_its_cap(self):
-        cap = parser.ASSUMPTION_TYPES_CAP
-        lines = [f"val v{i} : dn (forall a{i}. a{i} -> up a{i})" for i in range(cap + 5)]
-        prog = parse_program("\n".join(lines) + "\nrun return v0")
-        assert len(parser._ASSUMPTION_TYPES) == cap
-        last = parse_program(lines[-1] + "\nrun return v0")
-        assert last.assumptions[0][1] is prog.assumptions[-1][1]
+        cap = parser.PRELUDES_CAP
+        blocks = [f"val v{i} : Int\n" for i in range(cap + 5)]
+        progs = [parse_program(block + "run return true") for block in blocks]
+        assert list(parser._PRELUDES) == blocks[5:]
+        last = parse_program(blocks[-1] + "run return v0")
+        assert last.assumptions is progs[-1].assumptions
+
+
+class TestPreludeMemo:
+    """`parse_program` keeps the datatypes and assumptions of each clean
+    declaration block by the block's text, and reads a program whose block
+    it has seen from the `run` line on."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memos(self, monkeypatch):
+        for memo in ("_PRELUDES", "_LINE_TOKENS"):
+            monkeypatch.setattr(parser, memo, {})
+        lex, self.starts = parser._lex, []
+
+        def recorded(src, filename, start=0):
+            self.starts.append(start)
+            return lex(src, filename, start)
+
+        monkeypatch.setattr(parser, "_lex", recorded)
+
+    @staticmethod
+    def cold():
+        parser._PRELUDES.clear()
+        parser._LINE_TOKENS.clear()
+
+    @staticmethod
+    def outcome(src):
+        """The program, or the message and span of its parse error."""
+        try:
+            return parse_program(src, "f.ipf")
+        except TypeCheckError as e:
+            return e.message, e.span
+
+    def test_a_hit_equals_a_cold_parse(self):
+        block = len(ENVIRONMENT) + 1
+        for ex in EXAMPLES + STRIPPED:
+            self.cold()
+            first = parse_program(ex.source, ex.name)
+            assert parser._PRELUDES == {ex.source[:block]: (first.datatypes, first.assumptions)}
+            (kept,) = parser._PRELUDES.values()
+            self.starts.clear()
+            second = parse_program(ex.source, ex.name)
+            assert self.starts == [block]
+            assert second == first
+            assert second.datatypes is kept[0] and second.assumptions is kept[1]
+
+    def test_a_cold_corpus_pass_hits_from_its_second_program(self):
+        for ex in EXAMPLES + STRIPPED:
+            parse_program(ex.source, ex.name)
+        assert self.starts == [0] + [len(ENVIRONMENT) + 1] * (len(EXAMPLES + STRIPPED) - 1)
+        assert len(parser._PRELUDES) == 1
+
+    def test_records_are_the_same_cold_and_warm(self):
+        for ex in EXAMPLES + STRIPPED:
+            for with_trace in (False, True):
+                self.cold()
+                cold = check_source_json(ex.source, ex.name, with_trace)
+                self.starts.clear()
+                assert check_source_json(ex.source, ex.name, with_trace) == cold
+                assert self.starts == [len(ENVIRONMENT) + 1]
+
+    @pytest.mark.parametrize("body", [
+        "run let = x(); return x",
+        "run return x $",
+        "run return x\n)",
+        "run {return}",
+        "run return 1" + "0" * 5000,
+        "run return 1 2",
+        "run " + "{" * 40 + "return x" + "}" * 40,
+        "run \\x : List. return x",
+        "run let y : up Int = x(); return y",
+    ], ids=range(9))
+    def test_body_errors_are_the_same_cold_and_warm(self, body):
+        src = ENVIRONMENT + "\n" + body
+        cold = self.outcome(src)
+        assert isinstance(cold, tuple) and parser._PRELUDES == {}
+        parse_program(ENVIRONMENT + "\nrun return head")
+        self.starts.clear()
+        assert self.outcome(src) == cold
+        assert self.starts == [len(ENVIRONMENT) + 1]
+
+    def test_kept_datatypes_are_in_scope_in_the_body(self):
+        src = "data T neg 0\nval x : dn T\nrun \\y : dn T. return x"
+        first = parse_program(src)
+        second = parse_program(src)
+        assert self.starts == [0, len("data T neg 0\nval x : dn T\n")]
+        assert second == first
+        assert second.body.annotation == Down(NegData("T", ()))
+        assert parse_program("data T pos 0\nval x : T\nrun \\y : T. return x").body \
+            .annotation == Data("T", ())
+
+    @pytest.mark.parametrize("src", [
+        "val x : Int run return x",
+        "val x : Int run\nreturn x",
+        "-- " + "x" * parser.LINE_LENGTH_MAX + "\nval x : Int\nrun return x",
+        "val x : Int\n" * (parser.PRELUDE_LENGTH_MAX // 12 + 1) + "run return x",
+        "val x : Int\nreturn x",
+    ], ids=["run-mid-line", "run-ends-a-line", "long-line", "long-block", "no-run"])
+    def test_these_take_the_full_path(self, src):
+        assert self.outcome(src) == self.outcome(src)
+        assert self.starts == [0, 0]
+        assert parser._PRELUDES == {}
+
+    def test_a_run_line_may_start_with_a_gap(self):
+        src = "val x : Int\n  -- a note\n\t run return x"
+        assert parse_program(src) == parse_program(src)
+        assert self.starts == [0, len("val x : Int\n  -- a note\n")]
+
+    def test_a_block_at_the_length_cap_is_kept(self):
+        limit = parser.PRELUDE_LENGTH_MAX
+        line = "-- " + "x" * 96 + "\n"
+        for length in (limit, limit + 1):
+            block = line * (length // 100) + "\n" * (length % 100)
+            parse_program(block + "run return true")
+            assert (block in parser._PRELUDES) == (length == limit)
+
+    def test_threads_share_the_memo_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(parser, "PRELUDES_CAP", 8)
+        failures = []
+
+        def parse(t):
+            try:
+                for i in range(2_000):
+                    prog = parse_program(f"val v{t}_{i % 50} : Int\nrun return true")
+                    assert prog.assumptions[0][0] == f"v{t}_{i % 50}"
+            except Exception as e:  # reported by the assertion below
+                failures.append(e)
+
+        threads = [threading.Thread(target=parse, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(parser._PRELUDES) <= 8 + len(threads)
 
 
 class TestLineTokens:
