@@ -33,12 +33,11 @@ integer literal longer than `int()` reads (`sys.get_int_max_str_digits()`).
 `_lex` returns three lists: the token kinds, the token texts and the
 offset just past each token (in characters, not bytes); a token starts at
 its end minus its length.  The parser reads them by index: `pos` is the
-next token.  No token holds a newline and a comment ends at one, so each
-line is lexed alone, by one `findall` of (gap, token) pairs, the gap being
-whitespace and comments.  Programs repeat their lines (every corpus
-program starts with the same 26), so each line's tokens are kept for the
-process by its text, with ends from the line's start: at most
-`LINE_TOKENS_CAP` lines of at most `LINE_LENGTH_MAX` characters.
+next token.  An input is lexed by one `findall` of (gap, token) pairs, the
+gap being whitespace and comments, and each distinct token text's kind is
+read once.  The tokens are kept for the process by the input's text, with
+ends from its start, so an input that comes back, at any offset, is read
+in one lookup.
 
 The parse error "nested too deeply" is a type as written taller than
 `MAX_TYPE_HEIGHT` (nodes on its longest path to a leaf, quantifiers
@@ -55,21 +54,19 @@ with the same 26 `val` lines.  So `parse_program` keeps, for the whole
 process, the datatypes and assumptions that the clean parse of each
 declaration block produced, by the block's text: the block is every line
 before the first line whose first token is `run`.  A program whose block
-was seen before is lexed and parsed from its `run` line on: the block's
-lines are looked up once to find that line, and nothing of the block is
-joined, parsed or built again.  A `run` that does not start its line, a
-block line longer than `LINE_LENGTH_MAX`, a block longer than
-`PRELUDE_LENGTH_MAX` characters or a parse error takes the full path.  At
-most `PRELUDES_CAP` blocks are kept, the oldest leaving first.  The block
-holds the program's `data` declarations, which decide what a constructor
-means, and its binders' names, so alpha-variants keep entries of their own
-and print with their own names.
+was seen before is lexed and parsed from its `run` line on, and nothing of
+the block is lexed, parsed or built again.  A `run` that does not start
+its line, a block longer than `MEMO_TEXT_MAX` characters or a parse error
+takes the full path.  The block holds the program's `data` declarations,
+which decide what a constructor means, and its binders' names, so
+alpha-variants keep entries of their own and print with their own names.
 
-No block that fails to parse is kept, so it fails again with the same
+Each memo keeps at most `MEMO_CAP` texts of at most `MEMO_TEXT_MAX`
+characters, the oldest leaving first; a longer input is never looked up.
+No input or block that fails is kept, so it fails again with the same
 message and span.  Type nodes are never changed once built, so parses may
 share them.  Terms carry spans and are always parsed afresh.  `parse_type`
-is not memoized: `polarf sub` reads each of its two types once per
-process, so a memo would cost a lookup and save nothing.
+keeps its tokens like any input's, and builds its type afresh.
 """
 
 from __future__ import annotations
@@ -169,60 +166,56 @@ def _kind(text: str) -> str:
     return kind
 
 
-# `_lex_line` of the lines lexed so far, by their text, the oldest leaving
-# first: kinds, texts, ends from the line's start, the first `bad` or -1.
-LINE_TOKENS_CAP = 1024
-LINE_LENGTH_MAX = 256
-_LINE_TOKENS: dict = {}
-
-# the most characters of a kept declaration block
-PRELUDE_LENGTH_MAX = 8192
-
-
-def _lex_line(line: str):
-    """The `_LINE_TOKENS` entry of one line, which holds no newline."""
-    pairs = _TOKEN.findall(line)
-    # drop `eof`, and the empty match after a gap that ends the line
-    del pairs[-2 if len(pairs) > 1 and not pairs[-2][1] else -1:]
-    texts = tuple(map(itemgetter(1), pairs))
-    kinds = tuple(map(_kind, texts))
-    ends = tuple(accumulate(map(len, chain.from_iterable(pairs))))[1::2]
-    return kinds, texts, ends, kinds.index("bad") if "bad" in kinds else -1
+# The tokens of the inputs lexed so far (kinds, texts and ends counted from
+# the input's start) and the datatypes and assumptions of the declaration
+# blocks parsed cleanly so far, each by its text, the oldest leaving first:
+# at most MEMO_CAP texts each, of at most MEMO_TEXT_MAX characters.
+MEMO_CAP = 64
+MEMO_TEXT_MAX = 8192
+_INPUT_TOKENS: dict = {}
+_PRELUDES: dict = {}
 
 
-def _line_tokens(line: str):
-    """The `_LINE_TOKENS` entry of `line`, lexed and kept if missing."""
-    entry = _LINE_TOKENS.get(line)
-    if entry is None:
-        entry = _lex_line(line)
-        if len(line) <= LINE_LENGTH_MAX:
-            _keep(_LINE_TOKENS, LINE_TOKENS_CAP, line, entry)
-    return entry
+def _keep(memo: dict, key, value):
+    """Store `value` in a memo of at most MEMO_CAP entries, the oldest
+    leaving first.  Threads share the memos: another may drop the same
+    entry first."""
+    while len(memo) >= MEMO_CAP:
+        try:
+            del memo[next(iter(memo))]
+        except (KeyError, RuntimeError):  # RuntimeError: changed while read
+            pass
+    memo[key] = value
 
 
 def _lex(src: str, filename: str, start: int = 0):
-    """The tokens of `src` from offset `start` (a line's first character)
-    as three lists: `kinds`, `texts` and `ends` (the offset in `src` just
-    past each token; a token starts at its end minus its length).  The last
-    token is `eof`.  Raises the parse error of the first character no token
-    starts with."""
-    kinds, texts, ends = [], [], []
-    offset = start
-    for line in src[start:].split("\n"):
-        line_kinds, line_texts, line_ends, bad = _line_tokens(line)
-        if bad >= 0:
-            text = line_texts[bad]
-            at = offset + line_ends[bad] - len(text)
-            msg = _STRAY.get(text[0]) or f"unexpected character {text[0]!r}"
+    """The tokens of `src` from offset `start` as three new lists: `kinds`,
+    `texts` and `ends` (the offset in `src` just past each token; a token
+    starts at its end minus its length).  The last token is `eof`.  Raises
+    the parse error of the first character no token starts with."""
+    text = src[start:]
+    short = len(text) <= MEMO_TEXT_MAX
+    kept = _INPUT_TOKENS.get(text) if short else None
+    if kept is None:
+        pairs = _TOKEN.findall(text)
+        # after a gap that ends the input, the pattern matches once more, empty
+        if len(pairs) > 1 and not pairs[-2][1]:
+            del pairs[-1]
+        texts = list(map(itemgetter(1), pairs))
+        kind_of = {t: _kind(t) for t in set(texts)}
+        kinds = list(map(kind_of.__getitem__, texts))
+        ends = list(accumulate(map(len, chain.from_iterable(pairs))))[1::2]
+        if "bad" in kind_of.values():
+            i = kinds.index("bad")
+            c = texts[i][0]
+            at = start + ends[i] - len(texts[i])
+            msg = _STRAY.get(c) or f"unexpected character {c!r}"
             raise TypeCheckError("parse", msg, SourceSpan(filename, at, at + 1))
-        kinds += line_kinds
-        texts += line_texts
-        ends += map(offset.__add__, line_ends)
-        offset += len(line) + 1
-    kinds.append("eof")
-    texts.append("")
-    ends.append(len(src))
-    return kinds, texts, ends
+        if short:
+            _keep(_INPUT_TOKENS, text, (tuple(kinds), tuple(texts), tuple(ends)))
+    else:
+        kinds, texts, ends = map(list, kept)
+    return kinds, texts, list(map(start.__add__, ends)) if start else ends
 
 
 _BUILTIN_SIGS = {d.name: d for d in BUILTIN_DATATYPES}
@@ -545,41 +538,16 @@ class _Parser:
         return Program(datatypes, assumptions, body)
 
 
-# The datatypes and assumptions of the declaration blocks parsed cleanly so
-# far, by the block's text, oldest first; at most PRELUDES_CAP of them.
-PRELUDES_CAP = 64
-_PRELUDES: dict = {}
-
-
-def _keep(memo: dict, cap: int, key, value):
-    """Store `value` in a memo of at most `cap` entries, the oldest leaving
-    first.  Threads share the memos: another may drop the same entry first."""
-    while len(memo) >= cap:
-        try:
-            del memo[next(iter(memo))]
-        except (KeyError, RuntimeError):  # RuntimeError: changed while read
-            pass
-    memo[key] = value
+# The first line whose first token is `run`: `run'` and `runx` are identifiers.
+_RUN_LINE = re.compile(r"^[ \t\r]*run(?![\w'])", re.MULTILINE)
 
 
 def _block_length(src: str):
     """The length of `src`'s declaration block: the characters before the
-    first line whose first token is `run`.  None if there is no such line,
-    or the block is longer than PRELUDE_LENGTH_MAX or has a line longer
-    than LINE_LENGTH_MAX.  Of a line that long it reads only the first
-    token, which leaves the line to be lexed once, by `_lex`."""
-    offset = 0
-    while offset <= PRELUDE_LENGTH_MAX:
-        end = src.find("\n", offset)
-        line = src[offset:] if end < 0 else src[offset:end]
-        if len(line) > LINE_LENGTH_MAX:
-            return offset if _TOKEN.match(line)[2] == "run" else None
-        if _line_tokens(line)[0][:1] == ("run",):
-            return offset
-        if end < 0:
-            return None
-        offset = end + 1
-    return None
+    first line whose first token is `run`.  None if there is no such line
+    or the block is longer than MEMO_TEXT_MAX."""
+    m = _RUN_LINE.search(src)
+    return m.start() if m and m.start() <= MEMO_TEXT_MAX else None
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
@@ -593,7 +561,7 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
         return p.run(*kept)
     prog = _Parser(text, filename).program()
     if block is not None:
-        _keep(_PRELUDES, PRELUDES_CAP, block, (prog.datatypes, prog.assumptions))
+        _keep(_PRELUDES, block, (prog.datatypes, prog.assumptions))
     return prog
 
 

@@ -5,9 +5,14 @@ compares a prefix because contexts are stacks.  The reference here is the
 name-aligned walk that check replaced: it also accepts new existentials
 between old entries, so on the contexts the checker builds the two must
 agree.
+
+The parser finds a program's declaration block with one search for the
+first line whose first token is `run`.  The reference here is the line
+walk that search replaced, which reads each line's first token.
 """
 
 from polarf import Context, Universal, extends
+from polarf.parser import _TOKEN, MEMO_TEXT_MAX
 
 
 def ref_weak_extends(theta, theta_prime):
@@ -22,3 +27,18 @@ def ref_weak_extends(theta, theta_prime):
             return False
         i -= 1
     return i < 0
+
+
+def ref_block_length(src):
+    """The offset of the first line whose first token is `run`, if it is
+    at most MEMO_TEXT_MAX; else None."""
+    offset = 0
+    while offset <= MEMO_TEXT_MAX:
+        end = src.find("\n", offset)
+        line = src[offset:] if end < 0 else src[offset:end]
+        if _TOKEN.match(line)[2] == "run":
+            return offset
+        if end < 0:
+            return None
+        offset = end + 1
+    return None

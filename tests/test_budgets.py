@@ -12,7 +12,8 @@ build a number of type nodes linear in k: the block is opened in one map,
 the rest of the arrow chain is read through the context, and no rule
 rebuilds its completed type to check its size.  A program parsed again
 builds no node for an assumption type it shares with an earlier parse, and
-lexes no line that an earlier input held.
+lexes each input that it reads by one `findall`, or by none if an earlier
+parse read the same text.
 
 The memos hash whole types on every lookup.  A type node with children
 computes its hash once, on its first `hash()`, from its children's kept
@@ -202,24 +203,44 @@ def test_assumption_types_are_built_once(monkeypatch):
         assert again == node_builds(monkeypatch, lambda: parse_program("run " + ex.term))
 
 
-def test_a_corpus_pass_lexes_each_distinct_line_once(monkeypatch):
-    # the corpus programs share their 26 environment lines: one pass from an
-    # empty memo lexes 63 distinct lines, where a lexer of whole inputs
-    # reads every line of every program
-    lex_line, lexed = parser._lex_line, []
+class CountedFindall:
+    """A compiled pattern whose `findall` calls are counted, by text."""
 
-    def counted(line):
-        lexed.append(line)
-        return lex_line(line)
+    def __init__(self, pattern):
+        self.pattern, self.texts = pattern, []
 
-    monkeypatch.setattr(parser, "_LINE_TOKENS", {})
-    monkeypatch.setattr(parser, "_lex_line", counted)
+    def findall(self, text):
+        self.texts.append(text)
+        return self.pattern.findall(text)
+
+    def __getattr__(self, name):
+        return getattr(self.pattern, name)
+
+
+def test_each_input_is_lexed_by_one_findall(monkeypatch):
+    # a cold corpus pass lexes the first program whole and the other 34
+    # behind their shared declaration block, each by one `findall`; the
+    # next pass lexes only the first program's body, and a warm pass, or
+    # finding the blocks, lexes nothing
+    token = CountedFindall(parser._TOKEN)
+    monkeypatch.setattr(parser, "_TOKEN", token)
+    monkeypatch.setattr(parser, "_INPUT_TOKENS", {})
+    monkeypatch.setattr(parser, "_PRELUDES", {})
     sources = [ex.source for ex in EXAMPLES + STRIPPED]
     for src in sources:
-        parser._lex(src, "f")
-    lines = [line for src in sources for line in src.split("\n")]
-    assert sorted(lexed) == sorted(set(lines))
-    assert len(lexed) == 63 and len(lines) > 900
+        parse_program(src)
+    block = parser._block_length(sources[0])
+    assert token.texts == sources[:1] + [src[block:] for src in sources[1:]]
+    for expected in ([sources[0][block:]], []):
+        token.texts.clear()
+        for src in sources:
+            parse_program(src)
+            parser._block_length(src)
+        assert token.texts == expected
+    long = "run " + "".join(f"let x{i} = f(x{i - 1});\n" for i in range(1, 20_001)) + "return x"
+    assert len(parser._lex(long, "f")[0]) > 20_000 * 8 and len(token.texts) == 1
+    parser._block_length(long)
+    assert len(token.texts) == 1
 
 
 # -- hashing ---------------------------------------------------------------------------

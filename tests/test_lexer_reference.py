@@ -1,7 +1,7 @@
 """The regex lexer against the character loop it replaced.
 
-`parser._lex` reads each line's tokens with one `findall` of a single
-compiled pattern, or from its memo of the lines it has lexed, and returns
+`parser._lex` reads an input's tokens with one `findall` of a single
+compiled pattern, or from its memo of the inputs it has lexed, and returns
 the kinds, texts and end offsets as three lists.  The reference kept here
 is the direct character-by-character loop, changed in one place: an
 integer literal is a run of decimal digits (`str.isdecimal`, what `int()`
@@ -10,7 +10,8 @@ became an int token that `int()` then rejected with a Python traceback.
 Both lexers must give the same tokens, or the same parse error with the
 same span, on the corpus, on every string literal in the tests and on
 random strings over the characters where the two could part, from an
-empty memo and from a warm one.
+empty memo and from a warm one.  The search that finds a program's
+declaration block is checked here too, against the line walk it replaced.
 """
 
 import ast
@@ -24,7 +25,9 @@ from polarf import Computation, TypeCheckError, Value, parse_program, pretty
 from polarf import parser
 from polarf.corpus import ENVIRONMENT, EXAMPLES, STRIPPED
 from polarf.errors import SourceSpan
-from polarf.parser import KEYWORDS, _lex
+from polarf.parser import KEYWORDS, MEMO_TEXT_MAX, _block_length, _lex
+
+from references import ref_block_length
 
 PUNCT = {"(", ")", "{", "}", ",", ";", ":", ".", "*", "="}
 
@@ -112,14 +115,24 @@ def outcome(lex, src):
         return "error", (e.kind, e.message, e.span)
 
 
-def new_lex(src):
-    kinds, texts, ends = _lex(src, "f")
+def new_lex(src, start=0):
+    kinds, texts, ends = _lex(src, "f", start)
     return [(old_kind(kind), text, end - len(text), end)
             for kind, text, end in zip(kinds, texts, ends)]
 
 
-def assert_same(src):
-    assert outcome(new_lex, src) == outcome(lambda s: ref_lex(s, "f"), src), repr(src)
+# a line of one token, so that the reference reads behind it what `_lex`
+# reads from its end on
+PREFIX = "run -- a prefix line\n"
+
+
+def assert_same(src, behind_prefix=False):
+    if behind_prefix:
+        src = PREFIX + src
+        ours = outcome(lambda s: new_lex(s, len(PREFIX)), src)
+        assert outcome(lambda s: ref_lex(s, "f")[1:], src) == ours, repr(src)
+    else:
+        assert outcome(new_lex, src) == outcome(lambda s: ref_lex(s, "f"), src), repr(src)
 
 
 # -- inputs --------------------------------------------------------------------
@@ -175,24 +188,49 @@ def multi_line_strings(seed, count):
 
 
 def test_memo_hits_at_any_offset(monkeypatch):
-    """A line's tokens read from the memo, at the line's first offset or
-    at another, are the tokens the reference reads there."""
+    """An input's tokens, read from an empty memo and then from a warm one,
+    at offset 0 or behind a line, are the tokens the reference reads
+    there."""
     bad_line = "val x : Int ? Int"
     inputs = ([ENVIRONMENT, f"{bad_line}\nrun return x"]
               + [ex.source for ex in EXAMPLES + STRIPPED]
               + list(multi_line_strings(33, 2_000)))
     for src in inputs:
-        monkeypatch.setattr(parser, "_LINE_TOKENS", {})
-        for text in (src, src, "run -- a prefix line\n" + src):
-            assert_same(text)
-    monkeypatch.setattr(parser, "_LINE_TOKENS", {})
+        monkeypatch.setattr(parser, "_INPUT_TOKENS", {})
+        for behind_prefix in (False, False, True, True):
+            assert_same(src, behind_prefix)
+        monkeypatch.setattr(parser, "_INPUT_TOKENS", {})
+        for behind_prefix in (True, True, False):
+            assert_same(src, behind_prefix)
+    monkeypatch.setattr(parser, "_INPUT_TOKENS", {})
     spans = []
     for prefix in ("", "val y : Bool\n"):
-        with pytest.raises(TypeCheckError) as e:
-            _lex(f"{prefix}{bad_line}\nrun return x", "f")
-        spans.append((e.value.message, e.value.span.start, e.value.span.end))
-    assert spans == [("unexpected character '?'", 12, 13),
-                     ("unexpected character '?'", 25, 26)]
+        for start in (0, len(prefix)):
+            with pytest.raises(TypeCheckError) as e:
+                _lex(f"{prefix}{bad_line}\nrun return x", "f", start)
+            spans.append((e.value.message, e.value.span.start, e.value.span.end))
+    assert spans == [("unexpected character '?'", 12, 13)] * 2 + \
+        [("unexpected character '?'", 25, 26)] * 2
+
+
+# lines whose first token is, or only looks like, `run`
+RUN_LIKE = ["run'", "runx", "runé", "run²", "\t run", "\r run", "-- run",
+            "data T pos 0 run", "  run", "run", "run--x", "(run", "\x0brun"]
+
+
+def test_block_length_agrees_with_the_line_walk():
+    inputs = [ex.source for ex in EXAMPLES + STRIPPED]
+    for src in multi_line_strings(34, 2_000):
+        inputs += [src, src.replace("up", "run")]
+    for line in RUN_LIKE:
+        inputs += [line, f"val x : Int\n{line}\nrun return x", f"{line} return x\nrun"]
+    for length in (MEMO_TEXT_MAX - 1, MEMO_TEXT_MAX, MEMO_TEXT_MAX + 1):
+        for run in ("run return x", "  run return x", "runx"):
+            inputs += ["\n" * length + run, "x" * (length - 1) + "\n" + run]
+    for src in inputs:
+        assert _block_length(src) == ref_block_length(src), repr(src)
+    found = {_block_length(src) for src in inputs}
+    assert {None, 0, MEMO_TEXT_MAX} <= found and MEMO_TEXT_MAX + 1 not in found
 
 
 @pytest.mark.parametrize("src, start", [("run return ²", 11),

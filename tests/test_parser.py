@@ -196,7 +196,7 @@ class TestAssumptionMemo:
         assert len(parser._PRELUDES) == 2
 
     def test_memo_stays_within_its_cap(self):
-        cap = parser.PRELUDES_CAP
+        cap = parser.MEMO_CAP
         blocks = [f"val v{i} : Int\n" for i in range(cap + 5)]
         progs = [parse_program(block + "run return true") for block in blocks]
         assert list(parser._PRELUDES) == blocks[5:]
@@ -211,7 +211,7 @@ class TestPreludeMemo:
 
     @pytest.fixture(autouse=True)
     def empty_memos(self, monkeypatch):
-        for memo in ("_PRELUDES", "_LINE_TOKENS"):
+        for memo in ("_PRELUDES", "_INPUT_TOKENS"):
             monkeypatch.setattr(parser, memo, {})
         lex, self.starts = parser._lex, []
 
@@ -224,7 +224,7 @@ class TestPreludeMemo:
     @staticmethod
     def cold():
         parser._PRELUDES.clear()
-        parser._LINE_TOKENS.clear()
+        parser._INPUT_TOKENS.clear()
 
     @staticmethod
     def outcome(src):
@@ -295,10 +295,9 @@ class TestPreludeMemo:
     @pytest.mark.parametrize("src", [
         "val x : Int run return x",
         "val x : Int run\nreturn x",
-        "-- " + "x" * parser.LINE_LENGTH_MAX + "\nval x : Int\nrun return x",
-        "val x : Int\n" * (parser.PRELUDE_LENGTH_MAX // 12 + 1) + "run return x",
+        "val x : Int\n" * (parser.MEMO_TEXT_MAX // 12 + 1) + "run return x",
         "val x : Int\nreturn x",
-    ], ids=["run-mid-line", "run-ends-a-line", "long-line", "long-block", "no-run"])
+    ], ids=["run-mid-line", "run-ends-a-line", "long-block", "no-run"])
     def test_these_take_the_full_path(self, src):
         assert self.outcome(src) == self.outcome(src)
         assert self.starts == [0, 0]
@@ -310,7 +309,7 @@ class TestPreludeMemo:
         assert self.starts == [0, len("val x : Int\n  -- a note\n")]
 
     def test_a_block_at_the_length_cap_is_kept(self):
-        limit = parser.PRELUDE_LENGTH_MAX
+        limit = parser.MEMO_TEXT_MAX
         line = "-- " + "x" * 96 + "\n"
         for length in (limit, limit + 1):
             block = line * (length // 100) + "\n" * (length % 100)
@@ -318,14 +317,17 @@ class TestPreludeMemo:
             assert (block in parser._PRELUDES) == (length == limit)
 
     def test_threads_share_the_memo_at_its_cap(self, monkeypatch):
-        monkeypatch.setattr(parser, "PRELUDES_CAP", 8)
+        # threads that drop the same oldest entry at once must not fail;
+        # each program's body is its own text, so both memos evict
+        monkeypatch.setattr(parser, "MEMO_CAP", 8)
         failures = []
 
         def parse(t):
             try:
                 for i in range(2_000):
-                    prog = parse_program(f"val v{t}_{i % 50} : Int\nrun return true")
-                    assert prog.assumptions[0][0] == f"v{t}_{i % 50}"
+                    name = f"v{t}_{i % 50}"
+                    prog = parse_program(f"val {name} : Int\nrun return {name}")
+                    assert prog.assumptions[0][0] == prog.body.value.name == name
             except Exception as e:  # reported by the assertion below
                 failures.append(e)
 
@@ -342,71 +344,56 @@ class TestPreludeMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert len(parser._PRELUDES) <= 8 + len(threads)
+        assert len(parser._INPUT_TOKENS) <= 8 + len(threads)
 
 
 class TestLineTokens:
-    """`_lex` keeps the tokens of each line it has lexed, by the line's
+    """`_lex` keeps the tokens of each input it has lexed, by the input's
     text, within two bounds, and returns lists of its own."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(parser, "_LINE_TOKENS", {})
+        monkeypatch.setattr(parser, "_INPUT_TOKENS", {})
 
     def test_memo_stays_within_its_cap(self):
-        cap = parser.LINE_TOKENS_CAP
-        lines = [f"x{i}" for i in range(cap + 1)]
-        kinds, texts, ends = parser._lex("\n".join(lines), "f")
-        assert texts == lines + [""]
-        assert len(parser._LINE_TOKENS) == cap
-        assert lines[0] not in parser._LINE_TOKENS
-        assert lines[1] in parser._LINE_TOKENS and lines[-1] in parser._LINE_TOKENS
+        cap = parser.MEMO_CAP
+        inputs = [f"x{i}\n" for i in range(cap + 1)]
+        for src in inputs:
+            assert parser._lex(src, "f")[1] == [src[:-1], ""]
+        assert list(parser._INPUT_TOKENS) == inputs[1:]
 
-    def test_long_lines_are_lexed_but_not_kept(self):
-        limit = parser.LINE_LENGTH_MAX
-        kept, long = "x" * limit, "x " * (limit // 2 + 1)
-        src = f"{kept}\n{long}"
-        kinds, texts, ends = parser._lex(src, "f")
-        count = limit // 2 + 1
-        assert kinds == ["ident"] * (1 + count) + ["eof"]
-        assert texts == [kept] + ["x"] * count + [""]
-        assert ends == [limit] + [limit + 2 + 2 * i for i in range(count)] + [len(src)]
-        assert list(parser._LINE_TOKENS) == [kept]
+    def test_long_inputs_are_lexed_but_not_kept(self):
+        limit = parser.MEMO_TEXT_MAX
+        kept, long = "x " * (limit // 2), "x " * (limit // 2) + "x"
+        for src in (kept, long):
+            kinds, texts, ends = parser._lex(src, "f")
+            count = (len(src) + 1) // 2
+            assert kinds == ["ident"] * count + ["eof"]
+            assert texts == ["x"] * count + [""]
+            assert ends == [1 + 2 * i for i in range(count)] + [len(src)]
+        assert list(parser._INPUT_TOKENS) == [kept]
+
+    @pytest.mark.parametrize("start", [0, len("run -- a prefix\n")])
+    def test_inputs_with_a_stray_character_are_not_kept(self, start):
+        src = "run -- a prefix\n"[:start] + "val x : Int\nval y : Int ? Int\nrun return x"
+        at = start + len("val x : Int\nval y : Int ")
+        for _ in range(2):
+            with pytest.raises(TypeCheckError) as e:
+                parser._lex(src, "f", start)
+            assert e.value.message == "unexpected character '?'"
+            assert (e.value.span.start, e.value.span.end) == (at, at + 1)
+            assert parser._INPUT_TOKENS == {}
 
     def test_returned_lists_are_the_callers(self):
         src = "val x : Int\nrun return x"
         first = parser._lex(src, "f")
         expected = [list(tokens) for tokens in first]
-        for tokens in first:
-            tokens[0] = tokens[-1]
-            tokens.append(tokens[0])
-        first[0].clear()
-        assert [list(tokens) for tokens in parser._lex(src, "f")] == expected
-
-    def test_threads_share_the_memo_at_its_cap(self, monkeypatch):
-        # threads that drop the same oldest entry at once must not fail
-        monkeypatch.setattr(parser, "LINE_TOKENS_CAP", 8)
-        failures = []
-
-        def lex(t):
-            try:
-                for i in range(30_000):
-                    assert parser._lex(f"x{t}_{i}", "f")[1] == [f"x{t}_{i}", ""]
-            except Exception as e:  # reported by the assertion below
-                failures.append(e)
-
-        threads = [threading.Thread(target=lex, args=(t,)) for t in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
-        assert len(parser._LINE_TOKENS) <= 8 + len(threads)
+        for returned in (first, parser._lex(src, "f")):  # a miss, then a hit
+            for tokens in returned:
+                tokens[0] = tokens[-1]
+                tokens.append(tokens[0])
+            returned[0].clear()
+            assert list(parser._lex(src, "f")) == expected
 
 
 class TestPretty:
