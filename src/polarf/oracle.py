@@ -6,7 +6,12 @@ Quantifier instantiation ("guess a type") is made searchable by drawing
 candidates from a finite universe: the positive subterms of the types in
 play, plus the universal variables in scope.  Solutions found by the
 algorithm always come from that set, so agreement over it is exactly what
-the soundness and completeness statements promise at this scale.
+the soundness and completeness statements promise at this scale.  A
+search builds its default universe when a rule first asks for a candidate.
+The cap stays exact: a type has at most `size` distinct positive subterms
+(the named view keeps the node count), so a search whose universals and
+`size`s sum to at most the cap cannot pass it; any other universe is built
+and checked when the search starts.
 
 The oracle is deliberately bounded: it can under-approximate the full
 declarative relation on instances no test generates.  Budget exhaustion
@@ -32,22 +37,6 @@ INSTANTIATIONS = 10  # quantifier eliminations along one branch
 RESULTS_CAP = 256
 
 
-def nodes(t):
-    """Every node of a type, in pre-order, entering a `Forall` through its
-    named view, where nodes are closed."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        cls = type(t)
-        yield t
-        if cls is Arrow:
-            stack += (t.codomain, t.domain)
-        elif cls is Down or cls is Up or cls is Forall:
-            stack.append(t.body)
-        elif cls is Data or cls is NegData:
-            stack += reversed(t.args)
-
-
 def term_nodes(t):
     """Every node of a term, in pre-order."""
     stack = [t]
@@ -67,20 +56,33 @@ def term_nodes(t):
             raise TypeError(f"not a term: {t!r}")
 
 
-def positive_subterms(t):
-    """All positive types occurring inside `t` (including `t` if positive),
-    read through the named view: `forall a. up (List a)` gives `List a`, as
-    forall-right reuses a free binder name and may then need that type."""
-    return [v for v in nodes(t) if isinstance(v, PosType)]
+def positive_subterms(types, out: dict) -> dict:
+    """Add to `out` the positive types inside `types` (each included), in
+    pre-order, first occurrence wins, read through the named view: `forall
+    a. up (List a)` gives `List a`, as forall-right may reuse a binder name."""
+    stack = list(reversed(types))
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is Arrow:
+            stack += (t.codomain, t.domain)
+        elif cls is Up or cls is Forall:
+            stack.append(t.body)
+        elif cls is NegData:
+            stack += reversed(t.args)
+        elif isinstance(t, PosType):
+            out[t] = None
+            if cls is Down:
+                stack.append(t.body)
+            elif cls is Data:
+                stack += reversed(t.args)
+    return out
 
 
 def candidate_universe(types, theta=()) -> tuple:
     """Instantiation candidates: positive subterms of `types`, plus the
     universals in scope.  Deterministic order, first occurrence wins."""
-    cands = [UVar(name) for name in theta]
-    for t in types:
-        cands += positive_subterms(t)
-    return tuple(dict.fromkeys(cands))
+    return tuple(positive_subterms(types, dict.fromkeys(UVar(name) for name in theta)))
 
 
 def _decl_ctx(theta) -> Context:
@@ -88,22 +90,30 @@ def _decl_ctx(theta) -> Context:
 
 
 class _Search:
-    def __init__(self, universe):
-        if len(universe) > UNIVERSE_CAP:
+    def __init__(self, types, theta, universe):
+        """Candidates come from `universe`, or else from `candidate_universe(
+        types, theta)`, built here only if its bound passes the cap."""
+        if universe is None and len(theta) + sum(t.size for t in types) > UNIVERSE_CAP:
+            universe = candidate_universe(types, theta)
+        if universe is not None and len(universe) > UNIVERSE_CAP:
             raise OracleBudgetExceeded(
                 f"universe has {len(universe)} candidates, cap is {UNIVERSE_CAP}")
-        self.universe = tuple(universe)
+        self.universe = None if universe is None else tuple(universe)
+        self.sources = types, theta
+        self.scoped = {}  # (theta, extra) -> candidates
         self.memo = {}
         self.renamed = {}  # source type-variable names in scope; see `bind_tyvar`
 
     def candidates(self, theta, extra=()):
         """Universe members well-formed in scope, plus in-scope universals."""
-        out = dict.fromkeys(UVar(name) for name in theta)
-        scope = frozenset(theta)
-        for p in self.universe + tuple(extra):
-            if not p.evars and p.uvars <= scope and p not in out:
-                out[p] = None
-        return list(out)
+        out = self.scoped.get((theta, extra))
+        if out is None:
+            if self.universe is None:
+                self.universe = candidate_universe(*self.sources)
+            scope = frozenset(theta)
+            kept = (p for p in self.universe + extra if not p.evars and p.uvars <= scope)
+            out = self.scoped[theta, extra] = tuple(dict.fromkeys([*map(UVar, theta), *kept]))
+        return out
 
     def _spend(self, depth: int) -> int:
         if depth + 1 > INSTANTIATIONS:
@@ -239,27 +249,19 @@ class _Search:
         plus the candidate set enriched with head, argument, and result
         subterms (the pieces instantiations can be built from here)."""
         arg_extra = dict.fromkeys(extra)  # first occurrences, in order
-
-        def add(p):
-            arg_extra.update(dict.fromkeys(positive_subterms(p)))
-
         heads = self.synth_value(theta, gamma, t.head, extra)
-        for a in heads:
-            add(a)
+        positive_subterms(heads, arg_extra)
         for v in t.args:
-            for p in self.synth_value(theta, gamma, v, extra):
-                add(p)
+            positive_subterms(self.synth_value(theta, gamma, v, extra), arg_extra)
         out = {}
         for a in heads:
             if not isinstance(a, Down):
                 continue
-            for m in self.spine(theta, gamma, t.args, a.body, 0,
-                                tuple(arg_extra)):
+            for m in self.spine(theta, gamma, t.args, a.body, 0, tuple(arg_extra)):
                 if isinstance(m, Up):
                     out[m.body] = None
         results = self._capped(out)
-        for q in results:
-            add(q)
+        positive_subterms(results, arg_extra)
         return results, tuple(arg_extra)
 
     def spine(self, theta, gamma, args, n, depth, extra):
@@ -299,9 +301,7 @@ def _subtype_search(theta: tuple, a, b, universe) -> _Search:
     ctx = _decl_ctx(theta)
     require(is_ground(a) and is_ground(b), "declarative types must be ground")
     require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
-    if universe is None:
-        universe = candidate_universe([a, b], theta)
-    return _Search(universe)
+    return _Search((a, b), theta, universe)
 
 
 def decl_subtype(theta, a, b, universe=None) -> bool:
@@ -321,15 +321,17 @@ def decl_iso(theta, a, b, universe=None) -> bool:
     return search.sub(theta, a, b) and search.sub(theta, b, a)
 
 
+def _typing_types(gamma: TypeEnv, term) -> list:
+    """Environment types, annotations in the term, and the literal types
+    (argument syntheses join dynamically)."""
+    return [*(p for _, p in gamma),
+            *(n.annotation for n in term_nodes(term) if isinstance(n, (Lambda, LetAnn))),
+            Data("Int", ()), Data("Bool", ())]
+
+
 def typing_universe(gamma: TypeEnv, term) -> tuple:
-    """Default candidate set for typing: environment types, annotations in
-    the term, and the literal types (argument syntheses join dynamically)."""
-    types = [p for _, p in gamma]
-    types.extend(n.annotation for n in term_nodes(term)
-                 if isinstance(n, (Lambda, LetAnn)))
-    types.append(Data("Int", ()))
-    types.append(Data("Bool", ()))
-    return candidate_universe(types)
+    """Default candidate set for typing."""
+    return candidate_universe(_typing_types(gamma, term))
 
 
 def decl_synth(theta, gamma: TypeEnv, term, universe=None):
@@ -338,9 +340,7 @@ def decl_synth(theta, gamma: TypeEnv, term, universe=None):
     An empty result means the term is untypeable (within the universe).
     """
     theta = tuple(theta)
-    if universe is None:
-        universe = typing_universe(gamma, term)
-    search = _Search(universe)
+    search = _Search(_typing_types(gamma, term) if universe is None else (), (), universe)
     if isinstance(term, Value):
         res = search.synth_value(theta, gamma, term, ())
     elif isinstance(term, Computation):

@@ -545,9 +545,12 @@ _RUN_LINE = re.compile(r"^[ \t\r]*run(?![\w'])", re.MULTILINE)
 def _block_length(src: str):
     """The length of `src`'s declaration block: the characters before the
     first line whose first token is `run`.  None if there is no such line
-    or the block is longer than MEMO_TEXT_MAX."""
-    m = _RUN_LINE.search(src)
-    return m.start() if m and m.start() <= MEMO_TEXT_MAX else None
+    or the block is longer than MEMO_TEXT_MAX.  Only the lines that start
+    by that bound are read: those before the last one end before it, and
+    the last one is matched where it starts, however long its indent."""
+    last = src.rfind("\n", 0, MEMO_TEXT_MAX) + 1
+    m = _RUN_LINE.search(src, 0, last) or _RUN_LINE.match(src, last)
+    return m.start() if m else None
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:

@@ -9,9 +9,22 @@ agree.
 The parser finds a program's declaration block with one search for the
 first line whose first token is `run`.  The reference here is the line
 walk that search replaced, which reads each line's first token.
+
+The oracle builds a search's default candidate universe when a rule first
+asks for a candidate, and filters it by scope once per scope.  The
+reference here is the eager handling it replaced: the universe is built,
+and checked against the cap, when the search starts, and filtered at
+every call.  `RefSearch` logs every candidate list it
+hands out, so the order can be compared as well as the verdicts.
 """
 
-from polarf import Context, Universal, extends
+from polarf import (
+    Arrow, Computation, Context, Data, Down, Forall, Lambda, LetAnn, NegData,
+    OracleBudgetExceeded, PosType, UVar, Universal, Up, Value, extends,
+    is_ground, wf_type,
+)
+from polarf.errors import require
+from polarf.oracle import UNIVERSE_CAP, _decl_ctx, _Search, term_nodes
 from polarf.parser import _TOKEN, MEMO_TEXT_MAX
 
 
@@ -42,3 +55,94 @@ def ref_block_length(src):
             return None
         offset = end + 1
     return None
+
+
+def ref_nodes(t):
+    """Every node of a type, in pre-order, entering a `Forall` through its
+    named view."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        yield t
+        if cls is Arrow:
+            stack += (t.codomain, t.domain)
+        elif cls is Down or cls is Up or cls is Forall:
+            stack.append(t.body)
+        elif cls is Data or cls is NegData:
+            stack += reversed(t.args)
+
+
+def ref_candidate_universe(types, theta=()):
+    """Positive subterms of `types`, plus the universals `theta`; first
+    occurrence wins."""
+    cands = [UVar(name) for name in theta]
+    for t in types:
+        cands += [v for v in ref_nodes(t) if isinstance(v, PosType)]
+    return tuple(dict.fromkeys(cands))
+
+
+class RefSearch(_Search):
+    """The oracle's rules over an eagerly built universe; every candidate
+    list handed out is appended to `log` with its scope."""
+
+    def __init__(self, universe, log):
+        if len(universe) > UNIVERSE_CAP:
+            raise OracleBudgetExceeded(
+                f"universe has {len(universe)} candidates, cap is {UNIVERSE_CAP}")
+        self.universe = tuple(universe)
+        self.memo = {}
+        self.renamed = {}
+        self.log = log
+
+    def candidates(self, theta, extra=()):
+        out = dict.fromkeys(UVar(name) for name in theta)
+        scope = frozenset(theta)
+        for p in self.universe + tuple(extra):
+            if not p.evars and p.uvars <= scope and p not in out:
+                out[p] = None
+        self.log.append((theta, tuple(out)))
+        return list(out)
+
+
+def ref_subtype_search(log, theta, a, b, universe):
+    ctx = _decl_ctx(theta)
+    require(is_ground(a) and is_ground(b), "declarative types must be ground")
+    require(wf_type(ctx, a) and wf_type(ctx, b), "types must be well-formed")
+    if universe is None:
+        universe = ref_candidate_universe([a, b], theta)
+    return RefSearch(universe, log)
+
+
+def ref_decl_subtype(log, theta, a, b, universe=None):
+    theta = tuple(theta)
+    return ref_subtype_search(log, theta, a, b, universe).sub(theta, a, b)
+
+
+def ref_decl_iso(log, theta, a, b, universe=None):
+    theta = tuple(theta)
+    search = ref_subtype_search(log, theta, a, b, universe)
+    return search.sub(theta, a, b) and search.sub(theta, b, a)
+
+
+def ref_typing_universe(gamma, term):
+    types = [p for _, p in gamma]
+    types.extend(n.annotation for n in term_nodes(term)
+                 if isinstance(n, (Lambda, LetAnn)))
+    types.append(Data("Int", ()))
+    types.append(Data("Bool", ()))
+    return ref_candidate_universe(types)
+
+
+def ref_decl_synth(log, theta, gamma, term, universe=None):
+    theta = tuple(theta)
+    if universe is None:
+        universe = ref_typing_universe(gamma, term)
+    search = RefSearch(universe, log)
+    if isinstance(term, Value):
+        res = search.synth_value(theta, gamma, term, ())
+    elif isinstance(term, Computation):
+        res = search.synth_comp(theta, gamma, term, ())
+    else:
+        raise TypeError(f"not a term: {term!r}")
+    return tuple(res)

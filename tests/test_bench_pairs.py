@@ -1,7 +1,8 @@
-"""`tools/bench_pairs.py`'s summary of alternating benchmark pairs, on fixed
-numbers."""
+"""`tools/bench_pairs.py`: the summary of alternating benchmark pairs, on
+fixed numbers, and the export of a revision, on a throwaway repository."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,34 @@ def test_table_and_failed_share():
     assert lines[2] == "| jobs_per_s (1/s) | 100 | 75 | 100–100 | 0/2 | +25.0% | 25% | yes |"
     assert lines[3].endswith("| 0/2 | +0.0% | 10% | yes |")
     assert bench_pairs.failed_share(runs([1, 1], [1, 1], failed=5)) == 0.05
+
+
+def test_export_writes_a_committed_tree(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+             *args], cwd=repo, capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (repo / "bench").mkdir()
+    (repo / "bench" / "run.py").write_text("one\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    first = git("rev-parse", "HEAD")
+    (repo / "bench" / "run.py").write_text("two\n")
+    git("commit", "-q", "-am", "two")
+    (repo / "bench" / "run.py").write_text("uncommitted\n")
+    (repo / "untracked.txt").write_text("x\n")
+
+    assert bench_pairs.export(repo, "HEAD~1", tmp_path / "a") == first
+    assert bench_pairs.export(repo, "HEAD", tmp_path / "b") == git("rev-parse", "HEAD")
+    for name, text in (("a", "one\n"), ("b", "two\n")):
+        files = sorted(p.relative_to(tmp_path / name).as_posix()
+                       for p in (tmp_path / name).rglob("*"))
+        assert files == ["bench", "bench/run.py"]
+        assert (tmp_path / name / "bench" / "run.py").read_text() == text
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.export(repo, "no-such-revision", tmp_path / "c")

@@ -233,6 +233,52 @@ def test_block_length_agrees_with_the_line_walk():
     assert {None, 0, MEMO_TEXT_MAX} <= found and MEMO_TEXT_MAX + 1 not in found
 
 
+class ReadSpans:
+    """A compiled pattern whose `search` and `match` calls record the
+    offsets they may read from and up to."""
+
+    def __init__(self, pattern):
+        self.pattern, self.spans = pattern, []
+
+    def search(self, src, pos=0, endpos=None):
+        endpos = len(src) if endpos is None else endpos
+        self.spans.append(("search", pos, endpos))
+        return self.pattern.search(src, pos, endpos)
+
+    def match(self, src, pos=0):
+        self.spans.append(("match", pos, len(src)))
+        return self.pattern.match(src, pos)
+
+
+@pytest.mark.parametrize("tail", ["", "\nrun return x"])
+def test_block_length_searches_only_the_lines_by_the_bound(monkeypatch, tail):
+    # 480 KB of declarations and no `run` line by the bound: the search
+    # reads up to the last line that starts by it, and only that line is
+    # matched where it starts
+    src = "val x : Int\n" * 40_000 + tail
+    spans = ReadSpans(parser._RUN_LINE)
+    monkeypatch.setattr(parser, "_RUN_LINE", spans)
+    assert _block_length(src) is None is ref_block_length(src)
+    last = src.rfind("\n", 0, MEMO_TEXT_MAX) + 1
+    assert spans.spans == [("search", 0, last), ("match", last, len(src))]
+    assert last <= MEMO_TEXT_MAX
+
+
+@pytest.mark.parametrize("gap", [" ", "\t", "\r", " \t\r"])
+def test_block_length_takes_a_run_line_with_a_long_gap(gap):
+    # a `run` line that starts by the bound counts however far its `run` is
+    cases = {}
+    for length in (0, 1, MEMO_TEXT_MAX - 1, MEMO_TEXT_MAX, MEMO_TEXT_MAX + 1):
+        for prefix in ("\n" * length, "x" * (length - 1) + "\n" if length else ""):
+            for body in ("run return x", "runx return x", "run' = x\nrun return x"):
+                src = prefix + gap * 60_000 + body
+                cases[src] = length if length <= MEMO_TEXT_MAX and body[3] == " " else None
+    cases["val x : Int\n" + gap * 60_000 + "runx\n run return x"] = None
+    cases["val x : Int\n" + gap * 60_000 + "run return x\nrun"] = 12
+    for src, want in cases.items():
+        assert _block_length(src) == ref_block_length(src) == want, (len(src), want)
+
+
 @pytest.mark.parametrize("src, start", [("run return ²", 11),
                                         ("run return 1²", 12),
                                         ("val x : ² Int", 8)])

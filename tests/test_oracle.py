@@ -5,15 +5,23 @@ import random
 import pytest
 
 from polarf import (
-    Arrow, Context, Data, Down, Forall, NegData, OracleBudgetExceeded,
+    Arrow, Context, Data, Down, Forall, NegData, NegType, OracleBudgetExceeded,
     PosType, Return, TypeCheckError, TypeEnv, UVar, Up, Var,
     candidate_universe, decl_iso, decl_subtype, decl_synth, parse_program,
     parse_type, pretty, subst_type, subtype_neg,
 )
+from polarf import oracle
 from polarf.corpus import by_name
-from polarf.oracle import typing_universe
+from polarf.oracle import UNIVERSE_CAP, typing_universe
 
-from gen import gen_type
+from gen import (
+    gen_program, gen_related_pair, gen_type, instantiate_prenex,
+    permute_prenex,
+)
+from references import (
+    ref_candidate_universe, ref_decl_iso, ref_decl_subtype, ref_decl_synth,
+)
+from suites import ISO_ENV_CASES
 
 T = parse_type
 ID_TYPE = T("dn (forall a. a -> up a)", "+")
@@ -251,3 +259,141 @@ class TestDeclSynth:
             else:
                 assert any(decl_iso((), alg, n, typing_universe(gamma, body))
                            for n in got), name
+
+
+class TestLazyUniverse:
+    """A search builds its default universe at the first candidate a rule
+    asks for, and filters it once per scope; every outcome is that of the
+    eager reference in `references.py`."""
+
+    @pytest.fixture
+    def logged(self, monkeypatch):
+        """The candidate lists handed out, with their scope, in order."""
+        log = []
+        candidates = oracle._Search.candidates
+
+        def logging(search, theta, extra=()):
+            out = candidates(search, theta, extra)
+            log.append((theta, tuple(out)))
+            return out
+
+        monkeypatch.setattr(oracle._Search, "candidates", logging)
+        return log
+
+    @pytest.fixture
+    def universes(self, monkeypatch):
+        """The universes built, by their types."""
+        built = []
+        build = oracle.candidate_universe
+
+        def counted(types, theta=()):
+            built.append(tuple(types))
+            return build(types, theta)
+
+        monkeypatch.setattr(oracle, "candidate_universe", counted)
+        return built
+
+    def test_outcomes_match_the_eager_reference(self, logged):
+        def outcome(call, *args):
+            """The verdict or the budget message, and the candidates."""
+            log = []
+            try:
+                res = call(log, *args)
+            except OracleBudgetExceeded as e:
+                res = f"budget: {e}"
+            return shown(res), [(theta, shown(c)) for theta, c in log]
+
+        def lazy(decl):
+            def call(log, *args):
+                logged.clear()
+                try:
+                    return decl(*args)
+                finally:
+                    log.extend(logged)
+            return call
+
+        def same(decl, ref, *args):
+            got, want = outcome(lazy(decl), *args), outcome(ref, *args)
+            assert got == want, args
+            budget = isinstance(got[0], str)
+            kinds.append("budget" if budget else "searched" if got[1] else "none")
+
+        kinds = []
+        rng = random.Random(2201)
+        for _ in range(120):  # criterion 4, ground and holed pairs
+            polarity = rng.choice("+-")
+            a, b = gen_related_pair(rng, polarity)
+            same(decl_subtype, ref_decl_subtype, (), a, b)
+            same(decl_subtype, ref_decl_subtype, (), b, b)
+        programs = [gen_program(rng) for _ in range(30)]  # criterion 4, programs
+        for src in TWO_LET_PROGRAMS:  # one scope, two candidate lists
+            prog = parse_program(src)
+            programs.append((TypeEnv(prog.assumptions), prog.body))
+        for gamma, body in programs:
+            same(decl_synth, ref_decl_synth, (), gamma, body)
+            results = decl_synth((), gamma, body)
+            for n in results[:2]:
+                same(decl_iso, ref_decl_iso, (), results[0], n,
+                     typing_universe(gamma, body))
+        for _ in range(40):  # criterion 5, instantiation chains and stability
+            c = gen_type(rng, "-", quants=3)
+            b = instantiate_prenex(rng, c)
+            a = instantiate_prenex(rng, b)
+            assert candidate_universe([a, b, c]) == ref_candidate_universe([a, b, c])
+            same(decl_subtype, ref_decl_subtype, (), c, a, candidate_universe([a, b, c]))
+            a = gen_type(rng, "-", uvars=("c",))
+            same(decl_subtype, ref_decl_subtype, ("c",), a, permute_prenex(rng, a))
+        for name, var, swapped in ISO_ENV_CASES:  # criterion 6
+            original = dict(parse_program(by_name(name).source).assumptions)[var]
+            same(decl_iso, ref_decl_iso, (), original, T(swapped, "+"))
+        for _ in range(40):  # about the cap: arrows of 6 to 30 positive types
+            a, b = wide(rng), wide(rng)
+            same(decl_subtype, ref_decl_subtype, (), a, b)
+            same(decl_subtype, ref_decl_subtype, (), a, a)
+        assert min(kinds.count(k) for k in ("budget", "searched", "none")) >= 10, \
+            {k: kinds.count(k) for k in set(kinds)}
+
+    def test_a_quantifier_free_pair_builds_no_universe(self, universes):
+        t = T("dn (List Int -> Bool -> up (Int * dn (up Bool)))", "+")
+        assert decl_subtype((), t, t) and decl_iso((), t, t)
+        assert not decl_subtype((), t, Data("Int", ()))
+        assert universes == []
+        assert decl_subtype((), T("forall a. a -> up a", "-"), T("Int -> up Int", "-"))
+        assert len(universes) == 1
+
+    def test_a_universe_past_the_cap_is_loud_without_forall_left(self, universes):
+        t = Data("Int", ())
+        for _ in range(UNIVERSE_CAP):
+            t = Data("List", (t,))
+        assert len(candidate_universe([t])) == UNIVERSE_CAP + 1
+        with pytest.raises(OracleBudgetExceeded):
+            decl_subtype((), t, t)
+        with pytest.raises(OracleBudgetExceeded):
+            decl_synth((), TypeEnv((("x", t),)), Return(Var("x")))
+        assert len(universes) == 2
+
+
+# generated programs whose second let asks for candidates in the scope of
+# the first but with more extra ones
+TWO_LET_PROGRAMS = (
+    "val id : dn (forall a. a -> up a)\nval nil : dn (forall a. up (List a))\n"
+    "val pair_up : dn (forall a b. a -> b -> up (a * b))\n"
+    "run let t6 = pair_up(id, {return 0}); let t7 = nil((5, 6)); return {return t7}",
+    "val single : dn (forall a. a -> up (List a))\nval pick : dn (forall a. a -> Int -> up a)\n"
+    "run let t3 = single((3, single)); let t4 : List Bool = single(); return t4",
+)
+
+
+def wide(rng):
+    """`p1 -> .. -> pk -> up p` for random positive types."""
+    n = Up(gen_type(rng, "+", depth=5))
+    for _ in range(rng.randint(6, 30)):
+        n = Arrow(gen_type(rng, "+", depth=5), n)
+    return n
+
+
+def shown(x):
+    """`x` with every type printed, so binder names are compared too."""
+    if isinstance(x, (tuple, list)):
+        return tuple(shown(y) for y in x)
+    return pretty(x) if isinstance(x, (PosType, NegType)) else x

@@ -272,15 +272,15 @@ class TestTypeFacts:
     @pytest.fixture
     def type_walks(self, monkeypatch):
         calls = []
-        walk = oracle.nodes
+        walk = oracle.positive_subterms
 
         def counted(t, *rest, **named):
             calls.append(t)
             return walk(t, *rest, **named)
 
         for module in (syntax, wellformed, subtype, typecheck, oracle):
-            if hasattr(module, "nodes"):
-                monkeypatch.setattr(module, "nodes", counted)
+            if hasattr(module, "positive_subterms"):
+                monkeypatch.setattr(module, "positive_subterms", counted)
         return calls
 
     def test_accepted_checks_walk_no_type(self, type_walks):

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two revisions on one benchmark workload, in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W
                                  [--pairs 10] [--seconds S] [--seed0 N]
 
-PARENT and CHANGE are the roots of two checkouts of this repository (one
-made with `git worktree add` or `git archive`, say).  Pair i runs
-`bench/run.py --workload W --seed N+i --seconds S --trace 0` once in each,
-one run at a time; the parent goes first in the even pairs and the change
-in the odd ones, so that a drift of the machine does not favour one side.
-`--seconds` defaults to `run_seconds` of `BENCHMARK.json`.
+PARENT and CHANGE are git revisions of this repository (a commit, a branch,
+a tag: anything `git archive` takes), so commit a change before measuring
+it.  Each is exported with `git archive` into its own directory under one
+temporary directory, which is removed at the end, so the two sides are
+made the same way and hold only committed files.  Pair i runs
+`bench/run.py --workload W --seed N+i --seconds S --trace 0` once in each
+export, one run at a time; the parent goes first in the even pairs and the
+change in the odd ones, so that a drift of the machine does not favour one
+side.  `--seconds` defaults to `run_seconds` of `BENCHMARK.json`.
 
 For each end-to-end metric of `BENCHMARK.json` it prints both medians, the
 parent's quartiles, the pairs the change won (strictly better, in the
@@ -23,13 +26,30 @@ larger share of operations, else 0.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def export(repo: Path, rev: str, dest: Path) -> str:
+    """Write the tree of `rev` in the repository at `repo` into the new
+    directory `dest` with `git archive`; return the commit it names."""
+    def git(*args) -> bytes:
+        return subprocess.run(["git", *args], cwd=repo, capture_output=True,
+                              check=True).stdout
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    dest.mkdir()
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
+        tar.extractall(dest, **safe)
+    return commit
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -89,8 +109,8 @@ def table(workload: str, rows: list) -> list:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
+    ap.add_argument("parent")
+    ap.add_argument("change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float)
@@ -99,11 +119,15 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds or bench["run_seconds"]
 
-    checkouts, parent, change = (args.parent, args.change), [], []
-    for i in range(args.pairs):
-        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            result = run_once(checkouts[side], args.workload, args.seed0 + i, seconds)
-            (parent, change)[side].append(result)
+    parent, change = [], []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        checkouts = (Path(tmp) / "parent", Path(tmp) / "change")
+        for rev, dest in zip((args.parent, args.change), checkouts):
+            print(f"{dest.name}: {rev} = {export(ROOT, rev, dest)}")
+        for i in range(args.pairs):
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                result = run_once(checkouts[side], args.workload, args.seed0 + i, seconds)
+                (parent, change)[side].append(result)
 
     rows = summarize(bench["end_to_end"], parent, change)
     print("\n".join(table(args.workload, rows)))
