@@ -125,8 +125,8 @@ class _Search:
 
     def pos(self, theta, p, q, depth=0, extra=()) -> bool:
         key = ("+", theta, p, q)
-        if key in self.memo:
-            return self.memo[key]
+        if (res := self.memo.get(key)) is not None:
+            return res
         if isinstance(p, UVar) and isinstance(q, UVar):
             res = p.name == q.name and p.name in theta
         elif isinstance(p, Down) and isinstance(q, Down):
@@ -141,8 +141,8 @@ class _Search:
 
     def neg(self, theta, n, m, depth=0, extra=()) -> bool:
         key = ("-", theta, n, m)
-        if key in self.memo:
-            return self.memo[key]
+        if (res := self.memo.get(key)) is not None:
+            return res
         if isinstance(m, Forall):
             # the right rule is invertible, so it can be applied greedily
             binder = fresh_name(m.hint, set(theta))

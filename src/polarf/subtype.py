@@ -94,25 +94,25 @@ through the context of the rule that failed.  A run asked for no trace
 (`trace=False`) builds no steps at all, and its failures carry an empty
 trace.
 
-Within one subtyping check (one `subtype_pos`/`subtype_neg` call, or one
-subtyping premise of a typing rule), a ground/ground judgment under an
-invariant rule is derived once; the memo starts empty at each check.  The
-invariant rules check both directions one level down, so without this the
-engine costs 2^d rules on nested datatypes and 4^d on nested `dn (up ...)`;
-every other rule splits its conclusion into disjoint parts, so above the
-invariant rules a derivation is already linear in the size of the types.
-The memo key is the polarity, the universals in scope (in order) and both
-types (whose `==` is alpha-equivalence), the non-ground one read through
-the context.  A key hashes in O(1) after a node's first hash: a type
-node keeps its hash (see `syntax`), so each node is hashed once, when a
-key that holds it is first looked up, and no later lookup walks the
-types.  A ground/ground judgment solves no existential, so its output
-context is its input context: the judgment is remembered after it has
-succeeded and passed its postconditions, and a repeat returns the input
-context with a `memo` trace step, after its metric check.
+Within one checking run, a ground/ground judgment under an invariant rule
+is derived once: the memo starts empty with the run and lasts across all
+of its subtyping premises.  The invariant rules check both directions one
+level down, so without this the engine costs 2^d rules on nested
+datatypes and 4^d on nested `dn (up ...)`; every other rule splits its
+conclusion into disjoint parts, so above the invariant rules a derivation
+is already linear in the size of the types.  The memo key is the
+polarity, the universals in scope (in order) and both types (whose `==`
+is alpha-equivalence), the non-ground one read through the context.  A
+key hashes in O(1) after a node's first hash: a type node keeps its hash
+(see `syntax`), so each node is hashed once, when a key that holds it is
+first looked up.  A ground/ground judgment solves no existential, so its
+output context is its input context and its truth depends on the key
+alone: it is remembered after it has succeeded and passed its
+postconditions, and a repeat in any later premise of the run returns its
+input context with a `memo` trace step, after its metric check.
 Judgments whose ground side is a variable or a constant are not
 remembered: they take one rule, as a memo step does.  Failures end the
-check, so they are not remembered either.
+run, so they are not remembered either.
 """
 
 from __future__ import annotations
@@ -250,6 +250,7 @@ class _Engine:
     def __init__(self, trace=True):
         self.trace = [] if trace else None
         self._counts = {}  # binder hint -> next fresh-existential number
+        self.memo = set()  # keys of the remembered judgments derived so far
 
     def fresh_evar(self, base: str, taken) -> str:
         """A fresh existential: the binder's name plus a counter
@@ -299,18 +300,17 @@ class _Engine:
                   read(theta, (*detail, " (while checking ", *goal, ")")))
 
     def subtype(self, polarity, theta: Context, a, b) -> Context:
-        """Check a <=polarity b under theta, after its preconditions, with a new memo."""
+        """Check a <=polarity b under theta, after its preconditions; the memo lasts the run."""
         require(wf_context(theta), "input context is ill-formed")
         return self.premise(polarity, theta, a, b, ValueError)
 
     def premise(self, polarity, theta: Context, a, b, error=InvariantViolation):
         """`subtype` for a context already known to be well-formed (see the
-        module docstring): the preconditions on the types, and a new memo.
+        module docstring): the preconditions on the types; the memo lasts the run.
         A failed precondition raises `error`: a ValueError for the caller
         of `subtype_pos` or `subtype_neg`, else an InvariantViolation,
         since a typing rule builds both sides to meet them."""
         require(wf_type(theta, a) and wf_type(theta, b), "types must be well-formed", error)
-        self.memo = set()  # keys of the remembered judgments derived so far
         if polarity == "+":
             require(is_ground(a), "the left side of a positive judgment must be ground", error)
             require(apply_context(theta, b) == b,

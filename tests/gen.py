@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the property and acceptance suites."""
+"""Seeded random generators shared by the property and acceptance suites,
+and the fixed-shape programs that the scaling tests grow."""
 
 from __future__ import annotations
 
@@ -250,3 +251,35 @@ def gen_program(rng: random.Random):
     scope = [name for name, _ in env]
     body = gen_comp(rng, scope, (), rng.randint(1, 3), [2])
     return env, body
+
+
+# -- fixed-shape programs, grown by one size parameter ---------------------------
+
+LETCHAIN_ENV = """\
+val head : dn (forall a. List a -> up a)
+val ids : List (dn (forall a. a -> up a))
+val id : dn (forall a. a -> up a)
+val choose : dn (forall a. a -> a -> up a)
+"""
+
+
+def letchain_source(n: int) -> str:
+    """`n` lets over `head(ids)`, alternating `id` and `choose`; each
+    `choose` asks for `forall a. a -> up a <=- forall a. a -> up a`."""
+    lines = ["let x0 = head(ids);"]
+    for i in range(1, n):
+        if i % 2:
+            lines.append(f"let x{i} = id(x{i - 1});")
+        else:
+            lines.append(f"let x{i} = choose(x{i - 1}, x{max(i - 2, 0)});")
+    return LETCHAIN_ENV + "run " + "\n".join(lines) + f"\nreturn x{n - 1}\n"
+
+
+def spine_source(k: int) -> str:
+    """One application of a `k`-quantifier, `k`-argument head."""
+    binders = [f"a{i}" for i in range(1, k + 1)]
+    args = [("1", "true", "s", "ids")[i % 4] for i in range(k)]
+    return ("val s : String\nval ids : List (dn (forall a. a -> up a))\n"
+            f"val f : dn (forall {' '.join(binders)}. {' -> '.join(binders)} "
+            f"-> up ({binders[0]} * {binders[-1]}))\n"
+            f"run let r = f({', '.join(args)}); return r\n")

@@ -16,6 +16,11 @@ reference here is the eager handling it replaced: the universe is built,
 and checked against the cap, when the search starts, and filtered at
 every call.  `RefSearch` logs every candidate list it
 hands out, so the order can be compared as well as the verdicts.
+
+The subtyping engine keeps one memo of ground/ground judgments for the
+whole checking run.  The reference here is the typer that starts a new
+memo at each subtyping premise, as the engine did before: it derives
+again what an earlier premise of the run derived.
 """
 
 from polarf import (
@@ -26,6 +31,7 @@ from polarf import (
 from polarf.errors import require
 from polarf.oracle import UNIVERSE_CAP, _decl_ctx, _Search, term_nodes
 from polarf.parser import _TOKEN, MEMO_TEXT_MAX
+from polarf.typecheck import _Typer
 
 
 def ref_weak_extends(theta, theta_prime):
@@ -146,3 +152,11 @@ def ref_decl_synth(log, theta, gamma, term, universe=None):
     else:
         raise TypeError(f"not a term: {term!r}")
     return tuple(res)
+
+
+class RefTyper(_Typer):
+    """A checking run whose memo lasts one subtyping premise."""
+
+    def premise(self, *args, **kwargs):
+        self.memo = set()
+        return super().premise(*args, **kwargs)

@@ -3,9 +3,11 @@
 The invariant rules check both directions one level down.  Without the
 per-run memo of ground/ground judgments that costs 2^d rules on nested
 `List` and 4^d on nested `dn (up ...)`; with it, a depth-d ladder takes at
-most 4*d + 1 rules.  The budget fixture stops a run as soon as it records
-one rule too many, so an exponential engine fails these tests at once
-instead of running for hours.
+most 4*d + 1 rules.  The memo lasts the whole checking run, so a typing
+run derives a ground judgment that several of its premises ask for once.
+The budget fixture stops a run as soon as it records one rule too many,
+so an exponential engine fails these tests at once instead of running for
+hours.
 
 Checking against a block of k quantifiers and typing a k-argument spine
 build a number of type nodes linear in k: the block is opened in one map,
@@ -33,6 +35,8 @@ from polarf.cli import check_source_json, main
 from polarf.corpus import EXAMPLES, STRIPPED
 from polarf.parser import MAX_TYPE_HEIGHT
 from polarf.syntax import Arrow, Data, Down, Forall, NegData, Up
+
+from gen import letchain_source, spine_source
 
 
 def dnup(depth, leaf):
@@ -125,6 +129,29 @@ def test_repeated_ground_judgment_shows_memo_step():
     assert '"status": "ok"' in first
 
 
+def test_later_premise_answers_from_memo():
+    # the second argument's premise asks for List Int <=+ List Int, both
+    # ways, which the first argument's premise derived
+    src = ("val f : dn (List (List Int) -> List (List Int) -> up Int)\n"
+           "val xs : List (List Int)\n"
+           "run let y = f(xs, xs); return y\n")
+    rules = [step.rule for step in check_program(parse_program(src)).trace]
+    first, second = rules.index("var", 1), rules.index("var", 2)
+    assert rules[first + 1:second] == ["data", "data", "data", "memo", "data"]
+    assert rules[second + 1:second + 4] == ["memo", "memo", "data"]
+
+
+@pytest.mark.parametrize("n", [10, 100, 400])
+def test_letchain_derives_its_ground_judgment_once(n):
+    # every `choose` asks for forall a. a -> up a <=- forall a. a -> up a;
+    # with a memo per premise each one derived it again (n/2 forall-left
+    # steps, 5,001 steps in all at n = 400)
+    trace = check_program(parse_program(letchain_source(n))).trace
+    assert [step.rule for step in trace].count("forall-left") == 1
+    if n == 400:
+        assert len(trace) <= 3810
+
+
 def test_memo_step_in_subtype_trace():
     # Int <=+ Int costs one rule either way, so only the inner List is remembered
     t = parse_type("List (List Int)", "+")
@@ -156,16 +183,6 @@ def prenex_query(k):
     return parse_type(quantified, "-"), parse_type(f"{ground} -> up Int", "-")
 
 
-def spine_program(k):
-    binders = [f"a{i}" for i in range(1, k + 1)]
-    args = [("1", "true", "s", "ids")[i % 4] for i in range(k)]
-    return parse_program(
-        "val s : String\nval ids : List (dn (forall a. a -> up a))\n"
-        f"val f : dn (forall {' '.join(binders)}. {' -> '.join(binders)} "
-        f"-> up ({binders[0]} * {binders[-1]}))\n"
-        f"run let r = f({', '.join(args)}); return r\n")
-
-
 def node_builds(monkeypatch, run):
     """The type nodes `run()` builds: every node computes its facts once."""
     combine, count = syntax._combine, [0]
@@ -182,7 +199,7 @@ def node_builds(monkeypatch, run):
 
 @pytest.mark.parametrize("build,check", [
     pytest.param(prenex_query, lambda q: subtype_neg(Context(), *q), id="prenex"),
-    pytest.param(spine_program, check_program, id="spine"),
+    pytest.param(lambda k: parse_program(spine_source(k)), check_program, id="spine"),
 ])
 def test_node_builds_grow_linearly(build, check, monkeypatch):
     # with the block opened one quantifier at a time, these grow ~3.9x per

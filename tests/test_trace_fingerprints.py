@@ -17,21 +17,23 @@ from polarf import Context, TypeCheckError, parse_type, subtype_neg
 from polarf.cli import check_source_json
 from polarf.corpus import EXAMPLES, STRIPPED
 
+from gen import spine_source
+
 DIGESTS = {
     "A1": "9f5a98a2025a1482505f8601ffa0b64a421a9e8cdf05d335f3abaf4e9973bb2b",
     "A2": "731d2b636ce7f9e9edc0c220b56f403e4b6acef45a4795b4c5946c05ace8b58c",
-    "A3": "57471c753f674e21ec34da7e2ebef3a8310f26d28171359c3051f2ad591a9079",
+    "A3": "dd3398822b25c1167efdadf8e7f698906c7da85d7ab4ed344562fd78a77dab43",
     "A4": "25e3c13a4e977645857f4c1a2a5e5cb94800b0cf146302e3cfb404254d71241a",
     "A5": "6c7ef8cd65bb4f6f69fb275e8a82738b22d8a28edf4d0d83af4d485c48f90ee7",
     "A6": "76a5cc5bfe669a7c7bd78271db59e4889cbdae86a007dba5bff0a416b5f1b21a",
     "A7": "a7aca90b94954dd72db281e049f9c749b4112747e7f525babf699576f8e8d13d",
     "A8": "b577de08d771f285e4c8123e5021e1ea3e83f6dec1986c9163ac1d460ca238aa",
-    "A9": "66d7d078a6be82dbc8d7b9b1a330a6437eb22f15f62ae0582c593f671b2cab3d",
+    "A9": "b4189d34bad35e22fa9bbb277e33f56a83679a25ab67711ad3df5e2d0e0d0ee9",
     "A10": "f30520149704e671bd4b9706c5f461f8ada18f6800094346f67d03848f6b0149",
     "A11": "76e00bb6b337448179b65e0818f5617f8270d8fb5470288c02a3f58941c065c6",
     "A12": "27662ce9c944154913ba7eebbe9870b41e31a6d664b421e64a2d93d5d8b98f6b",
     "B1": "49b2a59c908a303ed2f18b6a905e9e3a25e734ce85c0bf012d8664c86e1ef0fa",
-    "B2": "d2b228cc1681d1c5576dad2006ae393ec979ad4261f478f46466a5d42c8cd3ac",
+    "B2": "3e7cd61a70ab40146036c0d0c1cbaa931f619718137affffdfe16bbcac362859",
     "C1": "eb1e7cb08a7e9364ae9278bd46908adf46184f3d5a9f190704a913906e444616",
     "C2": "778274fe1f531fc9a937f772abc99ab3fdb190148db873cd3ca463fb66d94365",
     "C3": "81277de265b9a82b993232ded4e83043594578abd888403c34a790b0ed3c0a07",
@@ -39,10 +41,10 @@ DIGESTS = {
     "C5": "393ace2146601a1ff6bfa514fee8fb48c160222180a8430ddeb936829e53779e",
     "C6": "2650e6e47087c33bc29b4012a95556c10045daafb50ce642dce34839ab288ebf",
     "C7": "fc3a956ccaa075ff228a0efafbf782ef05137595d5a4b5812cd1a32d1a05286c",
-    "C8": "a58eb3beb3a498de562615f737cc4028c02a86566fe34ca1197fcdcfd54f58b8",
-    "C9": "42b444fc74ea0df413402591de4faf0381b4d1fb213256b09a5d362b28791c7b",
+    "C8": "dc61e92403219995a498f02b601e2a5b24195e15f3edf80a2ab7d32256fd9b42",
+    "C9": "fd153017329ef9b1a1044dc090024f835050e226715c91df5d42d941272eca01",
     "C10": "e003499f05d2d197787476e07c341b1e5e5e3340e4729e1daf90e3e2b4c54272",
-    "D1": "2096f94314a2a90e21b67b9f8c7c49b6733db11c477390e7b2bfe263498470a4",
+    "D1": "b4a34be6f1968ab360849675b52ac0f33f343d9da973c57bf4194af86d991a6d",
     "D2": "fc5836329851174af8b825ad4e7a7411ce71ec626b2562428d6ede8173f4f097",
     "D3": "a1139d6c73eff1d1508fb2e27ef558128158446e404fd7d333f932b8b0a4b6d3",
     "D4": "46169be0a64f652026c91c852d9fb6d5b6dff36ca7bc8dc03bcf4c19c1a36011",
@@ -84,16 +86,6 @@ def prenex_query(k, accepted):
     return quantified, f"{ground} -> up {'Int' if accepted else 'Bool'}"
 
 
-def spine_program(k):
-    """One application of a `k`-quantifier, `k`-argument head."""
-    binders = [f"a{i}" for i in range(1, k + 1)]
-    args = [("1", "true", "s", "ids")[i % 4] for i in range(k)]
-    return ("val s : String\nval ids : List (dn (forall a. a -> up a))\n"
-            f"val f : dn (forall {' '.join(binders)}. {' -> '.join(binders)} "
-            f"-> up ({binders[0]} * {binders[-1]}))\n"
-            f"run let r = f({', '.join(args)}); return r\n")
-
-
 PRENEX_DIGESTS = {
     (1, True): "38af8a6ba73768cef6b850fb37e9ae6b799659b411846df058661fd5df264a24",
     (1, False): "84e444c5a212e12151dd6dd2f4ec87a4984f08709489cfc91086069ddfc58b02",
@@ -132,6 +124,6 @@ def test_prenex_trace_digest(k, accepted):
 
 @pytest.mark.parametrize("k", [1, 5, 16])
 def test_spine_trace_digest(k):
-    record = check_source_json(spine_program(k), f"spine{k}.ipf", with_trace=True)
+    record = check_source_json(spine_source(k), f"spine{k}.ipf", with_trace=True)
     assert '"status": "ok"' in record
     assert hashlib.sha256(record.encode()).hexdigest() == SPINE_DIGESTS[k]
