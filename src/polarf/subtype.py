@@ -313,11 +313,11 @@ class _Engine:
         require(wf_type(theta, a) and wf_type(theta, b), "types must be well-formed", error)
         if polarity == "+":
             require(is_ground(a), "the left side of a positive judgment must be ground", error)
-            require(apply_context(theta, b) == b,
+            require(theta.solutions.keys().isdisjoint(b.evars),
                     "the right side must not mention solved existentials", error)
             return self.pos(theta, a, b, None)[1]
         require(is_ground(b), "the right side of a negative judgment must be ground", error)
-        require(apply_context(theta, a) == a,
+        require(theta.solutions.keys().isdisjoint(a.evars),
                 "the left side must not mention solved existentials", error)
         return self.neg(theta, a, b, None)[1]
 
@@ -414,7 +414,7 @@ class _Engine:
             binder = fresh_name(m.hint, theta.positions)
             size, inner = self.neg(theta.push(Universal(binder)), n,
                                    m.open(UVar(binder)), metric, shared)
-            out = inner.pop(binder, universal=True)
+            out = inner.pop(theta, (binder,), universal=True)
             self._record("forall-right", goal, theta, out)
         elif isinstance(n, Forall):
             # a block whose first variable is used is opened at once: every
@@ -426,7 +426,7 @@ class _Engine:
             size, inner = self.neg(pushed, body, m, (metric[0], metric[1] - k + 1),
                                    shared)
             # the algorithm need not have solved them; either way they go out of scope
-            out = inner.pop_all(tuple(p.name for p in ps))
+            out = inner.pop(theta, tuple(p.name for p in ps))
             self._record_block(("forall-left",) * k, n, " <=- ", m, ps, theta, inner,
                                True)
             self._record("forall-left", goal, theta, out)

@@ -63,7 +63,6 @@ Terms carry their node count (`size`) the same way.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import is_
 
 from .errors import InvariantViolation, Record, SourceSpan
@@ -113,12 +112,6 @@ class _Composite(_Type):
 Type = PosType | NegType
 
 _NONE = frozenset()
-
-
-@lru_cache(maxsize=4096)
-def _names(name: str) -> frozenset:
-    """The one-name set, shared by the variables of that name."""
-    return frozenset((name,))
 
 
 class _NotAType:
@@ -171,7 +164,7 @@ class UVar(PosType):
     evars, size, height, dangling, typed = _NONE, 1, 1, -1, True
 
     def __init__(self, name: str):
-        self.name, self.uvars = name, _names(name)
+        self.name, self.uvars = name, frozenset((name,))
 
 
 class BVar(PosType):
@@ -192,7 +185,7 @@ class EVar(PosType):
     uvars, size, height, dangling, typed = _NONE, 1, 1, -1, True
 
     def __init__(self, name: str):
-        self.name, self.evars = name, _names(name)
+        self.name, self.evars = name, frozenset((name,))
 
 
 class Down(PosType, _Composite):
@@ -525,22 +518,21 @@ class Context(Record):
     entry's position, by name), `uvar_names` and `evar_names`, `solutions`
     (each solved existential's solution, by name) and `erased` (the
     declarative context: universal names only, in order).
-    `Context(entries)` computes them in one pass, and `push`, `pop` and
-    `restrict_context` build their contexts that way: a pass over a context,
-    which holds only the variables in scope, costs less than handing the
-    facts over did.  `solve` changes no name, so its context shares its
-    input's `positions`, names and `erased`, with one solution added.  A
-    pushed context also keeps the context it was pushed on (`_below`, else
-    None), and so does a context solved at an entry that was pushed: `pop`
-    returns it as it is when it takes off all the entries pushed on it.
-    `_extends` is the stamp of a passed extension check (see
+    `Context(entries)` computes them in one pass, and `push` and `cut`
+    build their contexts that way: a pass over a context, which holds only
+    the variables in scope, costs less than handing the facts over did.
+    `solve` changes no name, so its context shares its input's
+    `positions`, names and `erased`, with one solution added.  `pop` and
+    `restrict_context` return to the context a rule extended through
+    `cut`, which hands that context back as it is when none of its entries
+    changed.  `_extends` is the stamp of a passed extension check (see
     `wellformed.wf_extension`), else None.  Facts are shared between
     contexts, so they are never mutated.  `==`, `hash`, `repr`, `copy` and
     `pickle` go by the entries alone, its one compared field.
     """
 
     __slots__ = ("entries", "positions", "uvar_names", "evar_names", "solutions",
-                 "erased", "_below", "_extends")
+                 "erased", "_extends")
     _fields = ("entries",)
 
     def __init__(self, entries: tuple = ()):
@@ -556,7 +548,7 @@ class Context(Record):
         self.entries, self.positions, self.solutions = entries, positions, solutions
         self.erased = erased = tuple(universals)
         self.uvar_names, self.evar_names = frozenset(erased), frozenset(evars)
-        self._below = self._extends = None
+        self._extends = None
 
     def __hash__(self):  # the entries' own hash, which a result's hash includes
         return hash(self.entries)
@@ -578,27 +570,25 @@ class Context(Record):
         for k, e in enumerate(entries):
             if e.name in self.positions or new.positions[e.name] != n + k:
                 raise InvariantViolation(f"duplicate context entry {e.name}")
-        new._below = self
         return new
 
-    def pop(self, name: str, universal: bool) -> "Context":
-        """The context without its last entry, which must be the universal
-        `name` (or, unless `universal`, the existential `name`)."""
-        return self.pop_all((name,), universal)
+    def cut(self, outer: "Context") -> "Context":
+        """The first len(outer) entries: `outer` itself when they are its
+        entries, else a new context of them."""
+        entries = self.entries[:len(outer.entries)]
+        return outer if entries == outer.entries else Context(entries)
 
-    def pop_all(self, names: tuple, universal: bool = False) -> "Context":
-        """The context without its last len(names) entries, which must be
-        the existentials `names` in order (or, if `universal`, the
-        universals)."""
-        kind = "universal" if universal else "existential"
-        n = len(self.entries) - len(names)
-        if n < 0 or any(e.name != x or (type(e) is Universal) != universal
-                        for e, x in zip(self.entries[n:], names)):
+    def pop(self, outer: "Context", names: tuple, universal: bool = False) -> "Context":
+        """The context cut back to `outer` (see `cut`); the entries past
+        it must be the existentials `names` in order (or, if `universal`,
+        the universals)."""
+        popped = self.entries[len(outer.entries):]
+        if len(popped) != len(names) or any(
+                e.name != x or (type(e) is Universal) != universal
+                for e, x in zip(popped, names)):
+            kind = "universal" if universal else "existential"
             raise InvariantViolation(f"{kind} {names[-1]} is not the last context entry")
-        below = self._below
-        if below is not None and len(below.entries) == n:
-            return below
-        return Context(self.entries[:n])
+        return self.cut(outer)
 
     def solve(self, name: str, solution: PosType) -> "Context":
         """Replace the unsolved entry for `name` with a solution."""
@@ -613,9 +603,6 @@ class Context(Record):
         new.positions, new.erased = self.positions, self.erased
         new.uvar_names, new.evar_names = self.uvar_names, self.evar_names
         new.solutions = {**self.solutions, name: solution}
-        # solving a pushed entry leaves the context below it as it was
-        below = self._below
-        new._below = below if below is not None and i >= len(below.entries) else None
         new._extends = None
         return new
 

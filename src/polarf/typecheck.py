@@ -175,7 +175,7 @@ class _Typer(_Engine):
             binder, self.renamed = bind_tyvar(t.binder, theta.positions, outer)
             inner_n, inner = self.comp(theta.push(Universal(binder)), t.body, size)
             self.renamed = outer
-            out = inner.pop(binder, universal=True)
+            out = inner.pop(theta, (binder,), universal=True)
             n = Forall(binder, inner_n)
             self._record("type-abs", ("/\\", binder, " ==> ", n), theta, out)
         elif isinstance(t, Return):
@@ -258,7 +258,7 @@ class _Typer(_Engine):
                           getattr(args[0], "span", None))
 
         m, out = apply_context(theta, n), theta
-        if apply_context(out, m) != m:  # the same for every frame below
+        if not out.solutions.keys().isdisjoint(m.evars):  # the same for every frame below
             raise InvariantViolation("spine result mentions solved existentials")
         frames.append((theta, n, args, ()))  # spine-done: a block of no quantifiers
         for theta, n, args, ps in reversed(frames):
@@ -317,7 +317,7 @@ def _synth(judge, theta: Context, gamma: TypeEnv, *args,
     require(wf_env(theta, gamma), env_error)
     if head is not None:
         require(wf_type(theta, head), "head type is ill-formed")
-        require(apply_context(theta, head) == head,
+        require(theta.solutions.keys().isdisjoint(head.evars),
                 "head type must not mention solved existentials")
     run = _Typer(gamma, trace)
     result, out = judge(run, theta, *args, None)

@@ -179,12 +179,10 @@ def restrict_context(theta_prime: Context, theta: Context) -> Context:
     if not wf_extension(theta, theta_prime, weak=True):
         raise InvariantViolation(
             "restriction input is ill-formed or does not weakly extend its target")
-    entries = theta_prime.entries[:len(theta.entries)]
-    if entries == theta.entries:
-        return theta
-    restricted = Context(entries)
-    # the first len(theta) entries of a weak extension extend theta
-    restricted._extends = (theta, False)
+    restricted = theta_prime.cut(theta)
+    if restricted is not theta:
+        # the first len(theta) entries of a weak extension extend theta
+        restricted._extends = (theta, False)
     return restricted
 
 

@@ -253,6 +253,50 @@ def gen_program(rng: random.Random):
     return env, body
 
 
+# -- programs whose premises ask for one ground judgment more than once ----------
+
+CHOOSE = parse_type("dn (forall a. a -> a -> up a)", "+")
+POLY_ID = parse_type("dn (forall a. a -> up a)", "+")
+
+
+def gen_shared_type(rng: random.Random) -> PosType:
+    """A closed positive type whose check against itself goes through an
+    invariant rule to a judgment that is not a leaf, one the memo keeps:
+    a list of lists, a thunk, or the thunk of `forall a. a -> up a`."""
+    roll = rng.random()
+    if roll < 0.4:
+        return Data("List", (Data("List", (gen_type(rng, "+", depth=2, quants=1),)),))
+    if roll < 0.8:
+        return Down(gen_type(rng, "-", depth=3, quants=1))
+    return POLY_ID
+
+
+def gen_shared_program(rng: random.Random):
+    """One to three lets, each applying a head to two or more variables of
+    one ground type `t`: `choose` or `f : dn (t -> .. -> t -> up t)`.
+    Each argument after `choose`'s first asks for the same ground judgment
+    `t <=+ t`.  An argument is now and then `y`, of another type, so the
+    verdict is unknown; the body is sometimes under a type abstraction."""
+    t = gen_shared_type(rng)
+    arity = rng.randint(2, 3)
+    n = Up(t)
+    for _ in range(arity):
+        n = Arrow(t, n)
+    env = TypeEnv((("x0", t), ("x1", t), ("y", gen_type(rng, "+", depth=2, quants=1)),
+                   ("f", Down(n)), ("choose", CHOOSE)))
+    scope, lets = ["x0", "x1"], []
+    for i in range(rng.randint(1, 3)):
+        head, k = ("f", arity) if rng.random() < 0.5 else ("choose", 2)
+        args = tuple(Var("y" if rng.random() < 0.1 else rng.choice(scope))
+                     for _ in range(k))
+        lets.append((f"r{i}", Var(head), args))
+        scope.append(f"r{i}")
+    body = Return(Var(scope[-1]))
+    for x, head, args in reversed(lets):
+        body = Let(x, head, args, body)
+    return env, TypeAbs("p", body) if rng.random() < 0.3 else body
+
+
 # -- fixed-shape programs, grown by one size parameter ---------------------------
 
 LETCHAIN_ENV = """\

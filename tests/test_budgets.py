@@ -17,6 +17,10 @@ builds no node for an assumption type it shares with an earlier parse, and
 lexes each input that it reads by one `findall`, or by none if an earlier
 parse read the same text.
 
+Leaving a scope cuts the context back to the one the rule extended and
+hands that one back when none of its entries changed, so a run builds few
+contexts; the extension checks read only the entries a rule changed.
+
 The memos hash whole types on every lookup.  A type node with children
 computes its hash once, on its first `hash()`, from its children's kept
 hashes; building a node computes none.
@@ -30,7 +34,7 @@ from polarf import (
     Context, TypeCheckError, check_program, parse_program, parse_type, subtype_neg,
     subtype_pos,
 )
-from polarf import cli, parser, subtype, syntax
+from polarf import cli, parser, subtype, syntax, wellformed
 from polarf.cli import check_source_json, main
 from polarf.corpus import EXAMPLES, STRIPPED
 from polarf.parser import MAX_TYPE_HEIGHT
@@ -258,6 +262,44 @@ def test_each_input_is_lexed_by_one_findall(monkeypatch):
     assert len(parser._lex(long, "f")[0]) > 20_000 * 8 and len(token.texts) == 1
     parser._block_length(long)
     assert len(token.texts) == 1
+
+
+# -- contexts ---------------------------------------------------------------------------
+
+def context_work(monkeypatch, sources):
+    """The contexts built and the `_delta` and `_follows` calls of the
+    extension checks in one `check --json` run per (source, traced) pair."""
+    count, init = Counter(), syntax.Context.__init__
+
+    def built(self, *args):
+        count["builds"] += 1
+        init(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(syntax.Context, "__init__", built)
+        for name in ("_delta", "_follows"):
+            def counted(*args, check=getattr(wellformed, name), name=name):
+                count[name] += 1
+                return check(*args)
+
+            patch.setattr(wellformed, name, counted)
+        for src, traced in sources:
+            check_source_json(src, "x.ipf", with_trace=traced)
+    return count
+
+
+@pytest.mark.parametrize("sources,builds,deltas,follows", [
+    pytest.param([(ex.source, traced) for ex in EXAMPLES + STRIPPED
+                  for traced in (False, True)], 298, 194, 392, id="corpus"),
+    pytest.param([(letchain_source(n), False) for n in (10, 100, 400)], 519, 1023, 2049,
+                 id="letchains"),
+    pytest.param([(spine_source(k), False) for k in (4, 16, 64)], 6, 87, 174,
+                 id="spines"),
+])
+def test_context_work_within_budget(monkeypatch, sources, builds, deltas, follows):
+    count = context_work(monkeypatch, sources)
+    assert count["builds"] <= builds, count
+    assert count["_delta"] <= deltas and count["_follows"] <= follows, count
 
 
 # -- hashing ---------------------------------------------------------------------------

@@ -171,19 +171,15 @@ def test_handed_over_facts_match_the_entries():
     """The facts of every context the rules see are those that its entries
     define: the facts of `Context(entries)`, computed in one pass, also
     where `solve` handed its input's positions and names on, and where
-    `pop_all` returned the context kept below.  And the context a pushed
-    context keeps (`_below`) is a prefix of it."""
-    contexts = derived = 0
+    `pop` returned the context it was given."""
+    contexts = 0
     for step in rule_steps(47, programs=1000, queries=1000):
         for ctx in (step.before, step.after):
             built = Context(ctx.entries)
             for fact in FACTS:
                 assert getattr(ctx, fact) == getattr(built, fact), (fact, ctx)
-            below = ctx._below
-            assert below is None or ctx.entries[:len(below)] == below.entries
             contexts += 1
-            derived += below is not None
-    assert contexts > 20_000 and derived > 2000, (contexts, derived)
+    assert contexts > 20_000, contexts
 
 
 # -- postconditions by lemma ---------------------------------------------------------

@@ -9,9 +9,9 @@ status, type, error kind, message and span.  The run's trace is the
 reference's with some runs of consecutive steps cut: each cut run is one
 `memo` step that prints as the run's last step, the conclusion the run
 derived.  The run opens fewer existentials, so the names of later ones
-differ from the reference's by one bijection.  Every `memo` step answers
-a judgment that the same run derived before it, never one from an
-earlier run.
+differ from the reference's by one bijection, in the trace and in an
+error message alike.  Every `memo` step answers a judgment that the same
+run derived before it, never one from an earlier run.
 """
 
 import random
@@ -23,7 +23,7 @@ from polarf import Context, TypeCheckError, TypeEnv, parse_program, pretty
 from polarf.corpus import EXAMPLES, STRIPPED
 from polarf.typecheck import _Typer
 
-from gen import gen_program, letchain_source, spine_source
+from gen import gen_program, gen_shared_program, letchain_source, spine_source
 from references import RefTyper
 
 EVAR = re.compile(r"\?[\w']+")
@@ -64,7 +64,8 @@ class Renaming:
 
 def assert_cut_from(trace, ref):
     """`trace` is `ref` with runs of consecutive steps each cut to one
-    `memo` step that prints as the run's last step, up to one renaming."""
+    `memo` step that prints as the run's last step, up to one renaming,
+    which it returns."""
     names, i = Renaming(), 0
     for j, step in enumerate(trace):
         text = printed(step)
@@ -79,6 +80,7 @@ def assert_cut_from(trace, ref):
             assert names.same(text, printed(ref[k])), f"step {j}"
         i = k + 1
     assert i == len(ref), "the trace ends before the reference does"
+    return names
 
 
 def assert_memo_from_this_run(trace):
@@ -100,10 +102,15 @@ def compare(gamma, body):
     """Both engines on one program; returns the lengths of both traces."""
     record, trace = outcome(_Typer, gamma, body)
     ref_record, ref = outcome(RefTyper, gamma, body)
-    assert record == ref_record
     assert outcome(_Typer, gamma, body) == (record, trace)  # a run starts afresh
     assert_memo_from_this_run(trace)
-    assert_cut_from(trace, ref)
+    names = assert_cut_from(trace, ref)
+    if record[0] == "error" and len(trace) < len(ref):
+        # the message may name an existential opened after a cut
+        assert record[:2] == ref_record[:2] and record[3] == ref_record[3]
+        assert names.same(record[2], ref_record[2]), (record, ref_record)
+    else:
+        assert record == ref_record
     return len(trace), len(ref)
 
 
@@ -132,3 +139,13 @@ def test_generated_programs_agree_with_memo_per_premise():
     rng = random.Random(23)
     for _ in range(1000):
         compare(*gen_program(rng))
+
+
+def test_shared_arguments_cut_repeated_derivations():
+    """Programs that pass two or more arguments of one ground type reach
+    `memo` steps that answer a judgment of an earlier premise, which the
+    reference derives again."""
+    rng = random.Random(29)
+    runs = (compare(*gen_shared_program(rng)) for _ in range(300))
+    cut = sum(steps < ref_steps for steps, ref_steps in runs)
+    assert cut > 100, cut

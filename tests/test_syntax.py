@@ -192,14 +192,52 @@ class TestRestrictErase:
             restrict_context(big, small)
 
     def test_pop_checks_the_last_entry(self):
-        theta = Context((Universal("a"), Unsolved("?x")))
-        assert theta.pop("?x", universal=False) == Context((Universal("a"),))
-        assert theta.pop("?x", False).pop("a", True) == Context()
-        for name, universal in (("?x", True), ("a", True), ("a", False), ("?y", False)):
-            with pytest.raises(InvariantViolation, match=re.escape(name)):
-                theta.pop(name, universal)
-        with pytest.raises(InvariantViolation):
-            Context().pop("a", True)
+        outer = Context((Universal("a"),))
+        theta = outer.push(Unsolved("?x"))
+        assert theta.pop(outer, ("?x",)) is outer
+        assert theta.pop(outer, ("?x",)).pop(Context(), ("a",), universal=True) == Context()
+        for names, universal in ((("?x",), True), (("a",), True), (("a",), False),
+                                 (("?y",), False)):
+            with pytest.raises(InvariantViolation, match=re.escape(names[-1])):
+                theta.pop(outer, names, universal)
+        with pytest.raises(InvariantViolation, match="universal a"):
+            Context().pop(Context(), ("a",), universal=True)
+
+    def test_pop_names_the_entry_it_expected(self):
+        """A wrong name, a wrong kind and a length that does not match
+        `outer` each raise, naming the last entry expected."""
+        outer = Context((Universal("a"),))
+        theta = outer.push(Unsolved("?x"), Unsolved("?y"))
+        cases = (
+            (outer, ("?x", "?z"), False, "existential ?z"),  # a wrong name
+            (outer, ("?y", "?x"), False, "existential ?x"),  # the right names, out of order
+            (outer, ("?x", "?y"), True, "universal ?y"),  # a wrong kind
+            (outer, ("?y",), False, "existential ?y"),  # fewer names than entries past outer
+            (Context(), ("?x", "?y"), False, "existential ?y"),  # more
+            (theta, ("?y",), False, "existential ?y"),  # outer is longer than the names allow
+        )
+        for base, names, universal, shown in cases:
+            with pytest.raises(InvariantViolation, match=re.escape(shown)):
+                theta.pop(base, names, universal)
+        assert theta.pop(outer, ("?x", "?y")) is outer
+
+    def test_pop_and_restriction_return_the_outer_context(self):
+        """`pop` and `restrict_context` hand `outer` back as it is when
+        none of its entries changed, and an equal new context when one of
+        them was solved."""
+        int_ = Data("Int", ())
+        outer = Context((Universal("a"), Unsolved("?x")))
+        pushed = outer.push(Unsolved("?y"))
+        solved_inside = pushed.solve("?y", int_)
+        assert solved_inside.pop(outer, ("?y",)) is outer
+        assert restrict_context(solved_inside, outer) is outer
+        assert pushed.cut(outer) is outer and outer.cut(outer) is outer
+        solved_outer = pushed.solve("?x", int_)
+        want = Context((Universal("a"), Solved("?x", int_)))
+        for got in (solved_outer.pop(outer, ("?y",)), restrict_context(solved_outer, outer),
+                    solved_outer.cut(outer)):
+            assert got == want and got is not outer
+            assert got.solutions == {"?x": int_} and got.positions == want.positions
 
     def test_restriction_never_leaks(self):
         rng = random.Random(10)
@@ -233,7 +271,7 @@ class TestRestrictErase:
         int_ = Data("Int", ())
         theta = (Context((Universal("a"), Unsolved("?x"))).solve("?x", int_)
                  .push(Unsolved("?y"), Universal("b")).solve("?y", int_))
-        assert theta._below is not None and not hasattr(theta, "__dict__")
+        assert not hasattr(theta, "__dict__")
         shown = ("Context(entries=(Universal(name='a'), Solved(name='?x', solution=Data("
                  "constructor='Int', args=())), Solved(name='?y', solution=Data("
                  "constructor='Int', args=())), Universal(name='b')))")

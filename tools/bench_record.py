@@ -3,8 +3,9 @@
 
     python3 tools/bench_record.py LABEL
 
-Runs `bench/run.py` on each of the four workloads at a fixed seed, once with
-`--trace 0` and once with `--trace 1`, and writes `BENCH_<LABEL>.json` at the
+Runs `bench/run.py` on each of the four workloads at a fixed seed, for the
+`run_seconds` of `BENCHMARK.json`, once with `--trace 0` and once with
+`--trace 1`, and writes `BENCH_<LABEL>.json` at the
 root of the checkout.  The file holds, per workload:
 
 - `end_to_end`: the metrics of the `--trace 0` run (`setup_s`,
@@ -35,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("corpus", "deep-types", "long-programs", "agreement")
 SEED = 1
-SECONDS = 30  # as BENCHMARK.json's run_seconds
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
 
 def git(*args) -> str:
