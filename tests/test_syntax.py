@@ -212,9 +212,9 @@ class TestRestrictErase:
             (outer, ("?x", "?z"), False, "existential ?z"),  # a wrong name
             (outer, ("?y", "?x"), False, "existential ?x"),  # the right names, out of order
             (outer, ("?x", "?y"), True, "universal ?y"),  # a wrong kind
-            (outer, ("?y",), False, "existential ?y"),  # fewer names than entries past outer
-            (Context(), ("?x", "?y"), False, "existential ?y"),  # more
-            (theta, ("?y",), False, "existential ?y"),  # outer is longer than the names allow
+            (outer, ("?y",), False, "existential ?y"),  # the last entry only
+            (Context(), ("?x", "?y"), False, "existential ?y"),  # outer too short
+            (theta, ("?y",), False, "existential ?y"),  # outer too long
         )
         for base, names, universal, shown in cases:
             with pytest.raises(InvariantViolation, match=re.escape(shown)):
