@@ -108,8 +108,10 @@ key hashes in O(1) after a node's first hash: a type node keeps its hash
 first looked up.  A ground/ground judgment solves no existential, so its
 output context is its input context and its truth depends on the key
 alone: it is remembered after it has succeeded and passed its
-postconditions, and a repeat in any later premise of the run returns its
-input context with a `memo` trace step, after its metric check.
+postconditions, with the steps its derivation took on the fresh-existential
+counters.  A repeat in any later premise of the run returns its input
+context with a `memo` trace step, after its metric check, and takes those
+steps again, so every later existential is named as without the memo.
 Judgments whose ground side is a variable or a constant are not
 remembered: they take one rule, as a memo step does.  Failures end the
 run, so they are not remembered either.
@@ -250,16 +252,25 @@ class _Engine:
     def __init__(self, trace=True):
         self.trace = [] if trace else None
         self._counts = {}  # binder hint -> next fresh-existential number
-        self.memo = set()  # keys of the remembered judgments derived so far
+        self._steps = []  # (hint, advance) of each counter step of the run
+        self.memo = {}  # remembered judgment's key -> the counter steps it took
 
     def fresh_evar(self, base: str, taken) -> str:
         """A fresh existential: the binder's name plus a counter
         (reproducible), not among the names `taken`."""
-        n = self._counts.get(base, 0)
+        n = m = self._counts.get(base, 0)
         while f"?{base}{n}" in taken:
             n += 1
         self._counts[base] = n + 1
+        self._steps.append((base, n + 1 - m))
         return f"?{base}{n}"
+
+    def _hit(self, steps, goal, theta):
+        """A memo hit: a `memo` step, with the counter steps of the derivation it cuts."""
+        for base, advance in steps:
+            self._counts[base] = self._counts.get(base, 0) + advance
+        self._steps += steps
+        self._record("memo", goal, theta, theta)
 
     def _open(self, theta: Context, n: NegType, k: int, skip_unused: bool):
         """Open the first k quantifiers of `n` at once (see the module
@@ -321,13 +332,13 @@ class _Engine:
                 "the left side must not mention solved existentials", error)
         return self.neg(theta, a, b, None)[1]
 
-    def _remember(self, key, theta, out, goal):
+    def _remember(self, key, start, theta, out, goal):
         if key is None:
             return
         if out is not theta and out != theta:
             raise InvariantViolation(
                 f"ground judgment changed its context in {show(read(theta, goal))}")
-        self.memo.add(key)
+        self.memo[key] = self._steps[start:]
 
     def _data(self, theta, ground, other, goal, metric):
         """The invariant datatype rule: the same constructor and arity, then
@@ -354,12 +365,14 @@ class _Engine:
         goal = (p, " <=+ ", q)
         metric = _metric_pos(p, q)
         _check_metric(parent, metric, goal)
-        key = None
+        key = start = None
         if shared and metric[0] != 1 and not q.evars:
             key = ("+", theta.erased, p, q)
-            if key in self.memo:
-                self._record("memo", goal, theta, theta)
+            steps = self.memo.get(key)
+            if steps is not None:
+                self._hit(steps, goal, theta)
                 return q.size, theta
+            start = len(self._steps)
 
         if isinstance(q, EVar):
             i = theta.positions.get(q.name)
@@ -391,7 +404,7 @@ class _Engine:
             self._mismatch(theta, goal, p, " is not a subtype of ", q)
 
         _check_post(theta, out, metric[0], size, goal)
-        self._remember(key, theta, out, goal)
+        self._remember(key, start, theta, out, goal)
         return size, out
 
     # -- negative: m ground, n read through the context ---------------------
@@ -400,14 +413,16 @@ class _Engine:
         goal = (n, " <=- ", m)
         metric = _metric_neg(n, m)
         _check_metric(parent, metric, goal)
-        key = None
+        key = start = None
         if shared and metric[0] != 1:
             read_n = apply_context(theta, n)
             if not read_n.evars:
                 key = ("-", theta.erased, read_n, m)
-                if key in self.memo:
-                    self._record("memo", goal, theta, theta)
+                steps = self.memo.get(key)
+                if steps is not None:
+                    self._hit(steps, goal, theta)
                     return read_n.size, theta
+                start = len(self._steps)
 
         if isinstance(m, Forall):
             # eliminate quantifiers on the ground side first
@@ -448,7 +463,7 @@ class _Engine:
             self._mismatch(theta, goal, n, " is not a subtype of ", m)
 
         _check_post(theta, out, metric[0], size, goal)
-        self._remember(key, theta, out, goal)
+        self._remember(key, start, theta, out, goal)
         return size, out
 
 

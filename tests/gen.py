@@ -12,6 +12,8 @@ from polarf import (
     subst_type,
 )
 
+from references import ref_children, ref_rebuild
+
 TYVARS = ("a", "b", "c", "d")
 MAX_DEPTH = 4
 MAX_QUANTS = 3
@@ -106,16 +108,10 @@ def closed_positive_occurrences(t):
         if isinstance(node, PosType) and not (free_uvars(node) & bound) \
                 and is_ground(node):
             paths.append(tuple(path))
-        if isinstance(node, (Down, Up)):
-            walk(node.body, path + ["body"], bound)
-        elif isinstance(node, (Data, NegData)):
-            for i, a in enumerate(node.args):
-                walk(a, path + [i], bound)
-        elif isinstance(node, Arrow):
-            walk(node.domain, path + ["domain"], bound)
-            walk(node.codomain, path + ["codomain"], bound)
-        elif isinstance(node, Forall):
-            walk(node.body, path + ["body"], bound | {node.binder})
+        if isinstance(node, Forall):
+            bound = bound | {node.binder}
+        for step, child in ref_children(node, True):
+            walk(child, path + [step], bound)
 
     walk(t, [], set())
     return paths
@@ -125,30 +121,13 @@ def _replace_at(node, path, replacement):
     if not path:
         return replacement
     step, rest = path[0], path[1:]
-    if isinstance(node, (Down, Up)):
-        return type(node)(_replace_at(node.body, rest, replacement))
-    if isinstance(node, (Data, NegData)):
-        args = tuple(_replace_at(a, rest, replacement) if i == step else a
-                     for i, a in enumerate(node.args))
-        return type(node)(node.constructor, args)
-    if isinstance(node, Arrow):
-        if step == "domain":
-            return Arrow(_replace_at(node.domain, rest, replacement),
-                         node.codomain)
-        return Arrow(node.domain, _replace_at(node.codomain, rest, replacement))
-    if isinstance(node, Forall):
-        return Forall(node.binder, _replace_at(node.body, rest, replacement))
-    raise AssertionError(f"bad path into {node!r}")
+    return ref_rebuild(node, [_replace_at(c, rest, replacement) if s == step else c
+                              for s, c in ref_children(node, True)])
 
 
 def subterm_at(node, path):
     for step in path:
-        if isinstance(node, (Down, Up, Forall)):
-            node = node.body
-        elif isinstance(node, (Data, NegData)):
-            node = node.args[step]
-        elif isinstance(node, Arrow):
-            node = node.domain if step == "domain" else node.codomain
+        node = dict(ref_children(node, True))[step]
     return node
 
 

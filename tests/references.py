@@ -21,12 +21,19 @@ The subtyping engine keeps one memo of ground/ground judgments for the
 whole checking run.  The reference here is the typer that starts a new
 memo at each subtyping premise, as the engine did before: it derives
 again what an earlier premise of the run derived.
+
+Every test-side walk over a type reads its shape from one function,
+`ref_children`, and builds from one, `ref_rebuild`.  A walk enters a
+quantifier through its scope, the locally nameless form the checker
+works on, or through its named view (`Forall.binder` and `.body`), the
+form a reference by name reads; which one is part of what a test
+cross-checks, so each walk says which.
 """
 
 from polarf import (
-    Arrow, Computation, Context, Data, Down, Forall, Lambda, LetAnn, NegData,
-    OracleBudgetExceeded, PosType, UVar, Universal, Up, Value, extends,
-    is_ground, wf_type,
+    Arrow, Computation, Context, Data, Down, EVar, Forall, Lambda, LetAnn,
+    NegData, OracleBudgetExceeded, PosType, UVar, Universal, Up, Value,
+    extends, is_ground, wf_type,
 )
 from polarf.errors import require
 from polarf.oracle import UNIVERSE_CAP, _decl_ctx, _Search, term_nodes
@@ -63,20 +70,56 @@ def ref_block_length(src):
     return None
 
 
-def ref_nodes(t):
-    """Every node of a type, in pre-order, entering a `Forall` through its
-    named view."""
-    stack = [t]
+def ref_children(t, named=False):
+    """The `(step, child)` pairs of a type node, in order.  A quantifier's
+    child is its `scope` or, with `named`, its `body` under the named view;
+    a variable, a constant and anything that is not a type have none."""
+    cls = type(t)
+    if cls is Arrow:
+        return (("domain", t.domain), ("codomain", t.codomain))
+    if cls is Down or cls is Up:
+        return (("body", t.body),)
+    if cls is Data or cls is NegData:
+        return tuple(enumerate(t.args))
+    if cls is Forall:
+        return (("body", t.body),) if named else (("scope", t.scope),)
+    return ()
+
+
+def ref_rebuild(t, kids):
+    """`t`'s constructor over `kids`, its children in the named view: a
+    quantifier is built by name.  A node without children is built again
+    from its fields."""
+    cls = type(t)
+    if cls is Forall:
+        return Forall(t.binder, *kids)
+    if cls is Data or cls is NegData:
+        return cls(t.constructor, tuple(kids))
+    return cls(*kids) if kids else cls(*(getattr(t, f) for f in cls._fields))
+
+
+def ref_nodes(t, named=False):
+    """Every node of `t` in pre-order, with the tuple of the quantifiers
+    above it, entering each `Forall` through its scope or, with `named`,
+    its named view."""
+    stack = [(t, ())]
     while stack:
-        t = stack.pop()
-        cls = type(t)
-        yield t
-        if cls is Arrow:
-            stack += (t.codomain, t.domain)
-        elif cls is Down or cls is Up or cls is Forall:
-            stack.append(t.body)
-        elif cls is Data or cls is NegData:
-            stack += reversed(t.args)
+        t, above = stack.pop()
+        yield t, above
+        if type(t) is Forall:
+            above += (t,)
+        stack += [(c, above) for _, c in reversed(ref_children(t, named))]
+
+
+def ref_free_evars(t, named=False):
+    return {v.name for v, _ in ref_nodes(t, named) if type(v) is EVar}
+
+
+def ref_free_uvars(t, named=False):
+    """In the named view, a variable named as a quantifier above it is
+    bound."""
+    return {v.name for v, above in ref_nodes(t, named) if type(v) is UVar
+            and not (named and any(q.binder == v.name for q in above))}
 
 
 def ref_candidate_universe(types, theta=()):
@@ -84,7 +127,7 @@ def ref_candidate_universe(types, theta=()):
     occurrence wins."""
     cands = [UVar(name) for name in theta]
     for t in types:
-        cands += [v for v in ref_nodes(t) if isinstance(v, PosType)]
+        cands += [v for v, _ in ref_nodes(t, True) if isinstance(v, PosType)]
     return tuple(dict.fromkeys(cands))
 
 
@@ -158,5 +201,5 @@ class RefTyper(_Typer):
     """A checking run whose memo lasts one subtyping premise."""
 
     def premise(self, *args, **kwargs):
-        self.memo = set()
+        self.memo = {}
         return super().premise(*args, **kwargs)

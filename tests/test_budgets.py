@@ -41,6 +41,7 @@ from polarf.parser import MAX_TYPE_HEIGHT
 from polarf.syntax import Arrow, Data, Down, Forall, NegData, Up
 
 from gen import letchain_source, spine_source
+from references import ref_nodes
 
 
 def dnup(depth, leaf):
@@ -320,15 +321,9 @@ def hash_computations(monkeypatch):
     return count
 
 
-def composite_nodes(t, seen):
+def composite_nodes(t):
     """The distinct nodes with children in `t`, by identity."""
-    if type(t) in COMPOSITES and id(t) not in seen:
-        seen[id(t)] = t
-        kids = {Down: ("body",), Up: ("body",), Arrow: ("domain", "codomain"),
-                Forall: ("scope",)}.get(type(t))
-        for kid in t.args if kids is None else (getattr(t, k) for k in kids):
-            composite_nodes(kid, seen)
-    return seen
+    return {id(n): n for n, _ in ref_nodes(t) if type(n) in COMPOSITES}
 
 
 def test_a_type_is_hashed_once(hash_computations):
@@ -339,7 +334,7 @@ def test_a_type_is_hashed_once(hash_computations):
         src = f"List ({src})"
     t = parse_type(src, "+")
     assert t.height == MAX_TYPE_HEIGHT
-    nodes = composite_nodes(t, {}).values()
+    nodes = composite_nodes(t).values()
     assert len(nodes) > 190
     assert not hash_computations  # building a node hashes nothing
     first = hash(t)

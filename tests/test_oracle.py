@@ -5,8 +5,8 @@ import random
 import pytest
 
 from polarf import (
-    Arrow, Context, Data, Down, Forall, NegData, NegType, OracleBudgetExceeded,
-    PosType, Return, TypeCheckError, TypeEnv, UVar, Up, Var,
+    Arrow, Context, Data, Forall, NegType, OracleBudgetExceeded, PosType,
+    Return, TypeCheckError, TypeEnv, UVar, Up, Var,
     candidate_universe, decl_iso, decl_subtype, decl_synth, parse_program,
     parse_type, pretty, subst_type, subtype_neg,
 )
@@ -53,34 +53,6 @@ class TestCandidateUniverse:
                          universe=candidate_universe(big))
 
 
-def ref_collect_pos(t, out):
-    """The positive subterms of a type in pre-order, read by name."""
-    if isinstance(t, PosType):
-        out.append(t)
-    if isinstance(t, (Down, Up)):
-        ref_collect_pos(t.body, out)
-    elif isinstance(t, (Data, NegData)):
-        for a in t.args:
-            ref_collect_pos(a, out)
-    elif isinstance(t, Arrow):
-        ref_collect_pos(t.domain, out)
-        ref_collect_pos(t.codomain, out)
-    elif isinstance(t, Forall):
-        ref_collect_pos(t.body, out)
-
-
-def ref_universe(types, theta=()):
-    seen = {}
-    for name in theta:
-        seen.setdefault(UVar(name), UVar(name))
-    for t in types:
-        out = []
-        ref_collect_pos(t, out)
-        for p in out:
-            seen.setdefault(p, p)
-    return tuple(seen.values())
-
-
 class TestUniverseUnderBinders:
     """Subterms under a binder enter the universe by their binder's name."""
 
@@ -97,7 +69,7 @@ class TestUniverseUnderBinders:
             types.append(T(pretty(types[0])))
             theta = ("a", "b")[:rng.randrange(3)]
             got = candidate_universe(types, theta)
-            want = ref_universe(types, theta)
+            want = ref_candidate_universe(types, theta)
             assert got == want
             assert [pretty(c) for c in got] == [pretty(c) for c in want]
 

@@ -32,13 +32,16 @@ from polarf import (
     synth_computation, wf_context,
 )
 from polarf.syntax import (
-    BoolLit, IntLit, Lambda, Let, LetAnn, PairVal, Return, Thunk, TypeAbs, Var,
+    _Type, BoolLit, IntLit, Lambda, Let, LetAnn, PairVal, Return, Thunk, TypeAbs, Var,
     fresh_name, open_block, subst_uvars, used_binders,
 )
 from polarf.wellformed import _wf, wf_extension
 
 from gen import gen_program, gen_type, holeify
-from references import ref_weak_extends
+from references import (
+    ref_children, ref_free_evars, ref_free_uvars, ref_nodes, ref_rebuild,
+    ref_weak_extends,
+)
 
 UNIVERSALS = ("a", "b", "c")
 
@@ -47,35 +50,14 @@ UNIVERSALS = ("a", "b", "c")
 
 def type_names(t) -> set:
     """Every variable name appearing anywhere in a named type (bound or free)."""
-    if isinstance(t, (UVar, EVar)):
-        return {t.name}
-    if isinstance(t, (Down, Up)):
-        return type_names(t.body)
-    if isinstance(t, (Data, NegData)):
-        return set().union(*map(type_names, t.args))
-    if isinstance(t, Arrow):
-        return type_names(t.domain) | type_names(t.codomain)
-    if isinstance(t, Forall):
-        return {t.binder} | type_names(t.body)
-    raise TypeError(f"not a type: {t!r}")
+    return {v.binder if type(v) is Forall else v.name for v, _ in ref_nodes(t, True)
+            if type(v) in (UVar, EVar, Forall)}
 
 
 def ref_subst(t, name, p, var_cls):
     """Substitute `p` for the `var_cls` variable `name`, one binder at a time."""
     if isinstance(t, (UVar, EVar)):
         return p if isinstance(t, var_cls) and t.name == name else t
-    if isinstance(t, Down):
-        return Down(ref_subst(t.body, name, p, var_cls))
-    if isinstance(t, Data):
-        return Data(t.constructor, tuple(ref_subst(a, name, p, var_cls) for a in t.args))
-    if isinstance(t, NegData):
-        return NegData(t.constructor,
-                       tuple(ref_subst(a, name, p, var_cls) for a in t.args))
-    if isinstance(t, Arrow):
-        return Arrow(ref_subst(t.domain, name, p, var_cls),
-                     ref_subst(t.codomain, name, p, var_cls))
-    if isinstance(t, Up):
-        return Up(ref_subst(t.body, name, p, var_cls))
     if isinstance(t, Forall):
         if var_cls is UVar and t.binder == name:
             return t
@@ -84,8 +66,7 @@ def ref_subst(t, name, p, var_cls):
             b = fresh_name(t.binder, avoid)
             body = ref_subst(t.body, t.binder, UVar(b), UVar)
             return Forall(b, ref_subst(body, name, p, var_cls))
-        return Forall(t.binder, ref_subst(t.body, name, p, var_cls))
-    raise TypeError(f"not a type: {t!r}")
+    return ref_rebuild(t, [ref_subst(c, name, p, var_cls) for _, c in ref_children(t, True)])
 
 
 def ref_apply(theta, t):
@@ -96,21 +77,18 @@ def ref_apply(theta, t):
 
 
 def ref_wf_type(theta, t, extra=frozenset()):
-    if isinstance(t, UVar):
-        return t.name in extra or any(
-            isinstance(e, Universal) and e.name == t.name for e in theta.entries)
-    if isinstance(t, EVar):
-        return any(not isinstance(e, Universal) and e.name == t.name
-                   for e in theta.entries)
-    if isinstance(t, (Down, Up)):
-        return ref_wf_type(theta, t.body, extra)
-    if isinstance(t, (Data, NegData)):
-        return all(ref_wf_type(theta, a, extra) for a in t.args)
-    if isinstance(t, Arrow):
-        return ref_wf_type(theta, t.domain, extra) and ref_wf_type(theta, t.codomain, extra)
-    if isinstance(t, Forall):
-        return ref_wf_type(theta, t.body, extra | {t.binder})
-    return False
+    """Well-formedness by name: each variable is bound by a quantifier above
+    it, named in `extra` or in scope in `theta`."""
+    universals = {e.name for e in theta.entries if isinstance(e, Universal)}
+    existentials = {e.name for e in theta.entries} - universals
+    for v, above in ref_nodes(t, True):
+        cls = type(v)
+        if (cls is UVar and v.name not in extra | universals
+                and all(q.binder != v.name for q in above)
+                or cls is EVar and v.name not in existentials
+                or cls is BVar or not isinstance(v, (PosType, NegType))):
+            return False
+    return True
 
 
 def ref_wf_context(theta):
@@ -127,47 +105,13 @@ def ref_wf_context(theta):
     return True
 
 
-def ref_nodes(t, k=0):
-    """Every node of `t` with the number of binders above it, entering each
-    `Forall`'s scope: the walk that the facts of a type replace."""
-    yield t, k
-    if isinstance(t, (Down, Up)):
-        yield from ref_nodes(t.body, k)
-    elif isinstance(t, (Data, NegData)):
-        for a in t.args:
-            yield from ref_nodes(a, k)
-    elif isinstance(t, Arrow):
-        yield from ref_nodes(t.domain, k)
-        yield from ref_nodes(t.codomain, k)
-    elif isinstance(t, Forall):
-        yield from ref_nodes(t.scope, k + 1)
-
-
-def ref_free_evars(t):
-    return {v.name for v, _ in ref_nodes(t) if type(v) is EVar}
-
-
-def ref_free_uvars(t):
-    return {v.name for v, _ in ref_nodes(t) if type(v) is UVar}
-
-
 def ref_termsize(t):
     return sum(1 for v, _ in ref_nodes(t) if type(v) is not Forall)
 
 
 def ref_height(t):
     """Nodes on the longest path from `t` down to a leaf, quantifiers included."""
-    if isinstance(t, (Down, Up)):
-        kids = [t.body]
-    elif isinstance(t, (Data, NegData)):
-        kids = t.args
-    elif isinstance(t, Arrow):
-        kids = [t.domain, t.codomain]
-    elif isinstance(t, Forall):
-        kids = [t.scope]
-    else:
-        kids = []
-    return 1 + max(map(ref_height, kids), default=0)
+    return 1 + max((ref_height(c) for _, c in ref_children(t)), default=0)
 
 
 def ref_prenex(t):
@@ -175,15 +119,16 @@ def ref_prenex(t):
 
 
 def ref_dangling(t):
-    return max([v.index - k for v, k in ref_nodes(t) if type(v) is BVar and v.index >= k],
-               default=-1)
+    return max([v.index - len(above) for v, above in ref_nodes(t)
+                if type(v) is BVar and v.index >= len(above)], default=-1)
 
 
 def ref_wf(t, uvars, evars):
-    for v, k in ref_nodes(t):
+    for v, above in ref_nodes(t):
         cls = type(v)
         if (cls is UVar and v.name not in uvars or cls is EVar and v.name not in evars
-                or cls is BVar and v.index >= k or not isinstance(v, (PosType, NegType))):
+                or cls is BVar and v.index >= len(above)
+                or not isinstance(v, (PosType, NegType))):
             return False
     return True
 
@@ -466,13 +411,30 @@ def rebuilt(t, rename):
     if isinstance(t, Forall):
         new = rename(t.binder)
         return Forall(new, rebuilt(subst_type(UVar(new), t.binder, t.body), rename))
-    if isinstance(t, (Down, Up)):
-        return type(t)(rebuilt(t.body, rename))
-    if isinstance(t, (Data, NegData)):
-        return type(t)(t.constructor, tuple(rebuilt(a, rename) for a in t.args))
-    if isinstance(t, Arrow):
-        return Arrow(rebuilt(t.domain, rename), rebuilt(t.codomain, rename))
-    return type(t)(t.index if isinstance(t, BVar) else t.name)
+    return ref_rebuild(t, [rebuilt(c, rename) for _, c in ref_children(t, True)])
+
+
+def type_classes(cls=_Type):
+    """The concrete type classes of `polarf.syntax`, found by subclassing."""
+    subs = [c for c in cls.__subclasses__() if c.__module__ == "polarf.syntax"]
+    return set().union(*map(type_classes, subs)) if subs else {cls}
+
+
+def test_every_type_class_has_a_shape():
+    """Each type class is a leaf or rebuilds from the children `ref_children`
+    gives, so a new constructor fails here, not skipped by every reference."""
+    sample = Forall("a", Arrow(Data("Pair", (UVar("a"), EVar("?x"))),
+                               NegData("ST", (Down(Up(Data("Int"))), UVar("b")))))
+    nodes = [v for named in (False, True) for v, _ in ref_nodes(sample, named)]
+    for cls in type_classes():
+        found = [t for t in nodes if type(t) is cls]
+        assert found, f"no sample of {cls.__name__}"
+        for t in found:
+            kids = [c for _, c in ref_children(t, True)]
+            if cls in (UVar, BVar, EVar) or cls in (Data, NegData) and not t.args:
+                assert not kids
+            else:
+                assert kids and ref_rebuild(t, kids) == t
 
 
 def test_hash_agrees_with_equality():

@@ -8,14 +8,13 @@ let-chain and spine shapes and generated programs, both give the same
 status, type, error kind, message and span.  The run's trace is the
 reference's with some runs of consecutive steps cut: each cut run is one
 `memo` step that prints as the run's last step, the conclusion the run
-derived.  The run opens fewer existentials, so the names of later ones
-differ from the reference's by one bijection.  Every `memo` step answers
-a judgment that the same run derived before it, never one from an
-earlier run.
+derived.  A memo hit advances the fresh-existential counters as the
+derivation it cuts did, so every step prints as the reference's, names
+included.  Every `memo` step answers a judgment that the same run
+derived before it, never one from an earlier run.
 """
 
 import random
-import re
 
 import pytest
 
@@ -25,9 +24,6 @@ from polarf.typecheck import _Typer
 
 from gen import gen_program, gen_shared_program, letchain_source, spine_source
 from references import RefTyper
-
-EVAR = re.compile(r"\?[\w']+")
-
 
 def outcome(typer, gamma, body):
     """The record and the trace of a `typer` run on `body` under `gamma`."""
@@ -43,44 +39,23 @@ def printed(step):
     return "\n".join((step.goal, step.context_before, step.context_after))
 
 
-class Renaming:
-    """One bijection from the run's existential names to the reference's."""
-
-    def __init__(self):
-        self.to_ref, self.from_ref = {}, {}
-
-    def same(self, text, ref_text):
-        """Whether `text` prints as `ref_text` under the renaming; if so,
-        the renaming is extended by the names the two pair up."""
-        if EVAR.split(text) != EVAR.split(ref_text):
-            return False
-        to_ref, from_ref = dict(self.to_ref), dict(self.from_ref)
-        for a, b in zip(EVAR.findall(text), EVAR.findall(ref_text)):
-            if to_ref.setdefault(a, b) != b or from_ref.setdefault(b, a) != a:
-                return False
-        self.to_ref, self.from_ref = to_ref, from_ref
-        return True
-
-
 def assert_cut_from(trace, ref):
     """`trace` is `ref` with runs of consecutive steps each cut to one
-    `memo` step that prints as the run's last step, up to one renaming,
-    which it returns."""
-    names, i = Renaming(), 0
+    `memo` step that prints as the run's last step."""
+    i = 0
     for j, step in enumerate(trace):
         text = printed(step)
         if step.rule == "memo":
             k = i
-            while k < len(ref) and not names.same(text, printed(ref[k])):
+            while k < len(ref) and text != printed(ref[k]):
                 k += 1
             assert k < len(ref), f"memo step {j} ends no run of the reference"
         else:
             k = i
             assert k < len(ref) and step.rule == ref[k].rule, f"step {j}"
-            assert names.same(text, printed(ref[k])), f"step {j}"
+            assert text == printed(ref[k]), f"step {j}"
         i = k + 1
     assert i == len(ref), "the trace ends before the reference does"
-    return names
 
 
 def assert_memo_from_this_run(trace):
@@ -98,23 +73,16 @@ def assert_memo_from_this_run(trace):
             derived.add(key)
 
 
-def run_both(gamma, body):
-    """Both engines on one program: the two records, the trace's renaming
-    of existential names, and the lengths of both traces."""
+def compare(gamma, body):
+    """Both engines on one program, with equal records; returns the
+    lengths of both traces."""
     record, trace = outcome(_Typer, gamma, body)
     ref_record, ref = outcome(RefTyper, gamma, body)
     assert outcome(_Typer, gamma, body) == (record, trace)  # a run starts afresh
     assert_memo_from_this_run(trace)
-    names = assert_cut_from(trace, ref)
-    return record, ref_record, names, len(trace), len(ref)
-
-
-def compare(gamma, body):
-    """Both engines on one program, with equal records; returns the
-    lengths of both traces."""
-    record, ref_record, _, steps, ref_steps = run_both(gamma, body)
+    assert_cut_from(trace, ref)
     assert record == ref_record
-    return steps, ref_steps
+    return len(trace), len(ref)
 
 
 def parsed(src):
@@ -147,17 +115,11 @@ def test_generated_programs_agree_with_memo_per_premise():
 def test_shared_arguments_cut_repeated_derivations():
     """Programs that pass two or more arguments of one ground type reach
     `memo` steps that answer a judgment of an earlier premise, which the
-    reference derives again.  The records are equal but for the message of
-    an error after a cut: the run opened fewer existentials, so the message
-    may name one as the trace's renaming does (`?a1` for the reference's
-    `?a2`)."""
+    reference derives again; the records are equal all the same, error
+    messages included."""
     rng = random.Random(29)
     cut = 0
     for _ in range(300):
-        record, ref_record, names, steps, ref_steps = run_both(*gen_shared_program(rng))
+        steps, ref_steps = compare(*gen_shared_program(rng))
         cut += steps < ref_steps
-        if record != ref_record:
-            assert record[0] == "error" and steps < ref_steps, (record, ref_record)
-            assert record[:2] == ref_record[:2] and record[3] == ref_record[3]
-            assert names.same(record[2], ref_record[2]), (record, ref_record)
     assert cut > 100, cut

@@ -16,45 +16,11 @@ from polarf.errors import InvariantViolation
 from polarf.wellformed import wf_extension
 
 from gen import gen_related_pair, gen_type, holeify
+from references import ref_free_evars, ref_free_uvars, ref_nodes
 
 T = parse_type
 
 ID_TYPE = T("dn (forall a. a -> up a)", "+")
-
-
-# -- independent structural oracles used to cross-check the library ---------
-
-def walk_evars(t):
-    """Trivial structural recursion collecting existential names."""
-    out = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, EVar):
-            out.add(node.name)
-        elif isinstance(node, (Down, Up)):
-            stack.append(node.body)
-        elif isinstance(node, Arrow):
-            stack.extend([node.domain, node.codomain])
-        elif isinstance(node, Forall):
-            stack.append(node.body)
-        elif hasattr(node, "args"):
-            stack.extend(node.args)
-    return out
-
-
-def walk_uvars(t, bound=frozenset()):
-    if isinstance(t, UVar):
-        return set() if t.name in bound else {t.name}
-    if isinstance(t, EVar):
-        return set()
-    if isinstance(t, (Down, Up)):
-        return walk_uvars(t.body, bound)
-    if isinstance(t, Arrow):
-        return walk_uvars(t.domain, bound) | walk_uvars(t.codomain, bound)
-    if isinstance(t, Forall):
-        return walk_uvars(t.body, bound | {t.binder})
-    return set().union(*[walk_uvars(a, bound) for a in t.args]) if t.args else set()
 
 
 class TestFreeVars:
@@ -68,14 +34,14 @@ class TestFreeVars:
     def test_evars_under_constructor(self):
         t = Data("List", (EVar("?a"),))
         assert t.evars == {"?a"}
-        assert t.evars == walk_evars(t)
+        assert t.evars == ref_free_evars(t, True)
 
     def test_evars_match_structural_oracle(self):
         rng = random.Random(7)
         for _ in range(200):
             t = gen_type(rng, rng.choice("+-"))
             holed, _, _ = holeify(rng, t)
-            assert holed.evars == walk_evars(holed)
+            assert holed.evars == ref_free_evars(holed, True)
 
     def test_context_evars(self):
         theta = Context((Universal("a"), Unsolved("?x"),
@@ -95,7 +61,7 @@ class TestFreeVars:
         rng = random.Random(8)
         for _ in range(200):
             t = gen_type(rng, rng.choice("+-"))
-            assert free_uvars(t) == walk_uvars(t)
+            assert free_uvars(t) == ref_free_uvars(t, True)
 
 
 class TestSubstitution:
@@ -131,6 +97,16 @@ class TestSubstitution:
         assert outer == T("forall a b. a -> up b", "-")
         assert T(pretty(outer), "-") == outer
         assert outer.body.binder != outer.binder
+
+    def test_named_view_of_a_hint_free_in_the_scope(self):
+        t = Forall.bind("a", Arrow(UVar("a"), Up(BVar(0))))
+        assert (t.binder, t.body) == ("a1", Arrow(UVar("a"), Up(UVar("a1"))))
+        rng = random.Random(9)
+        for _ in range(100):
+            for q, _ in ref_nodes(gen_type(rng, "-", uvars=("a", "b")), True):
+                for hint in q.scope.uvars if type(q) is Forall else ():
+                    t = Forall.bind(hint, q.scope)
+                    assert Forall(t.binder, t.body) == t and t.binder not in t.scope.uvars
 
     def test_alpha_equivalence_of_renamed_binders(self):
         assert T("forall a. a -> up a", "-") == T("forall b. b -> up b", "-")

@@ -22,13 +22,13 @@ from gen import spine_source
 DIGESTS = {
     "A1": "9f5a98a2025a1482505f8601ffa0b64a421a9e8cdf05d335f3abaf4e9973bb2b",
     "A2": "731d2b636ce7f9e9edc0c220b56f403e4b6acef45a4795b4c5946c05ace8b58c",
-    "A3": "dd3398822b25c1167efdadf8e7f698906c7da85d7ab4ed344562fd78a77dab43",
+    "A3": "a665677d3661fdc9aa8c45bdfa7fe26733ff2696a838393c6bb49f46ba7b3aaf",
     "A4": "25e3c13a4e977645857f4c1a2a5e5cb94800b0cf146302e3cfb404254d71241a",
     "A5": "6c7ef8cd65bb4f6f69fb275e8a82738b22d8a28edf4d0d83af4d485c48f90ee7",
     "A6": "76a5cc5bfe669a7c7bd78271db59e4889cbdae86a007dba5bff0a416b5f1b21a",
     "A7": "a7aca90b94954dd72db281e049f9c749b4112747e7f525babf699576f8e8d13d",
     "A8": "b577de08d771f285e4c8123e5021e1ea3e83f6dec1986c9163ac1d460ca238aa",
-    "A9": "b4189d34bad35e22fa9bbb277e33f56a83679a25ab67711ad3df5e2d0e0d0ee9",
+    "A9": "cbc2eb001bcc4d1b9c5b5e9bce0de92b5e61f0d437b187bbec8cf8f922bc5230",
     "A10": "f30520149704e671bd4b9706c5f461f8ada18f6800094346f67d03848f6b0149",
     "A11": "76e00bb6b337448179b65e0818f5617f8270d8fb5470288c02a3f58941c065c6",
     "A12": "27662ce9c944154913ba7eebbe9870b41e31a6d664b421e64a2d93d5d8b98f6b",
