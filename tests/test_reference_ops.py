@@ -80,7 +80,7 @@ def ref_wf_type(theta, t, extra=frozenset()):
     """Well-formedness by name: each variable is bound by a quantifier above
     it, named in `extra` or in scope in `theta`."""
     universals = {e.name for e in theta.entries if isinstance(e, Universal)}
-    existentials = {e.name for e in theta.entries} - universals
+    existentials = {e.name for e in theta.entries if not isinstance(e, Universal)}
     for v, above in ref_nodes(t, True):
         cls = type(v)
         if (cls is UVar and v.name not in extra | universals

@@ -25,6 +25,7 @@ from polarf.typecheck import _Typer
 from gen import gen_program, gen_shared_program, letchain_source, spine_source
 from references import RefTyper
 
+
 def outcome(typer, gamma, body):
     """The record and the trace of a `typer` run on `body` under `gamma`."""
     run = typer(gamma)
