@@ -111,7 +111,7 @@ alone: it is remembered after it has succeeded and passed its
 postconditions, with the steps its derivation took on the fresh-existential
 counters.  A repeat in any later premise of the run returns its input
 context with a `memo` trace step, after its metric check, and takes those
-steps again, so every later existential is named as without the memo.
+steps again, so later existentials get the names deriving it again gives.
 Judgments whose ground side is a variable or a constant are not
 remembered: they take one rule, as a memo step does.  Failures end the
 run, so they are not remembered either.

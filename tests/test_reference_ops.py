@@ -32,8 +32,8 @@ from polarf import (
     synth_computation, wf_context,
 )
 from polarf.syntax import (
-    _Type, BoolLit, IntLit, Lambda, Let, LetAnn, PairVal, Return, Thunk, TypeAbs, Var,
-    fresh_name, open_block, subst_uvars, used_binders,
+    _Type, BoolLit, IntLit, Lambda, Let, LetAnn, PairVal, Return, Thunk,
+    TypeAbs, Var, fresh_name, open_block, subst_uvars, used_binders,
 )
 from polarf.wellformed import _wf, wf_extension
 
