@@ -28,7 +28,7 @@ from .syntax import (
     TypeAbs, TypeEnv, UVar, Universal, Up, Value, Var, bind_tyvar,
     fresh_name, is_ground,
 )
-from .wellformed import wf_annotation, wf_type
+from .wellformed import wf_annotation, wf_env, wf_type
 
 
 # caps that keep the search finite and honest
@@ -174,11 +174,9 @@ class _Search:
                         for x, y in zip(a.args, b.args)))
 
     def sub(self, theta, a, b, depth=0, extra=()) -> bool:
-        if isinstance(a, PosType) != isinstance(b, PosType):
+        if a.polarity != b.polarity:
             return False
-        if isinstance(a, PosType):
-            return self.pos(theta, a, b, depth, extra)
-        return self.neg(theta, a, b, depth, extra)
+        return (self.pos if a.polarity == "+" else self.neg)(theta, a, b, depth, extra)
 
     # -- declarative typing ------------------------------------------------
 
@@ -340,6 +338,7 @@ def decl_synth(theta, gamma: TypeEnv, term, universe=None):
     An empty result means the term is untypeable (within the universe).
     """
     theta = tuple(theta)
+    require(wf_env(_decl_ctx(theta), gamma), "environment is ill-formed")
     search = _Search(_typing_types(gamma, term) if universe is None else (), (), universe)
     if isinstance(term, Value):
         res = search.synth_value(theta, gamma, term, ())

@@ -569,14 +569,14 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
 
 
 def parse_type(text: str, polarity: str = "any", filename: str = "<type>"):
-    """Parse a single type; `polarity` is '+', '-', or 'any'."""
+    """Parse a single type; `polarity` is '+', '-', or 'any' (else ValueError)."""
+    if polarity not in ("+", "-", "any"):
+        raise ValueError(f"polarity must be '+', '-' or 'any', not {polarity!r}")
     p = _Parser(text, filename)
     t = p.whole_type()
     p.expect("eof")
-    if polarity == "+" and not isinstance(t, PosType):
-        p.err("expected a positive type")
-    if polarity == "-" and not isinstance(t, NegType):
-        p.err("expected a negative type")
+    if polarity != "any" and t.polarity != polarity:
+        p.err(f"expected a {'positive' if polarity == '+' else 'negative'} type")
     return t
 
 
@@ -636,9 +636,7 @@ def _pp_neg(n, env=None) -> str:
         return f"{_pp_pos(n.domain, env)} -> {_pp_neg(n.codomain, env)}"
     if isinstance(n, Up):
         return f"up {_pp_pos(n.body, env, True)}"
-    if isinstance(n, NegData):
-        return " ".join([n.constructor] + [_pp_pos(a, env, True) for a in n.args])
-    raise TypeError(f"not a negative type: {n!r}")
+    return " ".join([n.constructor] + [_pp_pos(a, env, True) for a in n.args])  # NegData
 
 
 class _Binders:

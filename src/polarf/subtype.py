@@ -317,11 +317,12 @@ class _Engine:
 
     def premise(self, polarity, theta: Context, a, b, error=InvariantViolation):
         """`subtype` for a context already known to be well-formed (see the
-        module docstring): the preconditions on the types; the memo lasts the run.
-        A failed precondition raises `error`: a ValueError for the caller
-        of `subtype_pos` or `subtype_neg`, else an InvariantViolation,
-        since a typing rule builds both sides to meet them."""
-        require(wf_type(theta, a) and wf_type(theta, b), "types must be well-formed", error)
+        module docstring): the preconditions on the types, both of `polarity`;
+        the memo lasts the run.  A failed precondition raises `error`: a
+        ValueError for the caller of `subtype_pos` or `subtype_neg`, else an
+        InvariantViolation, since a typing rule builds both sides to meet them."""
+        require(wf_type(theta, a) and wf_type(theta, b) and a.polarity == polarity == b.polarity,
+                "types must be well-formed", error)
         if polarity == "+":
             require(is_ground(a), "the left side of a positive judgment must be ground", error)
             require(theta.solutions.keys().isdisjoint(b.evars),

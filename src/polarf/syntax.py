@@ -29,7 +29,6 @@ node is built:
 - `dangling`: the largest index of a `BVar` below it that no `Forall` below
   it binds, counted from the node itself, or -1 if there is none (so a type
   is closed iff this is -1);
-- `typed`: whether every node below it is a type;
 - `prenex`: the number of quantifiers in its leading block (`Forall`s
   directly inside one another, from the node down); 0 unless it is a
   `Forall`;
@@ -38,16 +37,16 @@ node is built:
   children's kept hashes, and keeps it, so every later `hash()` is O(1);
   the memo keys of the subtyping engine and of the oracle hash whole
   types on every lookup.  It is not computed when the node is built: most
-  nodes are never hashed, and a node whose child is not a type still
-  builds.  A variable hashes its name or index on each call and keeps
+  nodes are never hashed.  A variable hashes its name or index and keeps
   nothing.
 
-The invariant is that a node's facts are those of the subtree below it.
+The invariant is that a node's facts are those of the subtree below it, and
+its constructor raises `TypeError` unless each child has the polarity it takes.
 A node's fields are never changed after it is built, so they stay true
 (the kept hash is filled in once, from the fields), and the
 operations that walked a type read them instead: free variables,
-groundness and size are attribute reads, and well-formedness is two set
-inclusions and an int test.
+groundness and size are attribute reads, and well-formedness is a class
+test, two set inclusions and an int test.
 
 One structural map (`_map`) serves every substitution, and it returns a
 subtree as it is when the subtree's facts show that the substitution
@@ -73,7 +72,7 @@ from .errors import InvariantViolation, Record, SourceSpan
 class _Type(Record):
     """The facts every type node carries (see the module docstring)."""
 
-    __slots__ = ("evars", "uvars", "size", "height", "dangling", "typed")
+    __slots__ = ("evars", "uvars", "size", "height", "dangling")
 
     prenex = 0  # a `Forall` keeps its own
 
@@ -86,12 +85,14 @@ class PosType(_Type):
     """Base class for positive (value) types."""
 
     __slots__ = ()
+    polarity = "+"
 
 
 class NegType(_Type):
     """Base class for negative (computation) types."""
 
     __slots__ = ()
+    polarity = "-"
 
 
 class _Composite(_Type):
@@ -114,24 +115,23 @@ Type = PosType | NegType
 _NONE = frozenset()
 
 
-class _NotAType:
-    """The facts a child that is not a type counts with: one node, and not
-    a type (so neither is its parent), as a walk would see it."""
+def _ill_kinded(node, child, polarity) -> TypeError:
+    kind = "positive" if polarity == "+" else "negative"
+    return TypeError(f"{type(node).__name__} takes a {kind} type, not {type(child).__name__}")
 
+
+def _combine(node, kids, polarity, size=1, shift=0):
+    """Give `node` the facts of its children `kids`, types of `polarity`
+    (None from `Arrow`, which checks its own): `size` is what the node adds
+    itself (a quantifier adds nothing) and `shift` the binders it puts
+    around them.  This runs for every node built, so it reads a child's
+    polarity, not its class; a child that is not a type makes a read fail."""
     evars = uvars = _NONE
-    size, height, dangling, typed = 1, 1, -1, False
-
-
-def _combine(node, kids, size=1, shift=0):
-    """Give `node` the facts of its children `kids`: `size` is what the node
-    adds itself (a quantifier adds nothing) and `shift` the binders it puts
-    around them.  This runs for every node built, so it reads the facts
-    without testing the children's class; a child that is not a type makes
-    a read fail, and then counts as `_NotAType`."""
-    evars = uvars = _NONE
-    total, height, dangling, typed = size, 1, -1, True
+    total, height, dangling = size, 1, -1
     try:
         for c in kids:
+            if polarity and c.polarity != polarity:
+                raise _ill_kinded(node, c, polarity)
             e, u = c.evars, c.uvars
             evars = e if evars <= e else evars if e <= evars else evars | e
             uvars = u if uvars <= u else uvars if u <= uvars else uvars | u
@@ -141,11 +141,9 @@ def _combine(node, kids, size=1, shift=0):
                 height = h + 1
             if c.dangling > dangling:
                 dangling = c.dangling
-            typed = typed and c.typed
     except AttributeError:
-        kids = [c if isinstance(c, _Type) else _NotAType for c in kids]
-        return _combine(node, kids, size, shift)
-    node.evars, node.uvars, node.size, node.typed = evars, uvars, total, typed
+        raise _ill_kinded(node, c, polarity) from None
+    node.evars, node.uvars, node.size = evars, uvars, total
     node.height, node._hash = height, None
     node.dangling = dangling - shift if dangling >= shift else -1
 
@@ -161,7 +159,7 @@ class UVar(PosType):
     """Universal type variable."""
 
     __slots__ = _fields = ("name",)
-    evars, size, height, dangling, typed = _NONE, 1, 1, -1, True
+    evars, size, height, dangling = _NONE, 1, 1, -1
 
     def __init__(self, name: str):
         self.name, self.uvars = name, frozenset((name,))
@@ -172,7 +170,7 @@ class BVar(PosType):
     the variable of the nearest enclosing `Forall`, `BVar(1)` the next."""
 
     __slots__ = _fields = ("index",)
-    evars, uvars, size, height, typed = _NONE, _NONE, 1, 1, True
+    evars, uvars, size, height = _NONE, _NONE, 1, 1
 
     def __init__(self, index: int):
         self.index = self.dangling = index
@@ -182,7 +180,7 @@ class EVar(PosType):
     """Existential placeholder; checker-internal, never produced by parsing."""
 
     __slots__ = _fields = ("name",)
-    uvars, size, height, dangling, typed = _NONE, 1, 1, -1, True
+    uvars, size, height, dangling = _NONE, 1, 1, -1
 
     def __init__(self, name: str):
         self.name, self.evars = name, frozenset((name,))
@@ -195,7 +193,7 @@ class Down(PosType, _Composite):
 
     def __init__(self, body: NegType):
         self.body = body
-        _combine(self, (body,))
+        _combine(self, (body,), "-")
 
 
 class Data(PosType, _Composite):
@@ -205,7 +203,7 @@ class Data(PosType, _Composite):
 
     def __init__(self, constructor: str, args: tuple = ()):
         self.constructor, self.args = constructor, args
-        _combine(self, args)
+        _combine(self, args, "+")
 
 
 class Arrow(NegType, _Composite):
@@ -214,8 +212,11 @@ class Arrow(NegType, _Composite):
     __slots__ = _fields = ("domain", "codomain")
 
     def __init__(self, domain: PosType, codomain: NegType):
+        if not (isinstance(domain, PosType) and isinstance(codomain, NegType)):
+            raise TypeError("Arrow takes a positive and a negative type, not "
+                            f"{type(domain).__name__} and {type(codomain).__name__}")
         self.domain, self.codomain = domain, codomain
-        _combine(self, (domain, codomain))
+        _combine(self, (domain, codomain), None)
 
 
 class Forall(NegType, _Composite):
@@ -235,17 +236,19 @@ class Forall(NegType, _Composite):
     _fields = ("scope",)
 
     def __init__(self, binder: str, body: NegType):
+        if not isinstance(body, NegType):
+            raise _ill_kinded(self, body, "-")
         scope = _map(body, lambda v, k: BVar(k), lambda u, k: binder not in u.uvars)
-        self.scope, self.hint, self.prenex = scope, binder, 1 + getattr(scope, "prenex", 0)
+        self.scope, self.hint, self.prenex = scope, binder, 1 + scope.prenex
         self._named = binder, body
-        _combine(self, (scope,), 0, 1)
+        _combine(self, (scope,), "-", 0, 1)
 
     @classmethod
     def bind(cls, hint: str, scope: NegType) -> "Forall":
         """The quantifier whose scope is `scope` (its variable is `BVar(0)`)."""
         self = object.__new__(cls)
-        self.scope, self.hint, self.prenex = scope, hint, 1 + getattr(scope, "prenex", 0)
-        _combine(self, (scope,), 0, 1)
+        _combine(self, (scope,), "-", 0, 1)
+        self.scope, self.hint, self.prenex = scope, hint, 1 + scope.prenex
         return self
 
     def __reduce__(self):
@@ -277,7 +280,7 @@ class Up(NegType, _Composite):
 
     def __init__(self, body: PosType):
         self.body = body
-        _combine(self, (body,))
+        _combine(self, (body,), "+")
 
 
 class NegData(NegType, _Composite):
@@ -287,7 +290,7 @@ class NegData(NegType, _Composite):
 
     def __init__(self, constructor: str, args: tuple = ()):
         self.constructor, self.args = constructor, args
-        _combine(self, args)
+        _combine(self, args, "+")
 
 
 def _map(t: Type, leaf, skip, k: int = 0) -> Type:

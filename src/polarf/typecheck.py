@@ -316,7 +316,7 @@ def _synth(judge, theta: Context, gamma: TypeEnv, *args,
     require(wf_context(theta), "input context is ill-formed")
     require(wf_env(theta, gamma), env_error)
     if head is not None:
-        require(wf_type(theta, head), "head type is ill-formed")
+        require(isinstance(head, NegType) and wf_type(theta, head), "head type is ill-formed")
         require(theta.solutions.keys().isdisjoint(head.evars),
                 "head type must not mention solved existentials")
     run = _Typer(gamma, trace)

@@ -1,8 +1,8 @@
 """Well-formedness checks for types, contexts, and typing environments.
 
-These gate every public checker entry point: universal variables must be
-bound in the context, existentials must be tracked by it, bound variables
-must have a binder, solutions and environment bindings must be ground.
+These gate every public checker entry point: universal variables must be bound
+in the context, existentials must be tracked by it, bound variables must have a
+binder, solutions and environment bindings must be positive and ground.
 """
 
 from __future__ import annotations
@@ -24,27 +24,26 @@ def wf_type(theta: Context, t) -> bool:
     return _wf(t, theta.uvar_names, theta.evar_names)
 
 
-def _wf(t, uvars, evars) -> bool:
-    """Every node of `t` is a type, every universal of `t` is in `uvars`,
+def _wf(t, uvars, evars, cls=(PosType, NegType)) -> bool:
+    """`t` is a type of class `cls`, every universal of `t` is in `uvars`,
     every existential in `evars`, and every bound variable is under its
-    binder; read from `t`'s facts."""
-    return (isinstance(t, (PosType, NegType)) and t.typed and t.dangling < 0
-            and t.uvars <= uvars and t.evars <= evars)
+    binder; read from `t`'s root class and facts."""
+    return isinstance(t, cls) and t.dangling < 0 and t.uvars <= uvars and t.evars <= evars
 
 
 def wf_annotation(theta: Context, anno: PosType, renamed: dict):
     """An annotation's type in terms of the universals in scope, or None
-    unless it is ground and well-formed there.  `renamed` maps the source
-    names of shadowing type abstractions (see `syntax.bind_tyvar`)."""
+    unless it is positive, ground and well-formed there.  `renamed` maps
+    the source names of shadowing type abstractions (`syntax.bind_tyvar`)."""
     names = free_uvars(anno) & renamed.keys() if renamed else ()
     if any(renamed[a] is None for a in names):
         return None
     p = subst_uvars({a: UVar(renamed[a]) for a in names}, anno) if names else anno
-    return p if _wf(p, theta.uvar_names, _NONE) else None
+    return p if _wf(p, theta.uvar_names, _NONE, PosType) else None
 
 
 def wf_context(theta: Context) -> bool:
-    """Entry names are fresh and every solution is ground and scoped to its prefix.
+    """Entry names are fresh and every solution is positive, ground and scoped to its prefix.
 
     One pass: `universals` holds the universals seen so far, which is all a
     ground solution can mention.
@@ -57,7 +56,7 @@ def wf_context(theta: Context) -> bool:
         seen.add(e.name)
         if isinstance(e, Universal):
             universals.add(e.name)
-        elif isinstance(e, Solved) and not _wf(e.solution, universals, _NONE):
+        elif isinstance(e, Solved) and not _wf(e.solution, universals, _NONE, PosType):
             return False
     return True
 
@@ -158,17 +157,17 @@ def _delta(theta: Context, out: Context, weak: bool) -> bool:
     for e in new[n:]:
         name = e.name
         if (type(e) is Universal or name in positions or name in names
-                or type(e) is Solved and not _wf(e.solution, uvars, _NONE)):
+                or type(e) is Solved and not _wf(e.solution, uvars, _NONE, PosType)):
             return False
         names.add(name)
     return True
 
 
 def scoped(p, theta: Context, i: int) -> bool:
-    """Is `p` ground, and does it mention only universals that come before
-    position `i` of the well-formed context `theta`?"""
+    """Is `p` positive and ground, and does it mention only universals that
+    come before position `i` of the well-formed context `theta`?"""
     positions = theta.positions
-    return _wf(p, theta.uvar_names, _NONE) and all(positions[a] < i for a in p.uvars)
+    return _wf(p, theta.uvar_names, _NONE, PosType) and all(positions[a] < i for a in p.uvars)
 
 
 def restrict_context(theta_prime: Context, theta: Context) -> Context:
@@ -187,6 +186,6 @@ def restrict_context(theta_prime: Context, theta: Context) -> Context:
 
 
 def wf_env(theta: Context, gamma: TypeEnv) -> bool:
-    """Every binding's type is ground and well-formed in the context."""
+    """Every binding's type is positive, ground and well-formed in the context."""
     uvars = theta.uvar_names
-    return all(_wf(p, uvars, _NONE) for _, p in gamma)
+    return all(_wf(p, uvars, _NONE, PosType) for _, p in gamma)

@@ -298,6 +298,15 @@ def letchain_source(n: int) -> str:
     return LETCHAIN_ENV + "run " + "\n".join(lines) + f"\nreturn x{n - 1}\n"
 
 
+def prenex_source(k: int, accepted: bool = True) -> tuple:
+    """`forall a1..ak. a1 -> .. -> ak -> up a1` and a ground arrow that fits
+    it, or (unless `accepted`) that differs only in the result."""
+    binders = [f"a{i}" for i in range(1, k + 1)]
+    quantified = f"forall {' '.join(binders)}. {' -> '.join(binders)} -> up a1"
+    ground = " -> ".join(("Int", "Bool", "String")[i % 3] for i in range(k))
+    return quantified, f"{ground} -> up {'Int' if accepted else 'Bool'}"
+
+
 def spine_source(k: int) -> str:
     """One application of a `k`-quantifier, `k`-argument head."""
     binders = [f"a{i}" for i in range(1, k + 1)]

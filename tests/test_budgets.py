@@ -40,7 +40,7 @@ from polarf.corpus import EXAMPLES, STRIPPED
 from polarf.parser import MAX_TYPE_HEIGHT
 from polarf.syntax import Arrow, Data, Down, Forall, NegData, Up
 
-from gen import letchain_source, spine_source
+from gen import letchain_source, prenex_source, spine_source
 from references import ref_nodes
 
 
@@ -178,14 +178,8 @@ def test_repeats_through_arrows_under_a_shift(rule_budget):
 
 # -- node builds of wide prenex blocks and long spines -------------------------------
 
-LEAVES = ("Int", "Bool", "String")
-
-
 def prenex_query(k):
-    binders = [f"a{i}" for i in range(1, k + 1)]
-    ground = " -> ".join(LEAVES[i % 3] for i in range(k))
-    quantified = f"forall {' '.join(binders)}. {' -> '.join(binders)} -> up a1"
-    return parse_type(quantified, "-"), parse_type(f"{ground} -> up Int", "-")
+    return tuple(parse_type(side, "-") for side in prenex_source(k))
 
 
 def node_builds(monkeypatch, run):

@@ -8,7 +8,7 @@ from polarf import (
     Arrow, Context, Data, Forall, NegType, OracleBudgetExceeded, PosType,
     Return, TypeCheckError, TypeEnv, UVar, Up, Var,
     candidate_universe, decl_iso, decl_subtype, decl_synth, parse_program,
-    parse_type, pretty, subst_type, subtype_neg,
+    parse_type, pretty, subst_type, subtype_neg, synth_computation,
 )
 from polarf import oracle
 from polarf.corpus import by_name
@@ -182,6 +182,18 @@ class TestDeclSynth:
         got = decl_synth((), gamma, Return(Var("x")))
         assert len(got) == 1
         assert got[0] == T("up (dn (forall a. a -> up a))", "-")
+
+    def test_environment_is_gated_as_synth_does(self):
+        """`decl_synth` refuses an environment the algorithm refuses, with
+        the same ValueError: a universal out of scope, or a negative type."""
+        for p in (T("List a", "+"), T("Int -> up Int", "-")):
+            gamma = TypeEnv((("x", p),))
+            for synth in (decl_synth, lambda th, g, t: synth_computation(Context(), g, t)):
+                with pytest.raises(ValueError, match="environment is ill-formed"):
+                    synth((), gamma, Return(Var("x")))
+        # in scope, the binding is well-formed
+        assert decl_synth(("a",), TypeEnv((("x", T("List a", "+")),)), Return(Var("x"))) \
+            == (T("up (List a)", "-"),)
 
     def test_c3_is_a_singleton_up_to_iso(self):
         gamma = _program_env(["head", "ids"])

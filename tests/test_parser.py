@@ -39,6 +39,12 @@ class TestParseType:
         with pytest.raises(TypeCheckError):
             parse_type("a", "-")
 
+    @pytest.mark.parametrize("polarity", ["+ ", "pos", "", None, "any "])
+    def test_unknown_polarity_is_a_value_error(self, polarity):
+        # checked before lexing: the text itself does not lex
+        with pytest.raises(ValueError, match="polarity must be"):
+            parse_type("up Int $", polarity)
+
     def test_product_sugar(self):
         assert parse_type("Int * Bool", "+") == Data("Pair", (Data("Int", ()),
                                                               Data("Bool", ())))

@@ -380,9 +380,8 @@ def test_copies_and_pickles_rebuild_the_facts():
         for t in [*leaves, *built_types(rng)]:
             for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
                 assert twin == t and type(twin) is type(t) and hash(twin) == hash(t)
-                assert (twin.evars, twin.uvars, twin.size, twin.height, twin.dangling,
-                        twin.typed) \
-                    == (t.evars, t.uvars, t.size, t.height, t.dangling, t.typed)
+                assert (twin.evars, twin.uvars, twin.size, twin.height, twin.dangling) \
+                    == (t.evars, t.uvars, t.size, t.height, t.dangling)
                 assert_facts(twin)
                 if isinstance(t, Forall):
                     assert twin.hint == t.hint and twin.body == t.body
@@ -391,18 +390,17 @@ def test_copies_and_pickles_rebuild_the_facts():
 
 
 def test_facts_of_types_with_a_child_that_is_not_a_type():
-    junk = [Data("List", ("a",)), Arrow(UVar("a"), None), Down(3),
-            Up(Data("Pair", (EVar("?x"), "b"))), NegData("ST", (UVar("a"), []))]
-    for t in junk + [Forall.bind("a", Arrow(BVar(0), j)) for j in junk if isinstance(j, NegType)]:
-        assert not t.typed
-        assert_facts(t)
-    assert not _wf("not a type", frozenset(), frozenset())
-    # a node builds whatever its children are; one that holds an unhashable
-    # child fails only when it is hashed, and every time
-    assert hash(junk[0]) == hash(Data("List", ("a",)))
-    for _ in range(2):
+    """A node whose child is not a type is never built, so no fact counts
+    one: each constructor raises TypeError, and `_wf` refuses a root that
+    is not a type."""
+    junk = [lambda: Data("List", ("a",)), lambda: Arrow(UVar("a"), None),
+            lambda: Down(3), lambda: Up(Data("Pair", (EVar("?x"), "b"))),
+            lambda: NegData("ST", (UVar("a"), [])), lambda: Data("List", "ab"),
+            lambda: Forall.bind("a", Arrow(BVar(0), None)), lambda: Forall("a", 3)]
+    for build in junk:
         with pytest.raises(TypeError):
-            hash(junk[-1])
+            build()
+    assert not _wf("not a type", frozenset(), frozenset())
 
 
 def rebuilt(t, rename):

@@ -12,6 +12,7 @@ from polarf import (
     Unsolved, Up, apply_context, extends, free_uvars, num_prenex, parse_type,
     pretty, restrict_context, subst_type,
 )
+from polarf import DataDecl, NegData
 from polarf.errors import InvariantViolation
 from polarf.wellformed import wf_extension
 
@@ -21,6 +22,46 @@ from references import ref_free_evars, ref_free_uvars, ref_nodes
 T = parse_type
 
 ID_TYPE = T("dn (forall a. a -> up a)", "+")
+
+
+INT, UP_INT = Data("Int"), Up(Data("Int"))
+
+# each composite constructor (its class name, and a builder given the child
+# under test) with the polarity the grammar gives that child
+CONSTRUCTORS = [
+    pytest.param("Down", Down, "-", id="Down"),
+    pytest.param("Data", lambda c: Data("Pair", (INT, c)), "+", id="Data"),
+    pytest.param("Arrow", lambda c: Arrow(c, UP_INT), "+", id="Arrow-domain"),
+    pytest.param("Arrow", lambda c: Arrow(INT, c), "-", id="Arrow-codomain"),
+    pytest.param("Forall", lambda c: Forall("a", c), "-", id="Forall"),
+    pytest.param("Forall", lambda c: Forall.bind("a", c), "-", id="Forall.bind"),
+    pytest.param("Up", Up, "+", id="Up"),
+    pytest.param("NegData", lambda c: NegData("ST", (UVar("a"), c)), "+", id="NegData"),
+]
+
+
+@pytest.mark.parametrize("name,build,polarity", CONSTRUCTORS)
+class TestWellKinded:
+    """A constructor takes only children of the polarity the grammar gives
+    them: a child of the other polarity, or one that is not a type, raises
+    TypeError naming the constructor."""
+
+    def test_child_of_the_wrong_polarity_is_refused(self, name, build, polarity):
+        good = INT if polarity == "+" else UP_INT
+        assert build(good).polarity in ("+", "-")
+        wrong = [c for c in (INT, UP_INT, BVar(0), EVar("?x"), Down(UP_INT),
+                             Forall("b", UP_INT), NegData("ST", ()))
+                 if c.polarity != polarity]
+        assert len(wrong) >= 2
+        for child in wrong:
+            with pytest.raises(TypeError, match=f"^{name} takes a "):
+                build(child)
+
+    def test_child_that_is_not_a_type_is_refused(self, name, build, polarity):
+        # a `DataDecl` has a `polarity` field, but it is not a type
+        for child in (None, 3, "a", (INT,), Universal("a"), DataDecl("Int", polarity, 0)):
+            with pytest.raises(TypeError, match=f"^{name} takes a "):
+                build(child)
 
 
 class TestFreeVars:

@@ -17,7 +17,7 @@ from polarf import Context, TypeCheckError, parse_type, subtype_neg
 from polarf.cli import check_source_json
 from polarf.corpus import EXAMPLES, STRIPPED
 
-from gen import spine_source
+from gen import prenex_source, spine_source
 
 DIGESTS = {
     "A1": "9f5a98a2025a1482505f8601ffa0b64a421a9e8cdf05d335f3abaf4e9973bb2b",
@@ -74,18 +74,6 @@ def test_traced_record_digest(ex):
 # the context, yet the per-quantifier steps print as they did when each
 # quantifier was opened on its own and each head was completed first.
 
-LEAVES = ("Int", "Bool", "String")
-
-
-def prenex_query(k, accepted):
-    """`forall a1..ak. a1 -> .. -> ak -> up a1` against a ground arrow that
-    fits it, or that differs only in the result."""
-    binders = [f"a{i}" for i in range(1, k + 1)]
-    quantified = f"forall {' '.join(binders)}. {' -> '.join(binders)} -> up a1"
-    ground = " -> ".join(LEAVES[i % 3] for i in range(k))
-    return quantified, f"{ground} -> up {'Int' if accepted else 'Bool'}"
-
-
 PRENEX_DIGESTS = {
     (1, True): "38af8a6ba73768cef6b850fb37e9ae6b799659b411846df058661fd5df264a24",
     (1, False): "84e444c5a212e12151dd6dd2f4ec87a4984f08709489cfc91086069ddfc58b02",
@@ -110,7 +98,7 @@ def printed(trace):
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
 @pytest.mark.parametrize("accepted", [True, False], ids=["accept", "reject"])
 def test_prenex_trace_digest(k, accepted):
-    left, right = prenex_query(k, accepted)
+    left, right = prenex_source(k, accepted)
     n, m = parse_type(left, "-"), parse_type(right, "-")
     try:
         record = {"trace": printed(subtype_neg(Context(), n, m).trace)}

@@ -3,10 +3,12 @@
 import pytest
 
 from polarf import (
-    Arrow, BVar, Context, Data, Down, EVar, Forall, Return, Solved, TypeEnv,
-    UVar, Universal, Unsolved, Up, Var, parse_type, subtype_neg, subtype_pos,
-    synth_computation, synth_spine, synth_value, wf_context, wf_env, wf_type,
+    Arrow, BVar, Context, Data, Down, EVar, Forall, IntLit, Lambda, LetAnn,
+    Return, Solved, TypeCheckError, TypeEnv, UVar, Universal, Unsolved, Up,
+    Var, parse_type, subtype_neg, subtype_pos, synth_computation, synth_spine,
+    synth_value, wf_context, wf_env, wf_type,
 )
+from polarf.wellformed import scoped, wf_extension
 
 T = parse_type
 
@@ -99,3 +101,53 @@ class TestWfEnv:
         env = TypeEnv((("x", Down(Arrow(UVar("a"), Up(UVar("a"))))),))
         assert wf_env(theta, env)
         assert not wf_env(Context(), env)
+
+
+INT, UP_INT = Data("Int"), Up(Data("Int"))
+
+
+class TestGatesAskForTheRootPolarity:
+    """A type is well-kinded below its root when it is built, so each gate
+    asks only for the root class it needs."""
+
+    def test_subtyping_sides_have_the_judgment_polarity(self):
+        for check, side in ((subtype_neg, INT), (subtype_pos, UP_INT)):
+            with pytest.raises(ValueError, match="types must be well-formed"):
+                check(Context(), side, side)
+        with pytest.raises(ValueError):
+            subtype_neg(Context(), UP_INT, INT)
+
+    def test_ill_kinded_types_cannot_be_built(self):
+        with pytest.raises(TypeError, match="^Data "):
+            Data("List", (UP_INT,))
+        with pytest.raises(TypeError, match="^Forall "):
+            Forall.bind("a", BVar(0))
+
+    def test_spine_head_is_negative(self):
+        with pytest.raises(ValueError, match="head type is ill-formed"):
+            synth_spine(Context(), TypeEnv(), (), INT)
+
+    def test_solutions_are_positive(self):
+        assert not wf_context(Context((Solved("?a", UP_INT),)))
+        theta = Context((Unsolved("?a"),))
+        assert not wf_extension(theta, theta.solve("?a", UP_INT))
+        assert not wf_extension(theta, theta.push(Solved("?b", UP_INT)), weak=True)
+        assert not scoped(UP_INT, theta, 1) and scoped(INT, theta, 1)
+
+    def test_environment_bindings_are_positive(self):
+        env = TypeEnv((("f", Arrow(INT, UP_INT)),))
+        assert not wf_env(Context(), env)
+        with pytest.raises(ValueError, match="environment is ill-formed"):
+            synth_computation(Context(), env, Return(Var("f")))
+
+    def test_annotations_are_positive(self):
+        env = TypeEnv((("f", Down(Arrow(INT, UP_INT))),))
+        for term in (Lambda("x", UP_INT, Return(Var("x"))),
+                     LetAnn("y", UP_INT, Var("f"), (IntLit(1),), Return(Var("y")))):
+            with pytest.raises(TypeCheckError) as e:
+                synth_computation(Context(), env, term)
+            assert e.value.kind == "unbound-variable"
+            assert e.value.message.endswith("annotation up Int is not well-formed here")
+
+    def test_wf_type_takes_either_polarity(self):
+        assert wf_type(Context(), INT) and wf_type(Context(), UP_INT)

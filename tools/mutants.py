@@ -15,7 +15,7 @@ For each mutation it prints the failed and passed counts and the test
 files that failed.  A mutation survives when no test fails.  A mutation
 no longer applies when its text is not found exactly once in its file.
 Exits 2 if a mutation no longer applies, else 1 if one survives, else 0.
-A run of all of them takes about as long as nine tier-1 runs.
+A run of all of them takes about as long as eleven tier-1 runs.
 """
 
 from __future__ import annotations
@@ -69,6 +69,14 @@ MUTATIONS = {
            "subtype.py",
            "self._counts[base] = self._counts.get(base, 0) + advance",
            "pass"),
+    "M10": ("_combine skips the polarity test",
+            "syntax.py",
+            "if polarity and c.polarity != polarity:",
+            "if False:"),
+    "M11": ("premise drops its root-class test",
+            "subtype.py",
+            " and a.polarity == polarity == b.polarity",
+            ""),
 }
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
