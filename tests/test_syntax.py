@@ -8,11 +8,10 @@ import re
 import pytest
 
 from polarf import (
-    Arrow, BVar, Context, Data, Down, EVar, Forall, Solved, UVar, Universal,
-    Unsolved, Up, apply_context, extends, free_uvars, num_prenex, parse_type,
-    pretty, restrict_context, subst_type,
+    Arrow, BVar, Context, Data, DataDecl, Down, EVar, Forall, NegData, Solved,
+    UVar, Universal, Unsolved, Up, apply_context, extends, free_uvars,
+    num_prenex, parse_type, pretty, restrict_context, subst_type,
 )
-from polarf import DataDecl, NegData
 from polarf.errors import InvariantViolation
 from polarf.wellformed import wf_extension
 

@@ -107,8 +107,9 @@ INT, UP_INT = Data("Int"), Up(Data("Int"))
 
 
 class TestGatesAskForTheRootPolarity:
-    """A type is well-kinded below its root when it is built, so each gate
-    asks only for the root class it needs."""
+    """A type is well-kinded below its root when it is built (see
+    `test_syntax.TestWellKinded`), so each gate asks only for the root
+    class it needs."""
 
     def test_subtyping_sides_have_the_judgment_polarity(self):
         for check, side in ((subtype_neg, INT), (subtype_pos, UP_INT)):
@@ -116,12 +117,6 @@ class TestGatesAskForTheRootPolarity:
                 check(Context(), side, side)
         with pytest.raises(ValueError):
             subtype_neg(Context(), UP_INT, INT)
-
-    def test_ill_kinded_types_cannot_be_built(self):
-        with pytest.raises(TypeError, match="^Data "):
-            Data("List", (UP_INT,))
-        with pytest.raises(TypeError, match="^Forall "):
-            Forall.bind("a", BVar(0))
 
     def test_spine_head_is_negative(self):
         with pytest.raises(ValueError, match="head type is ill-formed"):
@@ -148,6 +143,3 @@ class TestGatesAskForTheRootPolarity:
                 synth_computation(Context(), env, term)
             assert e.value.kind == "unbound-variable"
             assert e.value.message.endswith("annotation up Int is not well-formed here")
-
-    def test_wf_type_takes_either_polarity(self):
-        assert wf_type(Context(), INT) and wf_type(Context(), UP_INT)
