@@ -98,7 +98,7 @@ def ref_wf_context(theta):
             return False
         seen.add(e.name)
         if isinstance(e, Solved):
-            if ref_free_evars(e.solution):
+            if ref_free_evars(e.solution) or not isinstance(e.solution, PosType):
                 return False
             if not ref_wf_type(Context(theta.entries[:i]), e.solution):
                 return False
@@ -256,7 +256,7 @@ def test_single_substitutions_match_reference():
 
 def random_context(rng):
     """Contexts of every kind: duplicate names, solutions that mention later
-    universals or existentials, and well-formed ones."""
+    universals or existentials, negative solutions, and well-formed ones."""
     pool = [Universal("a"), Universal("b"), Universal("c"), Unsolved("?x"),
             Unsolved("?y")]
     entries = []
@@ -266,8 +266,10 @@ def random_context(rng):
             entries.append(rng.choice(pool))
         elif roll < 0.9:
             entries.append(Solved(f"?s{rng.randint(0, 3)}", solution(rng)))
-        else:
+        elif roll < 0.95:
             entries.append(Solved("?e", Data("List", (EVar(rng.choice(["?x", "?s0"])),))))
+        else:
+            entries.append(Solved(f"?s{rng.randint(0, 3)}", Up(solution(rng))))
     return Context(tuple(entries))
 
 
