@@ -596,7 +596,7 @@ def pretty(x) -> str:
     if isinstance(x, Context):
         return _pp_context(x)
     if isinstance(x, TypeEnv):
-        return ", ".join(f"{n} : {_pp_pos(p)}" for n, p in x) or "·"
+        return ", ".join(f"{n} : {pretty(p)}" for n, p in x) or "·"
     raise TypeError(f"cannot pretty-print {x!r}")
 
 

@@ -87,12 +87,14 @@ side.  `tests/test_delta_checks.py` compares both lemmas with the full
 checks on every rule of the generated suites and the corpus.
 
 A checking run (`_Engine`; the typer extends it) has one trace and one
-counter of fresh existentials.  A trace step keeps its judgment and its
-contexts as objects and prints them only when read, and a failure keeps
-the types in its message the same way (`TypeCheckError.parts`), read
-through the context of the rule that failed.  A run asked for no trace
-(`trace=False`) builds no steps at all, and its failures carry an empty
-trace.
+memo.  A fresh existential is named against its context, as a universal
+is (`fresh_evar`): its binder's hint and the smallest number from 0 up
+whose name neither the context nor the block being opened holds.  A trace
+step keeps its judgment and its contexts as objects and prints them only
+when read, and a failure keeps the types in its message the same way
+(`TypeCheckError.parts`), read through the context of the rule that
+failed.  A run asked for no trace (`trace=False`) builds no steps at all,
+and its failures carry an empty trace.
 
 Within one checking run, a ground/ground judgment under an invariant rule
 is derived once: the memo starts empty with the run and lasts across all
@@ -107,14 +109,12 @@ key hashes in O(1) after a node's first hash: a type node keeps its hash
 (see `syntax`), so each node is hashed once, when a key that holds it is
 first looked up.  A ground/ground judgment solves no existential, so its
 output context is its input context and its truth depends on the key
-alone: it is remembered after it has succeeded and passed its
-postconditions, with the steps its derivation took on the fresh-existential
-counters.  A repeat in any later premise of the run returns its input
-context with a `memo` trace step, after its metric check, and takes those
-steps again, so later existentials get the names deriving it again gives.
-Judgments whose ground side is a variable or a constant are not
-remembered: they take one rule, as a memo step does.  Failures end the
-run, so they are not remembered either.
+alone: its key is remembered after it has succeeded and passed its
+postconditions.  A repeat in any later premise of the run returns its input
+context with a `memo` trace step, after its metric check.  Deriving it again
+leaves the same context, so no later name moves.  Judgments whose ground
+side is a variable or a constant are not remembered: they take one rule, as
+a memo step does.  Failures end the run, so they are not remembered either.
 """
 
 from __future__ import annotations
@@ -245,32 +245,21 @@ def _check_metric(parent, child, goal):
         raise InvariantViolation(f"decidability metric did not decrease at {show(goal)}")
 
 
+def fresh_evar(base: str, taken) -> str:
+    """A fresh existential: `?`, the binder's name and the smallest number
+    from 0 up that gives a name not among `taken`."""
+    n = 0
+    while f"?{base}{n}" in taken:
+        n += 1
+    return f"?{base}{n}"
+
+
 class _Engine:
-    """One checking run: its trace (None if not asked for), its
-    fresh-existential counter and its memo."""
+    """One checking run: its trace (None if not asked for) and its memo."""
 
     def __init__(self, trace=True):
         self.trace = [] if trace else None
-        self._counts = {}  # binder hint -> next fresh-existential number
-        self._steps = []  # (hint, advance) of each counter step of the run
-        self.memo = {}  # remembered judgment's key -> the counter steps it took
-
-    def fresh_evar(self, base: str, taken) -> str:
-        """A fresh existential: the binder's name plus a counter
-        (reproducible), not among the names `taken`."""
-        n = m = self._counts.get(base, 0)
-        while f"?{base}{n}" in taken:
-            n += 1
-        self._counts[base] = n + 1
-        self._steps.append((base, n + 1 - m))
-        return f"?{base}{n}"
-
-    def _hit(self, steps, goal, theta):
-        """A memo hit: a `memo` step, with the counter steps of the derivation it cuts."""
-        for base, advance in steps:
-            self._counts[base] = self._counts.get(base, 0) + advance
-        self._steps += steps
-        self._record("memo", goal, theta, theta)
+        self.memo = set()  # the keys of the remembered judgments
 
     def _open(self, theta: Context, n: NegType, k: int, skip_unused: bool):
         """Open the first k quantifiers of `n` at once (see the module
@@ -283,7 +272,7 @@ class _Engine:
         ps, t = [], n
         for i in range(k):
             if i in used:
-                name = self.fresh_evar(t.hint, taken)
+                name = fresh_evar(t.hint, taken)
                 taken[name] = None
                 ps.append(EVar(name))
             else:
@@ -333,13 +322,13 @@ class _Engine:
                 "the left side must not mention solved existentials", error)
         return self.neg(theta, a, b, None)[1]
 
-    def _remember(self, key, start, theta, out, goal):
+    def _remember(self, key, theta, out, goal):
         if key is None:
             return
         if out is not theta and out != theta:
             raise InvariantViolation(
                 f"ground judgment changed its context in {show(read(theta, goal))}")
-        self.memo[key] = self._steps[start:]
+        self.memo.add(key)
 
     def _data(self, theta, ground, other, goal, metric):
         """The invariant datatype rule: the same constructor and arity, then
@@ -366,14 +355,12 @@ class _Engine:
         goal = (p, " <=+ ", q)
         metric = _metric_pos(p, q)
         _check_metric(parent, metric, goal)
-        key = start = None
+        key = None
         if shared and metric[0] != 1 and not q.evars:
             key = ("+", theta.erased, p, q)
-            steps = self.memo.get(key)
-            if steps is not None:
-                self._hit(steps, goal, theta)
+            if key in self.memo:
+                self._record("memo", goal, theta, theta)
                 return q.size, theta
-            start = len(self._steps)
 
         if isinstance(q, EVar):
             i = theta.positions.get(q.name)
@@ -405,7 +392,7 @@ class _Engine:
             self._mismatch(theta, goal, p, " is not a subtype of ", q)
 
         _check_post(theta, out, metric[0], size, goal)
-        self._remember(key, start, theta, out, goal)
+        self._remember(key, theta, out, goal)
         return size, out
 
     # -- negative: m ground, n read through the context ---------------------
@@ -414,16 +401,14 @@ class _Engine:
         goal = (n, " <=- ", m)
         metric = _metric_neg(n, m)
         _check_metric(parent, metric, goal)
-        key = start = None
+        key = None
         if shared and metric[0] != 1:
             read_n = apply_context(theta, n)
             if not read_n.evars:
                 key = ("-", theta.erased, read_n, m)
-                steps = self.memo.get(key)
-                if steps is not None:
-                    self._hit(steps, goal, theta)
+                if key in self.memo:
+                    self._record("memo", goal, theta, theta)
                     return read_n.size, theta
-                start = len(self._steps)
 
         if isinstance(m, Forall):
             # eliminate quantifiers on the ground side first
@@ -464,7 +449,7 @@ class _Engine:
             self._mismatch(theta, goal, n, " is not a subtype of ", m)
 
         _check_post(theta, out, metric[0], size, goal)
-        self._remember(key, start, theta, out, goal)
+        self._remember(key, theta, out, goal)
         return size, out
 
 

@@ -201,5 +201,5 @@ class RefTyper(_Typer):
     """A checking run whose memo lasts one subtyping premise."""
 
     def premise(self, *args, **kwargs):
-        self.memo = {}
+        self.memo = set()
         return super().premise(*args, **kwargs)

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from polarf import (
-    Arrow, Context, Data, Forall, NegType, OracleBudgetExceeded, PosType,
-    Return, TypeCheckError, TypeEnv, UVar, Up, Var,
+    Arrow, BoolLit, Context, Data, Forall, IntLit, NegType, OracleBudgetExceeded,
+    PairVal, PosType, Return, Thunk, TypeCheckError, TypeEnv, UVar, Up, Var,
     candidate_universe, decl_iso, decl_subtype, decl_synth, parse_program,
-    parse_type, pretty, subst_type, subtype_neg, synth_computation,
+    parse_type, pretty, subst_type, subtype_neg, synth_computation, synth_value,
 )
 from polarf import oracle
 from polarf.corpus import by_name
@@ -182,6 +182,15 @@ class TestDeclSynth:
         got = decl_synth((), gamma, Return(Var("x")))
         assert len(got) == 1
         assert got[0] == T("up (dn (forall a. a -> up a))", "-")
+
+    def test_values_agree_with_the_typer(self):
+        """For a literal, a pair and a thunk, the declarative type set
+        holds one isomorphic to the type `synth_value` synthesizes."""
+        gamma = TypeEnv((("x", ID_TYPE),))
+        for v in (IntLit(1), PairVal(IntLit(1), BoolLit(True)), Thunk(Return(Var("x")))):
+            alg = synth_value(Context(), gamma, v).type
+            got = decl_synth((), gamma, v)
+            assert any(decl_iso((), alg, p, typing_universe(gamma, v)) for p in got), v
 
     def test_environment_is_gated_as_synth_does(self):
         """`decl_synth` refuses an environment the algorithm refuses, with

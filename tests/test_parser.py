@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarf import (
-    Arrow, Data, Down, Forall, Let, LetAnn, NegData, TypeCheckError, UVar, Up,
-    parse_program, parse_type, pretty,
+    Arrow, Data, Down, Forall, Let, LetAnn, NegData, TypeCheckError, TypeEnv, UVar,
+    Up, parse_program, parse_type, pretty,
 )
 from polarf import parser
 from polarf.cli import check_source_json
@@ -408,6 +408,12 @@ class TestPretty:
         assert pretty(t) == "dn (forall a. a -> up a)"
         assert pretty(UVar("a")) == "a"
         assert pretty(Up(t)) == "up (dn (forall a. a -> up a))"
+
+    def test_environment_prints_bindings_of_either_polarity(self):
+        """The gates refuse a negative binding, but printing one does not crash."""
+        gamma = TypeEnv((("x", Data("Int", ())), ("f", Up(Data("Int", ())))))
+        assert pretty(gamma) == "x : Int, f : up Int"
+        assert pretty(TypeEnv(())) == "·"
 
     def test_nested_let_round_trip(self):
         src = ("let f = {return {/\\a. \\y : Int. return {\\x : a. "

@@ -8,9 +8,9 @@ let-chain and spine shapes and generated programs, both give the same
 status, type, error kind, message and span.  The run's trace is the
 reference's with some runs of consecutive steps cut: each cut run is one
 `memo` step that prints as the run's last step, the conclusion the run
-derived.  A memo hit advances the fresh-existential counters as the
-derivation it cuts did, so every step prints as the reference's, names
-included.  Every `memo` step answers a judgment that the same run
+derived.  A memo hit leaves the context as it is, and a fresh existential
+is named against its context, so every step prints as the reference's,
+names included.  Every `memo` step answers a judgment that the same run
 derived before it, never one from an earlier run.
 """
 

@@ -22,17 +22,17 @@ from gen import prenex_source, spine_source
 DIGESTS = {
     "A1": "9f5a98a2025a1482505f8601ffa0b64a421a9e8cdf05d335f3abaf4e9973bb2b",
     "A2": "731d2b636ce7f9e9edc0c220b56f403e4b6acef45a4795b4c5946c05ace8b58c",
-    "A3": "a665677d3661fdc9aa8c45bdfa7fe26733ff2696a838393c6bb49f46ba7b3aaf",
+    "A3": "cf58a75e609ecf542e03fc1a19dbf24f4e7a157134d648f31e1c0bf05dbc5633",
     "A4": "25e3c13a4e977645857f4c1a2a5e5cb94800b0cf146302e3cfb404254d71241a",
     "A5": "6c7ef8cd65bb4f6f69fb275e8a82738b22d8a28edf4d0d83af4d485c48f90ee7",
     "A6": "76a5cc5bfe669a7c7bd78271db59e4889cbdae86a007dba5bff0a416b5f1b21a",
     "A7": "a7aca90b94954dd72db281e049f9c749b4112747e7f525babf699576f8e8d13d",
     "A8": "b577de08d771f285e4c8123e5021e1ea3e83f6dec1986c9163ac1d460ca238aa",
-    "A9": "cbc2eb001bcc4d1b9c5b5e9bce0de92b5e61f0d437b187bbec8cf8f922bc5230",
+    "A9": "9491ac5c2bce504fb45c1077f2cf88c233a7d033af2de659c56dcdf295f2d28d",
     "A10": "f30520149704e671bd4b9706c5f461f8ada18f6800094346f67d03848f6b0149",
     "A11": "76e00bb6b337448179b65e0818f5617f8270d8fb5470288c02a3f58941c065c6",
-    "A12": "27662ce9c944154913ba7eebbe9870b41e31a6d664b421e64a2d93d5d8b98f6b",
-    "B1": "49b2a59c908a303ed2f18b6a905e9e3a25e734ce85c0bf012d8664c86e1ef0fa",
+    "A12": "ecc8271da8946a34dae76f41c3bd5a058c68b1c3162290c17b4343e422b394ab",
+    "B1": "8e321760fc10bcc0bccc8cf5f9f027cb785f67f19db41e3a0f5e73175c7d439f",
     "B2": "3e7cd61a70ab40146036c0d0c1cbaa931f619718137affffdfe16bbcac362859",
     "C1": "eb1e7cb08a7e9364ae9278bd46908adf46184f3d5a9f190704a913906e444616",
     "C2": "778274fe1f531fc9a937f772abc99ab3fdb190148db873cd3ca463fb66d94365",
@@ -40,18 +40,18 @@ DIGESTS = {
     "C4": "ba128b0458a67cd3823d5225fc831c523e37205e16d1e9cdc7c7b0dcadeb305f",
     "C5": "393ace2146601a1ff6bfa514fee8fb48c160222180a8430ddeb936829e53779e",
     "C6": "2650e6e47087c33bc29b4012a95556c10045daafb50ce642dce34839ab288ebf",
-    "C7": "fc3a956ccaa075ff228a0efafbf782ef05137595d5a4b5812cd1a32d1a05286c",
-    "C8": "dc61e92403219995a498f02b601e2a5b24195e15f3edf80a2ab7d32256fd9b42",
-    "C9": "fd153017329ef9b1a1044dc090024f835050e226715c91df5d42d941272eca01",
-    "C10": "e003499f05d2d197787476e07c341b1e5e5e3340e4729e1daf90e3e2b4c54272",
+    "C7": "5bd35f1fa731f41428471fae8d364f4b24aa9330bf9cab95c140d6347b117d21",
+    "C8": "7376ee69366f8571641ca0d92982a65c066e8ec30bc5a5b203d65cc70a98a8d7",
+    "C9": "c155070b44983f4753fc0be7e27c5081a5f0d851c8f9e7e8aeaf7b90c3e12881",
+    "C10": "e893bf48c491560c81d1a5c2b06e8a8dc3250359439e92795dde479ff3d1f9f3",
     "D1": "b4a34be6f1968ab360849675b52ac0f33f343d9da973c57bf4194af86d991a6d",
     "D2": "fc5836329851174af8b825ad4e7a7411ce71ec626b2562428d6ede8173f4f097",
     "D3": "a1139d6c73eff1d1508fb2e27ef558128158446e404fd7d333f932b8b0a4b6d3",
     "D4": "46169be0a64f652026c91c852d9fb6d5b6dff36ca7bc8dc03bcf4c19c1a36011",
     "D5": "47a8f621f0d273a2cd8ecc307725476b730048386a2655951313f19287dcff2d",
-    "E1": "2f621ad58112e4462d944bed3f26fd12331fe373a9feca306eb4d6d143a317c8",
-    "E2": "58bdc0a89c7d6499a7774047bf3712866f21e90e054fe490632acaad1a897147",
-    "E3": "7d696423168e5e427faef2525ebb9a96d1de66564cfc80059924fadf47bb98ba",
+    "E1": "eadafcc77aa70bad35c1e54b808961b4d3e219caf1ad010bb40bb16111cb00f9",
+    "E2": "cf4fa5f52121c38a4a760d9f8d9b5ff65f044bcde333463b9174e7d656dadc4a",
+    "E3": "36f273923870e1c017a909d0a48aa10eb57812b5d224285a499c47ed52ec9a1c",
     "A3-stripped": "77894bf929fd74500b948a48430ab9ad36d8ff3f4ee6e6bd915c40738ce5c77a",
     "C6-stripped": "f4c9db3637e48d9daa9b2ec8e47ab85e92ae7a8f9b14d97b255bec1744328524",
     "A11-stripped": "8868ef9126dd392b5b2c5cbf865589aaab0c25da86567a570bd0c03a38bf2cec",

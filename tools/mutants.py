@@ -65,10 +65,10 @@ MUTATIONS = {
            "syntax.py",
            "self.open(UVar(binder))",
            "self.open(UVar(self.hint))"),
-    "M9": ("a memo hit does not advance the counters",
+    "M9": ("fresh_evar ignores the names already taken",
            "subtype.py",
-           "self._counts[base] = self._counts.get(base, 0) + advance",
-           "pass"),
+           'while f"?{base}{n}" in taken:',
+           "while False:"),
     "M10": ("_combine skips the polarity test",
             "syntax.py",
             "if polarity and c.polarity != polarity:",
