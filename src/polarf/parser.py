@@ -66,7 +66,11 @@ characters, the oldest leaving first; a longer input is never looked up.
 No input or block that fails is kept, so it fails again with the same
 message and span.  Type nodes are never changed once built, so parses may
 share them.  Terms carry spans and are always parsed afresh.  `parse_type`
-keeps its tokens like any input's, and builds its type afresh.
+keeps its tokens like any input's, and builds its type afresh.  `pretty`
+prints each node once: a composite type or a context keeps its text, a
+function of its fields, in `_text` when first printed outside every binder,
+and later prints read it.  Under a binder nothing is read or kept: the
+capture check (`_Binders.mention`) must see every variable there.
 """
 
 from __future__ import annotations
@@ -585,10 +589,8 @@ def parse_type(text: str, polarity: str = "any", filename: str = "<type>"):
 
 def pretty(x) -> str:
     """Render a type, term, or context with minimal parentheses."""
-    if isinstance(x, PosType):
-        return _pp_pos(x)
-    if isinstance(x, NegType):
-        return _pp_neg(x)
+    if isinstance(x, (PosType, NegType)):
+        return _pp_pos(x) if x.polarity == "+" else _pp_neg(x)
     if isinstance(x, Value):
         return _pp_value(x)
     if isinstance(x, Computation):
@@ -615,28 +617,44 @@ def _pp_pos(p, env=None, atom=False) -> str:
         if p.index and env.names.count(name) > 1:
             env.mention(name, len(env.names) - p.index)
         return name
+    if cls is Data and not p.args:
+        return p.constructor
+    try:
+        if env is None and (cls is Down or cls is Data):
+            return f"({p._text})" if atom else p._text
+    except AttributeError:
+        pass
     if cls is Down:
         out = f"dn ({_pp_neg(p.body, env)})"
     elif cls is not Data:
         raise TypeError(f"not a positive type: {p!r}")
-    elif not p.args:
-        return p.constructor
     elif _is_pair(p):
         left, right = p.args
         out = f"{_pp_pos(left, env, _is_pair(left))} * {_pp_pos(right, env)}"
     else:
         out = " ".join([p.constructor] + [_pp_pos(a, env, True) for a in p.args])
+    if env is None:
+        p._text = out
     return f"({out})" if atom else out
 
 
 def _pp_neg(n, env=None) -> str:
+    try:
+        if env is None:
+            return n._text
+    except AttributeError:
+        pass
     if isinstance(n, Forall):
-        return _Binders().render(n) if env is None else env.forall(n)
-    if isinstance(n, Arrow):
-        return f"{_pp_pos(n.domain, env)} -> {_pp_neg(n.codomain, env)}"
-    if isinstance(n, Up):
-        return f"up {_pp_pos(n.body, env, True)}"
-    return " ".join([n.constructor] + [_pp_pos(a, env, True) for a in n.args])  # NegData
+        out = _Binders().render(n) if env is None else env.forall(n)
+    elif isinstance(n, Arrow):
+        out = f"{_pp_pos(n.domain, env)} -> {_pp_neg(n.codomain, env)}"
+    elif isinstance(n, Up):
+        out = f"up {_pp_pos(n.body, env, True)}"
+    else:  # NegData
+        out = " ".join([n.constructor] + [_pp_pos(a, env, True) for a in n.args])
+    if env is None:
+        n._text = out
+    return out
 
 
 class _Binders:
@@ -696,12 +714,12 @@ def _pp_value(v) -> str:
 def _pp_comp(t) -> str:
     lets = []  # a chain of lets is printed in a loop
     while isinstance(t, (Let, LetAnn)):
-        anno = f" : {_pp_pos(t.annotation)}" if isinstance(t, LetAnn) else ""
+        anno = f" : {pretty(t.annotation)}" if isinstance(t, LetAnn) else ""
         args = ", ".join([_pp_value(v) for v in t.args])
         lets.append(f"let {t.name}{anno} = {_pp_value(t.head)}({args}); ")
         t = t.cont
     if isinstance(t, Lambda):
-        last = f"\\{t.param} : {_pp_pos(t.annotation)}. {_pp_comp(t.body)}"
+        last = f"\\{t.param} : {pretty(t.annotation)}. {_pp_comp(t.body)}"
     elif isinstance(t, TypeAbs):
         last = f"/\\{t.binder}. {_pp_comp(t.body)}"
     elif isinstance(t, Return):
@@ -712,5 +730,9 @@ def _pp_comp(t) -> str:
 
 
 def _pp_context(theta: Context) -> str:
-    return ", ".join([f"{e.name} = {_pp_pos(e.solution)}" if type(e) is Solved else e.name
-                      for e in theta.entries]) or "·"
+    try:
+        return theta._text
+    except AttributeError:
+        theta._text = out = ", ".join([f"{e.name} = {_pp_pos(e.solution)}" if type(e) is Solved
+                                       else e.name for e in theta.entries]) or "·"
+        return out

@@ -7,11 +7,11 @@ a value type, `Up` is the type of a computation returning a value).
 Binders are locally nameless (Charguéraud, "The Locally Nameless
 Representation", JAR 2012): a `Forall` binds the `BVar`s of its scope and
 every `UVar` is free, so `==` and `hash` are alpha-equivalence and
-substitution never renames.  Three things are written into a value after
-it is built: a composite type's kept hash, a quantifier's named view (both
-below) and a context's `_extends` stamp (`wellformed.wf_extension`).  A
-race between threads is harmless: the hash and the view are functions of
-the node's fields, so racing threads write equal values, and a stamp says
+substitution never renames.  Four things are written into a value after it
+is built: a composite type's kept hash, a quantifier's named view (both
+below), a type's or a context's text (`_text`, see `parser`) and a
+context's `_extends` stamp (`wellformed.wf_extension`).  Racing threads
+write equal hashes, views and texts, functions of the fields; a stamp says
 only what a check found true, so every stamp a reader sees is true and one
 lost to a race costs only a check.  So values can be shared across threads.
 
@@ -101,7 +101,7 @@ class _Composite(_Type):
     `_rehash`, which hashes the tuple of the node's fields (see `Record`)
     and so reads each child's kept hash."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_text")  # `_text` is unset until printed (see `parser`)
 
     def __hash__(self):
         h = self._hash
@@ -151,9 +151,9 @@ def _combine(node, kids, polarity, size=1, shift=0):
 # A type node is a `Record` whose `__init__` sets its fields and facts.  No
 # guard stops assignment (it would cost `object.__setattr__` per slot, as a
 # frozen class does): nothing assigns to a node after `__init__` but what it
-# keeps when first asked, its hash and a `Forall`'s named view, functions
-# of its fields.  A variable has one fact of its own; the others are class
-# attributes, shared by every variable of its class.
+# keeps when first asked, its hash, its text and a `Forall`'s named view,
+# functions of its fields.  A variable has one fact of its own; the others
+# are class attributes, shared by every variable of its class.
 
 class UVar(PosType):
     """Universal type variable."""
@@ -379,6 +379,15 @@ Term = Value | Computation
 ArgList = tuple
 
 
+def _sized(node, sort, *kids) -> int:
+    """The total size of `kids`, which must each be a `sort`: else a TypeError naming `node`."""
+    for c in kids:
+        if not isinstance(c, sort):
+            raise TypeError(f"{type(node).__name__} takes a {sort.__name__.lstrip('_')}, "
+                            f"not {type(c).__name__}")
+    return sum([c.size for c in kids])
+
+
 class Var(Value):
     __slots__, _fields = ("name", "span"), ("name",)
     size = 1
@@ -393,7 +402,7 @@ class Thunk(Value):
     __slots__, _fields = ("body", "span", "size"), ("body",)
 
     def __init__(self, body: Computation, span: SourceSpan | None = None):
-        self.body, self.span, self.size = body, span, 1 + body.size
+        self.body, self.span, self.size = body, span, 1 + _sized(self, Computation, body)
 
 
 class IntLit(Value):
@@ -417,7 +426,7 @@ class PairVal(Value):
 
     def __init__(self, first: Value, second: Value, span: SourceSpan | None = None):
         self.first, self.second, self.span = first, second, span
-        self.size = 1 + first.size + second.size
+        self.size = 1 + _sized(self, Value, first, second)
 
 
 class Lambda(Computation):
@@ -428,22 +437,24 @@ class Lambda(Computation):
 
     def __init__(self, param: str, annotation: PosType, body: Computation,
                  span: SourceSpan | None = None):
+        _sized(self, _Type, annotation)
         self.param, self.annotation, self.body = param, annotation, body
-        self.span, self.size = span, 1 + body.size
+        self.span, self.size = span, 1 + _sized(self, Computation, body)
 
 
 class TypeAbs(Computation):
     __slots__, _fields = ("binder", "body", "span", "size"), ("binder", "body")
 
     def __init__(self, binder: str, body: Computation, span: SourceSpan | None = None):
-        self.binder, self.body, self.span, self.size = binder, body, span, 1 + body.size
+        self.binder, self.body, self.span = binder, body, span
+        self.size = 1 + _sized(self, Computation, body)
 
 
 class Return(Computation):
     __slots__, _fields = ("value", "span", "size"), ("value",)
 
     def __init__(self, value: Value, span: SourceSpan | None = None):
-        self.value, self.span, self.size = value, span, 1 + value.size
+        self.value, self.span, self.size = value, span, 1 + _sized(self, Value, value)
 
 
 class LetAnn(Computation):
@@ -454,9 +465,10 @@ class LetAnn(Computation):
 
     def __init__(self, name: str, annotation: PosType, head: Value, args: ArgList,
                  cont: Computation, span: SourceSpan | None = None):
+        _sized(self, _Type, annotation)
         self.name, self.annotation, self.head, self.args = name, annotation, head, args
         self.cont, self.span = cont, span
-        self.size = 1 + head.size + sum(a.size for a in args) + cont.size
+        self.size = 1 + _sized(self, Value, head, *args) + _sized(self, Computation, cont)
 
 
 class Let(Computation):
@@ -468,7 +480,7 @@ class Let(Computation):
     def __init__(self, name: str, head: Value, args: ArgList, cont: Computation,
                  span: SourceSpan | None = None):
         self.name, self.head, self.args, self.cont, self.span = name, head, args, cont, span
-        self.size = 1 + head.size + sum(a.size for a in args) + cont.size
+        self.size = 1 + _sized(self, Value, head, *args) + _sized(self, Computation, cont)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +547,7 @@ class Context(Record):
     """
 
     __slots__ = ("entries", "positions", "uvar_names", "evar_names", "solutions",
-                 "erased", "_extends")
+                 "erased", "_extends", "_text")
     _fields = ("entries",)
 
     def __init__(self, entries: tuple = ()):

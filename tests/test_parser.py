@@ -1,5 +1,6 @@
 """Concrete syntax: parsing, polarity enforcement, pretty round-trips."""
 
+import copy
 import random
 import sys
 import threading
@@ -8,14 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarf import (
-    Arrow, Data, Down, Forall, Let, LetAnn, NegData, TypeCheckError, TypeEnv, UVar,
-    Up, parse_program, parse_type, pretty,
+    Arrow, BVar, Context, Data, Down, Forall, Lambda, Let, LetAnn, NegData, Return,
+    Solved, TypeCheckError, TypeEnv, UVar, Unsolved, Up, Var, parse_program, parse_type,
+    pretty,
 )
 from polarf import parser
 from polarf.cli import check_source_json
 from polarf.corpus import ENVIRONMENT, EXAMPLES, STRIPPED
 
 from gen import gen_comp, gen_env, gen_type
+from references import ref_nodes
 
 
 class TestParseType:
@@ -437,6 +440,74 @@ class TestPretty:
             body = gen_comp(rng, [n for n, _ in env], (), 3, [2])
             back = parse_program("run " + pretty(body)).body
             assert back == body, pretty(body)
+
+
+def kept_texts(t):
+    """The nodes of `t` that keep a text, with that text."""
+    return [(node, node._text) for node, _ in ref_nodes(t) if hasattr(node, "_text")]
+
+
+class TestKeptText:
+    """A composite type and a context keep the text they print as outside
+    every binder, and every later print reads it; under a binder nothing
+    is read or kept."""
+
+    def test_kept_text_is_a_fresh_print(self):
+        rng = random.Random(29)
+        kept = 0
+        for _ in range(300):
+            t = gen_type(rng, rng.choice("+-"), uvars=rng.choice(((), ("a",), ("a", "b"))))
+            assert kept_texts(t) == []  # nothing is kept when a node is built
+            text = pretty(t)
+            assert pretty(t) == text == pretty(copy.deepcopy(t))
+            for node, node_text in kept_texts(t):
+                assert node_text == pretty(copy.deepcopy(node)) == pretty(node)
+                assert not hasattr(copy.deepcopy(node), "_text")
+                kept += 1
+        assert kept > 300
+
+    def test_nothing_is_kept_under_a_binder(self):
+        inner = Arrow(UVar("a"), Up(Data("List", (BVar(0),))))
+        t = Down(Forall.bind("b", inner))
+        assert pretty(t) == "dn (forall b. a -> up (List b))"
+        assert [node for node, _ in kept_texts(t)] == [t, t.body]
+
+    def test_alpha_variants_keep_their_own_binders(self):
+        for first in "ab":
+            variants = {x: parse_type(f"forall {x}. {x} -> up {x}") for x in "ab"}
+            assert variants["a"] == variants["b"]
+            assert hash(variants["a"]) == hash(variants["b"])
+            order = [first] + [x for x in "ab" if x != first]
+            for x in order + order:
+                assert pretty(variants[x]) == f"forall {x}. {x} -> up {x}"
+
+    def test_a_kept_text_does_not_hide_a_capture(self):
+        """`dn (up a)`, printed first at top level, must still make a
+        binder `a` around it rename, so its kept text is not read there."""
+        free = Down(Up(UVar("a")))
+        assert pretty(free) == "dn (up a)"
+        t = Forall.bind("a", Arrow(free, Up(BVar(0))))
+        assert pretty(t) == "forall a1. dn (up a) -> up a1"
+        assert pretty(Down(t)) == "dn (forall a1. dn (up a) -> up a1)"
+        assert pretty(free) == "dn (up a)"
+
+    def test_contexts_keep_their_text(self):
+        solution = Down(Up(Data("Int")))
+        theta = Context((Unsolved("?a0"), Solved("?b0", solution)))
+        assert not hasattr(theta, "_text")
+        text = pretty(theta)
+        assert text == "?a0, ?b0 = dn (up Int)" == pretty(theta)
+        assert theta._text == text == pretty(copy.deepcopy(theta))
+        assert solution._text == "dn (up Int)"
+        solved = theta.solve("?a0", Data("Int"))
+        assert not hasattr(solved, "_text") and pretty(solved) == "?a0 = Int, " + text[5:]
+
+    def test_annotations_of_either_polarity_print(self):
+        assert pretty(Lambda("x", Up(Data("Int")), Return(Var("x")))) == "\\x : up Int. return x"
+        anno = Down(Up(Data("Int")))
+        assert pretty(LetAnn("y", anno, Var("f"), (), Return(Var("y")))) == \
+            "let y : dn (up Int) = f(); return y"
+        assert anno._text == "dn (up Int)"
 
 
 # a compact hypothesis strategy over positive types (negatives ride inside)

@@ -8,9 +8,11 @@ import re
 import pytest
 
 from polarf import (
-    Arrow, BVar, Context, Data, DataDecl, Down, EVar, Forall, NegData, Solved,
-    UVar, Universal, Unsolved, Up, apply_context, extends, free_uvars,
-    num_prenex, parse_type, pretty, restrict_context, subst_type,
+    Arrow, BVar, Context, Data, DataDecl, Down, EVar, Forall, IntLit, Lambda, Let,
+    LetAnn, NegData, PairVal, Return, Solved, Thunk, TypeAbs, TypeCheckError, TypeEnv,
+    UVar, Universal, Unsolved, Up, Var, apply_context, extends, free_uvars,
+    num_prenex, parse_type, pretty, restrict_context, subst_type, synth_computation,
+    synth_value,
 )
 from polarf.errors import InvariantViolation
 from polarf.wellformed import wf_extension
@@ -61,6 +63,75 @@ class TestWellKinded:
         for child in (None, 3, "a", (INT,), Universal("a"), DataDecl("Int", polarity, 0)):
             with pytest.raises(TypeError, match=f"^{name} takes a "):
                 build(child)
+
+
+ONE, RET = IntLit(1), Return(IntLit(1))
+
+# each term constructor (its class name, and a builder given the child under
+# test) with the sort it takes there
+TERM_CONSTRUCTORS = [
+    pytest.param("Thunk", Thunk, "Computation", id="Thunk"),
+    pytest.param("PairVal", lambda c: PairVal(c, ONE), "Value", id="PairVal-first"),
+    pytest.param("PairVal", lambda c: PairVal(ONE, c), "Value", id="PairVal-second"),
+    pytest.param("Lambda", lambda c: Lambda("x", c, RET), "Type", id="Lambda-annotation"),
+    pytest.param("Lambda", lambda c: Lambda("x", INT, c), "Computation", id="Lambda-body"),
+    pytest.param("TypeAbs", lambda c: TypeAbs("a", c), "Computation", id="TypeAbs"),
+    pytest.param("Return", Return, "Value", id="Return"),
+    pytest.param("Let", lambda c: Let("x", c, (), RET), "Value", id="Let-head"),
+    pytest.param("Let", lambda c: Let("x", Var("f"), (ONE, c), RET), "Value", id="Let-arg"),
+    pytest.param("Let", lambda c: Let("x", Var("f"), (), c), "Computation", id="Let-cont"),
+    pytest.param("LetAnn", lambda c: LetAnn("x", c, Var("f"), (), RET), "Type",
+                 id="LetAnn-annotation"),
+    pytest.param("LetAnn", lambda c: LetAnn("x", INT, c, (), RET), "Value", id="LetAnn-head"),
+    pytest.param("LetAnn", lambda c: LetAnn("x", INT, Var("f"), (c,), RET), "Value",
+                 id="LetAnn-arg"),
+    pytest.param("LetAnn", lambda c: LetAnn("x", INT, Var("f"), (), c), "Computation",
+                 id="LetAnn-cont"),
+]
+
+SORTED_CHILDREN = {"Value": (ONE, Var("x"), Thunk(RET)),
+                   "Computation": (RET, TypeAbs("a", RET), Let("y", Var("f"), (), RET)),
+                   "Type": (INT, UP_INT, UVar("a"))}
+
+
+@pytest.mark.parametrize("name,build,sort", TERM_CONSTRUCTORS)
+class TestTermSorts:
+    """A term constructor takes only children of the sort it names: a value,
+    a computation or, for an annotation, a type of either polarity.  Any
+    other child raises TypeError naming the constructor."""
+
+    def test_children_of_the_sort_are_taken(self, name, build, sort):
+        for child in SORTED_CHILDREN[sort]:
+            assert type(build(child)).__name__ == name
+
+    def test_children_of_another_sort_are_refused(self, name, build, sort):
+        wrong = [c for other, kids in SORTED_CHILDREN.items() if other != sort for c in kids]
+        for child in wrong + [None, 3, "x", (ONE,), Universal("a")]:
+            with pytest.raises(TypeError, match=f"^{name} takes a {sort}, not "):
+                build(child)
+
+
+class TestTermSortProbes:
+    def test_ill_sorted_terms_are_refused_where_built(self):
+        with pytest.raises(TypeError, match="^Thunk takes a Computation, not Var$"):
+            synth_value(Context(), TypeEnv(), Thunk(Var("x")))
+        with pytest.raises(TypeError, match="^Return takes a Value, not Return$"):
+            Return(Return(IntLit(1)))
+        with pytest.raises(TypeError, match="^PairVal takes a Value, not Return$"):
+            PairVal(Return(IntLit(1)), IntLit(2))
+
+    def test_a_negative_annotation_is_built_and_left_to_the_typer(self):
+        term = Lambda("x", UP_INT, Return(Var("x")))
+        assert pretty(term) == "\\x : up Int. return x"
+        with pytest.raises(TypeCheckError) as e:
+            synth_computation(Context(), TypeEnv(), term)
+        assert e.value.kind == "unbound-variable"
+
+    def test_sizes_count_the_checked_children(self):
+        body = Let("y", Var("f"), (ONE, PairVal(ONE, Var("x"))), Return(Var("y")))
+        assert body.size == 1 + 1 + 1 + 3 + 2
+        assert Lambda("x", INT, body).size == Thunk(body).size == TypeAbs("a", body).size == 9
+        assert LetAnn("z", INT, Var("g"), (Thunk(body),), RET).size == 1 + 1 + 9 + 2
 
 
 class TestFreeVars:

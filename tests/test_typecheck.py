@@ -1,19 +1,20 @@
 """Algorithmic typing: values, computations, spines, and the let forms."""
 
+import copy
 import json
 
 import pytest
 
 from polarf import (
-    BoolLit, Context, Data, Down, EVar, IntLit, PairVal, Return, Solved,
-    Thunk, TypeCheckError, TypeEnv, Unsolved, Up, Var, apply_context,
+    BoolLit, Context, Data, Down, EVar, IntLit, NegType, PairVal, PosType, Return,
+    Solved, Thunk, TypeCheckError, TypeEnv, Unsolved, Up, Var, apply_context,
     check_program, decl_synth, parse_program, parse_type, pretty,
     subtype_pos, synth_spine, synth_value,
 )
-from polarf import cli, oracle, subtype, syntax, typecheck, wellformed
+from polarf import cli, oracle, parser, subtype, syntax, typecheck, wellformed
 from polarf.corpus import ENVIRONMENT, EXAMPLES, STRIPPED, by_name
 
-from references import ref_weak_extends
+from references import ref_nodes, ref_weak_extends
 
 T = parse_type
 ID_TYPE = T("dn (forall a. a -> up a)", "+")
@@ -231,18 +232,20 @@ class TestLazyTrace:
 
 class TestTraceRendering:
     """Steps share their contexts, and the trace of a `check --json` record
-    prints each context object once."""
+    prints each context object once: a context keeps its text."""
 
     @pytest.fixture
     def shown_contexts(self, monkeypatch):
+        """The contexts printed, not read back from their kept text."""
         shown = []
+        render = parser._pp_context
 
-        def counted(x):
-            if isinstance(x, Context):
-                shown.append(x)
-            return pretty(x)
+        def counted(theta):
+            if getattr(theta, "_text", None) is None:
+                shown.append(theta)
+            return render(theta)
 
-        monkeypatch.setattr(cli, "pretty", counted)
+        monkeypatch.setattr(parser, "_pp_context", counted)
         return shown
 
     def test_each_context_object_is_printed_once(self, shown_contexts):
@@ -263,6 +266,69 @@ class TestTraceRendering:
             assert len(record["trace"]) == len(trace)
             assert len({id(ctx) for ctx in shown_contexts}) == len(shown_contexts) > 0
         assert 2 * renders < steps  # 225 renders for 727 steps, not 2 per step
+
+
+class TestPrintOnce:
+    """A composite type and a context keep their text once printed, so
+    rendering the corpus traces again prints no node or context again."""
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """The composite nodes and contexts printed, not read back from
+        their kept text, in order; held, so that no two share an id."""
+        shown = []
+        pos, neg, ctx = parser._pp_pos, parser._pp_neg, parser._pp_context
+
+        def fresh(x):
+            if getattr(x, "_text", None) is None:
+                shown.append(x)
+
+        def counted_pos(p, env=None, atom=False):
+            if env is None and isinstance(p, (Data, Down)) and getattr(p, "args", True):
+                fresh(p)
+            return pos(p, env, atom)
+
+        def counted_neg(n, env=None):
+            if env is None:
+                fresh(n)
+            return neg(n, env)
+
+        def counted_context(theta):
+            fresh(theta)
+            return ctx(theta)
+
+        monkeypatch.setattr(parser, "_pp_pos", counted_pos)
+        monkeypatch.setattr(parser, "_pp_neg", counted_neg)
+        monkeypatch.setattr(parser, "_pp_context", counted_context)
+        return shown
+
+    def test_a_second_rendering_prints_no_node_again(self, rendered):
+        traces = [trace_of(parse_program(ex.source, ex.name)) for ex in EXAMPLES + STRIPPED]
+        first = [cli._trace_json(trace) for trace in traces]
+        once = len(rendered)
+        assert [cli._trace_json(trace) for trace in traces] == first
+        # the second pass prints only the nodes and contexts that reading a
+        # step builds anew: judgments read through a context, opened blocks
+        assert 0 < len(rendered) - once < once / 4
+        assert len({id(x) for x in rendered}) == len(rendered)
+
+    def test_kept_texts_of_corpus_traces_are_fresh_prints(self):
+        checked = 0
+        for ex in EXAMPLES + STRIPPED:
+            trace = trace_of(parse_program(ex.source, ex.name))
+            cli._trace_json(trace)
+            for step in trace:
+                for theta in (step.before, step.after):
+                    if hasattr(theta, "_text"):
+                        assert theta._text == pretty(copy.deepcopy(theta)), ex.name
+                        checked += 1
+                for part in step.parts:
+                    if isinstance(part, (PosType, NegType)):
+                        for node, _ in ref_nodes(part):
+                            if hasattr(node, "_text"):
+                                assert node._text == pretty(copy.deepcopy(node)), ex.name
+                                checked += 1
+        assert checked > 1000
 
 
 class TestTypeFacts:

@@ -15,7 +15,7 @@ For each mutation it prints the failed and passed counts and the test
 files that failed.  A mutation survives when no test fails.  A mutation
 no longer applies when its text is not found exactly once in its file.
 Exits 2 if a mutation no longer applies, else 1 if one survives, else 0.
-A run of all of them takes about as long as eleven tier-1 runs.
+A run of all of them takes about as long as thirteen tier-1 runs.
 """
 
 from __future__ import annotations
@@ -77,6 +77,14 @@ MUTATIONS = {
             "subtype.py",
             " and a.polarity == polarity == b.polarity",
             ""),
+    "M12": ("_pp_pos reads a kept text under a binder",
+            "parser.py",
+            "if env is None and (cls is Down or cls is Data):",
+            "if cls is Down or cls is Data:"),
+    "M13": ("Thunk skips its sort check",
+            "syntax.py",
+            "self.body, self.span, self.size = body, span, 1 + _sized(self, Computation, body)",
+            "self.body, self.span, self.size = body, span, 1 + body.size"),
 }
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
