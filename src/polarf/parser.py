@@ -64,13 +64,11 @@ alpha-variants keep entries of their own and print with their own names.
 Each memo keeps at most `MEMO_CAP` texts of at most `MEMO_TEXT_MAX`
 characters, the oldest leaving first; a longer input is never looked up.
 No input or block that fails is kept, so it fails again with the same
-message and span.  Type nodes are never changed once built, so parses may
-share them.  Terms carry spans and are always parsed afresh.  `parse_type`
-keeps its tokens like any input's, and builds its type afresh.  `pretty`
-prints each node once: a composite type or a context keeps its text, a
-function of its fields, in `_text` when first printed outside every binder,
-and later prints read it.  Under a binder nothing is read or kept: the
-capture check (`_Binders.mention`) must see every variable there.
+message and span.  Terms carry spans and are always parsed afresh.
+`parse_type` keeps its tokens like any input's, and builds its type afresh.
+Parses may share type nodes, whose fields never change: `pretty` keeps a
+composite's or a context's text in `_text` when first printed outside every
+binder, and reads and keeps none under one (a capture check sees all).
 """
 
 from __future__ import annotations
@@ -591,12 +589,12 @@ def pretty(x) -> str:
     """Render a type, term, or context with minimal parentheses."""
     if isinstance(x, (PosType, NegType)):
         return _pp_pos(x) if x.polarity == "+" else _pp_neg(x)
+    if isinstance(x, Context):
+        return _pp_context(x)
     if isinstance(x, Value):
         return _pp_value(x)
     if isinstance(x, Computation):
         return _pp_comp(x)
-    if isinstance(x, Context):
-        return _pp_context(x)
     if isinstance(x, TypeEnv):
         return ", ".join(f"{n} : {pretty(p)}" for n, p in x) or "·"
     raise TypeError(f"cannot pretty-print {x!r}")

@@ -381,11 +381,13 @@ ArgList = tuple
 
 def _sized(node, sort, *kids) -> int:
     """The total size of `kids`, which must each be a `sort`: else a TypeError naming `node`."""
+    size = 0
     for c in kids:
         if not isinstance(c, sort):
             raise TypeError(f"{type(node).__name__} takes a {sort.__name__.lstrip('_')}, "
                             f"not {type(c).__name__}")
-    return sum([c.size for c in kids])
+        size += c.size
+    return size
 
 
 class Var(Value):
