@@ -265,7 +265,7 @@ class TestTraceRendering:
             record = json.loads(cli.check_source_json(ex.source, ex.name, with_trace=True))
             assert len(record["trace"]) == len(trace)
             assert len({id(ctx) for ctx in shown_contexts}) == len(shown_contexts) > 0
-        assert 2 * renders < steps  # 225 renders for 727 steps, not 2 per step
+        assert 2 * renders < steps  # 201 renders for 669 steps, not 2 per step
 
 
 class TestPrintOnce:
